@@ -66,21 +66,11 @@ void BM_HuffmanDecode(benchmark::State &State) {
     std::vector<uint8_t> Out = D.decodeAll(In, E.NumSymbols);
     benchmark::DoNotOptimize(Out.data());
   }
-  State.SetBytesProcessed(int64_t(State.iterations()) * (1 << 20));
+  // Bytes count decoded output, one byte per symbol.
+  State.SetBytesProcessed(int64_t(State.iterations()) * E.NumSymbols);
+  State.SetItemsProcessed(int64_t(State.iterations()) * E.NumSymbols);
 }
 BENCHMARK(BM_HuffmanDecode)->Unit(benchmark::kMillisecond);
-
-void BM_HuffmanDecodeTable(benchmark::State &State) {
-  Encoded E = encode(generateHuffmanData(HuffmanFlavour::Text, 7, 1 << 20));
-  TableDecoder D(E.Code);
-  BitReader In(E.Bytes, E.NumBits);
-  for (auto _ : State) {
-    std::vector<uint8_t> Out = D.decodeAll(In, E.NumSymbols);
-    benchmark::DoNotOptimize(Out.data());
-  }
-  State.SetBytesProcessed(int64_t(State.iterations()) * (1 << 20));
-}
-BENCHMARK(BM_HuffmanDecodeTable)->Unit(benchmark::kMillisecond);
 
 void BM_MwisForward(benchmark::State &State) {
   std::vector<int64_t> W = generatePathGraph(3, 1 << 20, 50);

@@ -8,15 +8,18 @@
 /// \file
 /// MSB-first bit stream containers. The reader supports random access by
 /// bit index, which is what lets the speculative Huffman decoder start a
-/// segment at an arbitrary predicted bit position.
+/// segment at an arbitrary predicted bit position, and a word peek that
+/// hands the table-driven decoder 57 bits per load.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECPAR_HUFFMAN_BITSTREAM_H
 #define SPECPAR_HUFFMAN_BITSTREAM_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace specpar {
@@ -65,6 +68,28 @@ public:
   bool bitAt(int64_t Pos) const {
     assert(Pos >= 0 && Pos < NumBits && "bit index out of range");
     return (Data[Pos >> 3] >> (7 - (Pos & 7))) & 1;
+  }
+
+  /// Bits [Pos, Pos + 57) left-aligned in the result's top 57 bits, the
+  /// bit at \p Pos most significant; the low 7 bits are unspecified. One
+  /// unaligned 8-byte load away from the end of the buffer; within 8 bytes
+  /// of it, a byte-by-byte read that zero-pads past the last byte and
+  /// never touches memory beyond it. Bits past numBits() that share the
+  /// last byte come through as stored.
+  uint64_t peek57(int64_t Pos) const {
+    assert(Pos >= 0 && Pos < NumBits && "bit index out of range");
+    const int64_t Byte = Pos >> 3;
+    const int64_t NumBytes = (NumBits + 7) >> 3;
+    uint64_t Word = 0;
+    if (Byte + 8 <= NumBytes) {
+      std::memcpy(&Word, Data + Byte, 8);
+      if constexpr (std::endian::native == std::endian::little)
+        Word = __builtin_bswap64(Word);
+    } else {
+      for (int64_t I = Byte; I < NumBytes; ++I)
+        Word |= uint64_t(Data[I]) << (56 - 8 * (I - Byte));
+    }
+    return Word << (Pos & 7);
   }
 
 private:

@@ -141,6 +141,8 @@ Decoder::Decoder(const HuffmanCode &Code) {
     return;
   Root = 0;
   Nodes.push_back(Node{{-1, -1}, -1});
+  Width = std::min(12u, Code.MaxLength);
+  Table.assign(size_t(1) << Width, Entry{});
   for (unsigned S = 0; S < 256; ++S) {
     unsigned Len = Code.Lengths[S];
     if (Len == 0)
@@ -155,27 +157,63 @@ Decoder::Decoder(const HuffmanCode &Code) {
       Cur = Nodes[Cur].Child[Bit];
     }
     Nodes[Cur].Symbol = static_cast<int32_t>(S);
+    if (Len > Width)
+      continue;
+    // Every W-bit index that starts with this codeword maps to it.
+    size_t First = size_t(Code.Bits[S]) << (Width - Len);
+    std::fill_n(Table.begin() + First, size_t(1) << (Width - Len),
+                Entry{static_cast<uint8_t>(S), static_cast<uint8_t>(Len)});
   }
+}
+
+int64_t Decoder::walkOne(const BitReader &In, int64_t Pos,
+                         std::vector<uint8_t> *Out) const {
+  int32_t Cur = Root;
+  while (Nodes[Cur].Symbol < 0) {
+    if (Pos >= In.numBits())
+      return -1; // Stream ended inside a codeword: desynchronized.
+    Cur = Nodes[Cur].Child[In.bitAt(Pos++) ? 1 : 0];
+    if (Cur < 0)
+      return -1; // No such codeword (possible on desynchronized decodes
+                 // of degenerate trees).
+  }
+  if (Out)
+    Out->push_back(static_cast<uint8_t>(Nodes[Cur].Symbol));
+  return Pos;
 }
 
 int64_t Decoder::decodeRange(const BitReader &In, int64_t StartBit,
                              int64_t StopBit, std::vector<uint8_t> *Out) const {
   assert(Root >= 0 && "decoding with an empty code");
+  const int64_t NumBits = In.numBits();
+  const int64_t End = std::min(StopBit, NumBits);
+  const unsigned Shift = 64 - Width;
   int64_t Pos = StartBit;
-  while (Pos < StopBit && Pos < In.numBits()) {
-    int32_t Cur = Root;
-    while (Nodes[Cur].Symbol < 0) {
-      if (Pos >= In.numBits())
-        return -1; // Stream ended inside a codeword: desynchronized.
-      int Bit = In.bitAt(Pos) ? 1 : 0;
-      ++Pos;
-      Cur = Nodes[Cur].Child[Bit];
-      if (Cur < 0)
-        return -1; // No such codeword (possible on desynchronized decodes
-                   // of degenerate trees).
+  while (Pos < End) {
+    if (Pos + Width <= NumBits) {
+      // Table-decode codewords from one 57-bit window while they start
+      // before End with at least W of the window's in-stream bits unread.
+      uint64_t Window = In.peek57(Pos);
+      const int64_t Last =
+          std::min(End - 1, std::min(Pos + 57, NumBits) - Width);
+      Entry E;
+      do {
+        E = Table[Window >> Shift];
+        if (E.Length == 0)
+          break;
+        if (Out)
+          Out->push_back(E.Symbol);
+        Window <<= E.Length;
+        Pos += E.Length;
+      } while (Pos <= Last);
+      if (E.Length != 0)
+        continue; // Window used up (or End reached): reload.
     }
-    if (Out)
-      Out->push_back(static_cast<uint8_t>(Nodes[Cur].Symbol));
+    // A code longer than W, a prefix no codeword starts with, or the
+    // stream's last W - 1 bits: walk the tree for one codeword.
+    Pos = walkOne(In, Pos, Out);
+    if (Pos < 0)
+      return -1;
   }
   return Pos;
 }
@@ -196,88 +234,6 @@ std::vector<uint8_t> Decoder::decodeAll(const BitReader &In,
 
 int64_t Decoder::predictSyncPoint(const BitReader &In, int64_t Boundary,
                                   int64_t OverlapBits) const {
-  if (Boundary <= 0)
-    return 0;
-  if (Boundary >= In.numBits())
-    return In.numBits();
-  int64_t From = Boundary - OverlapBits;
-  if (From < 0)
-    From = 0;
-  int64_t Sync = decodeRange(In, From, Boundary, nullptr);
-  if (Sync < 0)
-    return In.numBits();
-  return Sync;
-}
-
-//===----------------------------------------------------------------------===//
-// TableDecoder
-//===----------------------------------------------------------------------===//
-
-TableDecoder::TableDecoder(const HuffmanCode &Code) : Slow(Code) {
-  if (Code.numSymbols() == 0)
-    return;
-  Width = std::min(12u, std::max(1u, Code.maxCodeLength()));
-  Table.assign(size_t(1) << Width, Entry{});
-  for (unsigned S = 0; S < 256; ++S) {
-    unsigned Len = Code.codeLength(static_cast<uint8_t>(S));
-    if (Len == 0 || Len > Width)
-      continue;
-    uint64_t Prefix = Code.codeBits(static_cast<uint8_t>(S))
-                      << (Width - Len);
-    for (uint64_t Suffix = 0; Suffix < (uint64_t(1) << (Width - Len));
-         ++Suffix) {
-      Entry &E = Table[Prefix | Suffix];
-      E.Symbol = static_cast<int16_t>(S);
-      E.Length = static_cast<uint8_t>(Len);
-    }
-  }
-}
-
-int64_t TableDecoder::decodeRange(const BitReader &In, int64_t StartBit,
-                                  int64_t StopBit,
-                                  std::vector<uint8_t> *Out) const {
-  int64_t Pos = StartBit;
-  const int64_t NumBits = In.numBits();
-  while (Pos < StopBit && Pos < NumBits) {
-    if (Pos + static_cast<int64_t>(Width) <= NumBits) {
-      // Fast path: peek Width bits and look the codeword up.
-      uint64_t Peek = 0;
-      for (unsigned I = 0; I < Width; ++I)
-        Peek = (Peek << 1) | (In.bitAt(Pos + I) ? 1 : 0);
-      const Entry &E = Table[Peek];
-      if (E.Symbol >= 0) {
-        if (Out)
-          Out->push_back(static_cast<uint8_t>(E.Symbol));
-        Pos += E.Length;
-        continue;
-      }
-      // Escape: a code longer than Width — one tree-walked codeword.
-    }
-    // Slow path (long code or stream tail): exactly one codeword.
-    int64_t Next = Slow.decodeRange(In, Pos, Pos + 1, Out);
-    if (Next < 0)
-      return -1;
-    Pos = Next;
-  }
-  return Pos;
-}
-
-std::vector<uint8_t> TableDecoder::decodeAll(const BitReader &In,
-                                             int64_t NumSymbols) const {
-  std::vector<uint8_t> Out;
-  if (In.numBits() == 0)
-    return Out;
-  Out.reserve(static_cast<size_t>(NumSymbols));
-  int64_t End = decodeRange(In, 0, In.numBits(), &Out);
-  assert(End == In.numBits() && "sequential decode must consume everything");
-  (void)End;
-  assert(static_cast<int64_t>(Out.size()) == NumSymbols &&
-         "sequential decode must produce every symbol");
-  return Out;
-}
-
-int64_t TableDecoder::predictSyncPoint(const BitReader &In, int64_t Boundary,
-                                       int64_t OverlapBits) const {
   if (Boundary <= 0)
     return 0;
   if (Boundary >= In.numBits())

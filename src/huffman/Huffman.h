@@ -12,7 +12,9 @@
 /// segment's first codeword starts; the prediction function finds a likely
 /// synchronization point by decoding a small overlap window before the
 /// segment boundary (the self-synchronization insight of Klein & Wiseman
-/// cited by the paper).
+/// cited by the paper). Every decode -- sequential, segmented, and the
+/// predictor's overlap window -- runs through one table-driven,
+/// word-at-a-time Decoder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +73,14 @@ struct Encoded {
 /// Encodes \p Data with its own canonical Huffman code.
 Encoded encode(const std::vector<uint8_t> &Data);
 
-/// A bit-tree decoder over a canonical Huffman code.
+/// A table-driven decoder over a canonical Huffman code. The constructor
+/// builds a 2^W-entry lookup table, W = min(maxCodeLength, 12), mapping
+/// every W-bit prefix to its codeword's symbol and length. decodeRange
+/// loads 57 bits at a time (BitReader::peek57) and decodes consecutive
+/// codewords from that window with one lookup each until fewer than W of
+/// its bits remain. A bit-at-a-time walk of the code tree decodes the rest:
+/// codes longer than W, the stream's last W - 1 bits, and prefixes no
+/// codeword starts with (an incomplete code, e.g. a one-symbol alphabet).
 class Decoder {
 public:
   explicit Decoder(const HuffmanCode &Code);
@@ -97,43 +106,23 @@ public:
                            int64_t OverlapBits) const;
 
 private:
+  /// Decodes the one codeword starting at \p Pos by walking the tree;
+  /// returns the position past it, or -1 if the stream ends inside it or
+  /// no codeword matches.
+  int64_t walkOne(const BitReader &In, int64_t Pos,
+                  std::vector<uint8_t> *Out) const;
+
   struct Node {
     int32_t Child[2]; // node index, or -1
     int32_t Symbol;   // leaf symbol, or -1
   };
+  struct Entry {
+    uint8_t Symbol = 0;
+    uint8_t Length = 0; // 0: escape to walkOne
+  };
   std::vector<Node> Nodes;
   int32_t Root = -1;
-};
-
-/// A table-driven decoder: decodes most codewords with a single W-bit
-/// lookup (W = min(maxCodeLength, 12)), falling back to the bit-tree for
-/// longer codes and near the end of the stream. Produces bit-identical
-/// results to Decoder (tested); used where decode throughput matters.
-class TableDecoder {
-public:
-  explicit TableDecoder(const HuffmanCode &Code);
-
-  /// Same contract as Decoder::decodeRange.
-  int64_t decodeRange(const BitReader &In, int64_t StartBit, int64_t StopBit,
-                      std::vector<uint8_t> *Out) const;
-
-  /// Same contract as Decoder::decodeAll.
-  std::vector<uint8_t> decodeAll(const BitReader &In,
-                                 int64_t NumSymbols) const;
-
-  /// Same contract as Decoder::predictSyncPoint.
-  int64_t predictSyncPoint(const BitReader &In, int64_t Boundary,
-                           int64_t OverlapBits) const;
-
-  unsigned lookupBits() const { return Width; }
-
-private:
-  struct Entry {
-    int16_t Symbol = -1; // -1: escape to the tree walk
-    uint8_t Length = 0;
-  };
-  Decoder Slow;
-  std::vector<Entry> Table; // 2^Width entries
+  std::vector<Entry> Table; // 2^Width entries, indexed by the next W bits
   unsigned Width = 0;
 };
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -188,55 +189,168 @@ TEST(Huffman, PredictorAccuracyGrowsWithOverlap) {
   EXPECT_GE(A512, 24) << "media must eventually self-synchronize";
 }
 
-/// The table-driven decoder is bit-identical to the reference tree
-/// decoder on every flavour, size, and segmentation.
-class TableDecoderEquiv
+/// Bit-serial reference: the plain code-tree walk, one bit per step. The
+/// table-driven Decoder must match it bit for bit -- output symbols and
+/// returned positions, -1 included -- from any start, synchronized or not.
+class ReferenceDecoder {
+public:
+  explicit ReferenceDecoder(const HuffmanCode &Code) {
+    for (unsigned S = 0; S < 256; ++S) {
+      unsigned Len = Code.codeLength(static_cast<uint8_t>(S));
+      int32_t Cur = 0;
+      for (unsigned I = Len; I-- > 0;) {
+        int Bit = (Code.codeBits(static_cast<uint8_t>(S)) >> I) & 1;
+        if (Nodes[Cur].Child[Bit] < 0) {
+          Nodes[Cur].Child[Bit] = static_cast<int32_t>(Nodes.size());
+          Nodes.push_back(Node{});
+        }
+        Cur = Nodes[Cur].Child[Bit];
+      }
+      if (Len > 0)
+        Nodes[Cur].Symbol = static_cast<int32_t>(S);
+    }
+  }
+
+  int64_t decodeRange(const BitReader &In, int64_t Pos, int64_t StopBit,
+                      std::vector<uint8_t> *Out) const {
+    while (Pos < StopBit && Pos < In.numBits()) {
+      int32_t Cur = 0;
+      while (Nodes[Cur].Symbol < 0) {
+        if (Pos >= In.numBits())
+          return -1;
+        Cur = Nodes[Cur].Child[In.bitAt(Pos++) ? 1 : 0];
+        if (Cur < 0)
+          return -1;
+      }
+      if (Out)
+        Out->push_back(static_cast<uint8_t>(Nodes[Cur].Symbol));
+    }
+    return Pos;
+  }
+
+private:
+  struct Node {
+    int32_t Child[2] = {-1, -1};
+    int32_t Symbol = -1;
+  };
+  std::vector<Node> Nodes{Node{}};
+};
+
+/// Decodes from every start in [From, To) up to \p StopBit with both
+/// decoders and expects identical positions and symbols. Returns how many
+/// of those decodes ended desynchronized (-1).
+int expectSameFromEachStart(const Decoder &D, const ReferenceDecoder &Ref,
+                            const BitReader &In, int64_t From, int64_t To,
+                            int64_t StopBit) {
+  int Desync = 0;
+  for (int64_t Start = std::max<int64_t>(From, 0);
+       Start < std::min(To, In.numBits()); ++Start) {
+    std::vector<uint8_t> Got, Want;
+    int64_t End = D.decodeRange(In, Start, StopBit, &Got);
+    EXPECT_EQ(End, Ref.decodeRange(In, Start, StopBit, &Want))
+        << "start " << Start << " stop " << StopBit;
+    EXPECT_EQ(Got, Want) << "start " << Start << " stop " << StopBit;
+    Desync += End < 0;
+  }
+  return Desync;
+}
+
+/// Sweeps start windows at the head, middle and tail of the stream -- so
+/// mid-codeword starts and stream-tail reads are both covered -- against
+/// stops at a nearby bit, at NumBits, and past NumBits.
+int expectMatchesReference(const HuffmanCode &Code, const BitReader &In) {
+  Decoder D(Code);
+  ReferenceDecoder Ref(Code);
+  const int64_t N = In.numBits();
+  int Desync = 0;
+  for (int64_t Stop : {N / 2 + 37, N, N + 13}) {
+    Desync += expectSameFromEachStart(D, Ref, In, 0, 80, Stop);
+    Desync += expectSameFromEachStart(D, Ref, In, N / 2 - 40, N / 2 + 40, Stop);
+    Desync += expectSameFromEachStart(D, Ref, In, N - 80, N, Stop);
+  }
+  return Desync;
+}
+
+class DecoderMatchesReference
     : public ::testing::TestWithParam<std::tuple<HuffmanFlavour, size_t>> {};
 
-TEST_P(TableDecoderEquiv, MatchesTreeDecoder) {
+TEST_P(DecoderMatchesReference, EveryStartAndStop) {
   auto [Flavour, Size] = GetParam();
   std::vector<uint8_t> Data = generateHuffmanData(Flavour, 321, Size);
   Encoded E = encode(Data);
-  Decoder Tree(E.Code);
-  TableDecoder Table(E.Code);
-  BitReader In(E.Bytes, E.NumBits);
-  EXPECT_EQ(Table.decodeAll(In, E.NumSymbols), Data);
-  // Range decode agrees at every probed split, including desync starts.
-  for (int64_t Start : {int64_t(0), E.NumBits / 3, E.NumBits / 2 + 1}) {
-    std::vector<uint8_t> A, B;
-    int64_t EndA = Tree.decodeRange(In, Start, E.NumBits, &A);
-    int64_t EndB = Table.decodeRange(In, Start, E.NumBits, &B);
-    EXPECT_EQ(EndA, EndB) << "start " << Start;
-    EXPECT_EQ(A, B) << "start " << Start;
+  // An exact-size copy: under ASan a read past the last byte faults.
+  const std::vector<uint8_t> Bytes = E.Bytes;
+  BitReader In(Bytes, E.NumBits);
+  EXPECT_EQ(Decoder(E.Code).decodeAll(In, E.NumSymbols), Data);
+  int Desync = expectMatchesReference(E.Code, In);
+  if (Size >= 500) {
+    EXPECT_GT(Desync, 0) << "the sweep must reach the -1 returns";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    FlavoursAndSizes, TableDecoderEquiv,
+    FlavoursAndSizes, DecoderMatchesReference,
     ::testing::Combine(::testing::ValuesIn(AllHuffmanFlavours),
-                       ::testing::Values<size_t>(1, 500, 60000)));
+                       ::testing::Values<size_t>(1, 7, 63, 500, 60000)));
 
-TEST(TableDecoder, PredictSyncPointMatchesTreeDecoder) {
-  std::vector<uint8_t> Data =
-      generateHuffmanData(HuffmanFlavour::Text, 55, 40000);
-  Encoded E = encode(Data);
-  Decoder Tree(E.Code);
-  TableDecoder Table(E.Code);
-  BitReader In(E.Bytes, E.NumBits);
-  for (int I = 1; I < 16; ++I) {
-    int64_t Boundary = E.NumBits * I / 16;
-    EXPECT_EQ(Table.predictSyncPoint(In, Boundary, 256),
-              Tree.predictSyncPoint(In, Boundary, 256));
+/// Fibonacci frequencies give the most skewed code for their symbol count:
+/// codes far longer than the 12-bit table, so many codewords escape to the
+/// tree walk.
+TEST(Decoder, LongCodesEscapeToTreeWalk) {
+  std::vector<uint8_t> Data;
+  uint64_t A = 1, B = 1;
+  for (unsigned S = 0; S < 20; ++S) {
+    Data.insert(Data.end(), A, static_cast<uint8_t>('a' + S));
+    B = A + B;
+    A = B - A;
   }
+  Rng R(9);
+  for (size_t I = Data.size(); I > 1; --I)
+    std::swap(Data[I - 1], Data[R.nextBelow(I)]);
+  Encoded E = encode(Data);
+  ASSERT_GT(E.Code.maxCodeLength(), 12u);
+  const std::vector<uint8_t> Bytes = E.Bytes;
+  BitReader In(Bytes, E.NumBits);
+  EXPECT_EQ(Decoder(E.Code).decodeAll(In, E.NumSymbols), Data);
+  expectMatchesReference(E.Code, In);
 }
 
-TEST(TableDecoder, SingleSymbolAlphabet) {
-  std::vector<uint8_t> Data(64, 'z');
+/// A one-symbol alphabet has the 1-bit code "0": a 1 bit starts no
+/// codeword, so decoding into it returns -1.
+TEST(Decoder, SingleSymbolAlphabetRejectsOneBit) {
+  Encoded E = encode(std::vector<uint8_t>(64, 'z'));
+  Decoder D(E.Code);
+  ReferenceDecoder Ref(E.Code);
+  std::vector<uint8_t> Bytes = {0x20}; // bits 0 0 1 0
+  BitReader In(Bytes, 4);
+  std::vector<uint8_t> Got, Want;
+  EXPECT_EQ(D.decodeRange(In, 0, 4, &Got), -1);
+  EXPECT_EQ(Ref.decodeRange(In, 0, 4, &Want), -1);
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(Got, std::vector<uint8_t>(2, 'z'));
+  EXPECT_EQ(D.decodeRange(In, 3, 4, &Got), 4);
+}
+
+TEST(Decoder, PredictSyncPointMatchesReference) {
+  std::vector<uint8_t> Data =
+      generateHuffmanData(HuffmanFlavour::Media, 55, 40000);
   Encoded E = encode(Data);
-  TableDecoder D(E.Code);
+  Decoder D(E.Code);
+  ReferenceDecoder Ref(E.Code);
   BitReader In(E.Bytes, E.NumBits);
-  EXPECT_EQ(D.decodeAll(In, E.NumSymbols), Data);
-  EXPECT_EQ(D.lookupBits(), 1u);
+  // The predictor's contract, spelled out over the reference decoder.
+  auto RefPredict = [&](int64_t Boundary, int64_t Overlap) {
+    int64_t Sync = Ref.decodeRange(In, std::max<int64_t>(Boundary - Overlap, 0),
+                                   Boundary, nullptr);
+    return Sync < 0 ? E.NumBits : Sync;
+  };
+  for (int64_t Overlap : {0, 7, 64, 256, 4096})
+    for (int I = 1; I < 64; ++I) {
+      int64_t Boundary = E.NumBits * I / 64 + I % 5;
+      EXPECT_EQ(D.predictSyncPoint(In, Boundary, Overlap),
+                RefPredict(Boundary, Overlap))
+          << "boundary " << Boundary << " overlap " << Overlap;
+    }
 }
 
 } // namespace
