@@ -111,6 +111,24 @@ void BM_IterateChunkedOverhead(benchmark::State &State) {
 }
 BENCHMARK(BM_IterateChunkedOverhead)->Arg(16)->Arg(256);
 
+/// End-to-end latency of one speculative composition `spec p g c` on a
+/// warm 4-worker executor with trivial producer, predictor and consumer:
+/// miss=0 accepts the speculative consumer, miss=1 mispredicts, so the
+/// consumer is cancelled, drained and re-executed on the calling thread.
+void BM_ApplyLatency(benchmark::State &State) {
+  rt::SpecExecutor Ex(4);
+  rt::SpecConfig Cfg = rt::SpecConfig().executor(Ex);
+  const int64_t Guess = State.range(0) ? 7 : 42;
+  for (auto _ : State) {
+    auto R = rt::Speculation::apply<int64_t>(
+        [] { return int64_t(42); }, [Guess] { return Guess; },
+        [](int64_t V) { benchmark::DoNotOptimize(V); }, Cfg);
+    benchmark::DoNotOptimize(R.Stats.Reexecutions);
+  }
+  State.SetItemsProcessed(int64_t(State.iterations()));
+}
+BENCHMARK(BM_ApplyLatency)->ArgName("miss")->Arg(0)->Arg(1)->UseRealTime();
+
 /// Round-trip latency of one externally-submitted task: submit from a
 /// non-worker thread, have a worker run it, observe completion. This is
 /// the injection-ring + eventcount wakeup path that every speculative
