@@ -335,6 +335,47 @@ TEST(Apply, DeadlineThrowsSpecTimeoutError) {
   Ex.waitIdle();
 }
 
+TEST(Apply, DeadlineExpiredAtCheckStepThrowsSpecTimeoutError) {
+  // The producer alone overruns the budget. As in iterate's validation,
+  // the check step must report the timeout: neither accept the finished
+  // speculative consumer (correct guess) nor re-execute it once the
+  // budget is gone (wrong guess).
+  SpecExecutor Ex(2);
+  for (int Guess : {1, 2}) {
+    Tracer Tr;
+    stats::Snapshot Snap;
+    std::atomic<int> SawProduced{0};
+    EXPECT_THROW(
+        Speculation::apply<int>(
+            /*Producer=*/
+            [] {
+              std::this_thread::sleep_for(std::chrono::milliseconds(30));
+              return 1;
+            },
+            /*Predictor=*/[Guess] { return Guess; },
+            /*Consumer=*/
+            [&SawProduced, Guess](int V) {
+              if (V == 1 && Guess != 1)
+                ++SawProduced;
+            },
+            SpecConfig()
+                .executor(Ex)
+                .deadline(std::chrono::milliseconds(5))
+                .trace(&Tr)
+                .statsOut(&Snap)),
+        SpecTimeoutError)
+        << "guess " << Guess;
+    // The speculative task was drained before the throw.
+    Ex.waitIdle();
+    EXPECT_EQ(SawProduced.load(), 0) << "guess " << Guess;
+    EXPECT_EQ(Snap.Spec.Reexecutions, 0) << "guess " << Guess;
+    EXPECT_EQ(countEvents(Tr.snapshot(), SpecEventKind::Timeout), 1)
+        << "guess " << Guess;
+    EXPECT_EQ(countEvents(Tr.snapshot(), SpecEventKind::ValidateAccept), 0)
+        << "guess " << Guess;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Adaptive sequential fallback (degradation)
 //===----------------------------------------------------------------------===//
@@ -688,6 +729,35 @@ TEST(Shield, ApplyContainsConsumerCrash) {
   EXPECT_EQ(Runs.load(), 1);
   EXPECT_EQ(Sum.load(), 5);
   EXPECT_EQ(R.Stats.ContainedCrashes, 1);
+  EXPECT_EQ(R.Stats.Reexecutions, 1);
+}
+
+TEST(Shield, ApplyRunawayConsumerIsAbandoned) {
+  // The speculative consumer runs past its attempt budget, polls, and
+  // bails cooperatively: the same runaway rule as iterate's attempts
+  // counts it, nothing is contained, and the validated re-execution
+  // (not under any budget) delivers the produced value.
+  std::atomic<int> Bailed{0};
+  std::atomic<int> Completed{-1};
+  auto R = Speculation::apply<int>(
+      /*Producer=*/[] { return 5; },
+      /*Predictor=*/[] { return 5; },
+      /*Consumer=*/
+      [&](int V) {
+        for (int Step = 0; Step < 20; ++Step) {
+          if (currentTaskCancelled()) {
+            ++Bailed;
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        Completed = V;
+      },
+      SpecConfig().threads(2).attemptBudget(std::chrono::milliseconds(10)));
+  EXPECT_EQ(Completed.load(), 5);
+  EXPECT_EQ(Bailed.load(), 1);
+  EXPECT_GE(R.Stats.RunawayCancels, 1);
+  EXPECT_EQ(R.Stats.ContainedCrashes, 0);
   EXPECT_EQ(R.Stats.Reexecutions, 1);
 }
 

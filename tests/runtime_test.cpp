@@ -729,6 +729,47 @@ TEST(Nested, ApplyInsideIterateOnSharedExecutorCompletes) {
   EXPECT_EQ(R.Value, 30);
 }
 
+TEST(Nested, ApplyInsideIterateOnSingleWorkerExecutorCompletes) {
+  // One worker serves both levels: an apply() blocked on its speculative
+  // task must run queued tasks — possibly that very task — while it
+  // waits. Odd iterations mispredict, so re-executions happen nested too.
+  SpecExecutor Ex(1);
+  SpecConfig Cfg = SpecConfig().executor(Ex);
+  auto R = Speculation::iterate<int64_t>(
+      0, 6,
+      [&](int64_t I, int64_t Acc) {
+        std::atomic<int64_t> Got{-1};
+        Speculation::apply<int64_t>(
+            [I] { return I * 2; }, [I] { return I % 2 ? I : I * 2; },
+            [&Got](int64_t V) { Got = V; }, Cfg);
+        return Acc + Got.load();
+      },
+      [](int64_t I) { return I * (I - 1); }, Cfg);
+  EXPECT_EQ(R.Value, 30);
+}
+
+TEST(Nested, ApplyInsideApplyOnSingleWorkerExecutorCompletes) {
+  // Both the outer producer and the outer consumer run an inner apply()
+  // on the same one-worker executor; the outer guess is wrong, so the
+  // consumer (and its inner apply) also re-executes on the caller.
+  SpecExecutor Ex(1);
+  SpecConfig Cfg = SpecConfig().executor(Ex);
+  auto Inner = [&Cfg](int64_t X, int64_t Guess) {
+    std::atomic<int64_t> Got{-1};
+    Speculation::apply<int64_t>([X] { return X + 1; },
+                                [Guess] { return Guess; },
+                                [&Got](int64_t V) { Got = V; }, Cfg);
+    return Got.load();
+  };
+  std::atomic<int64_t> Seen{-1};
+  SpecResult<void> R = Speculation::apply<int64_t>(
+      [&Inner] { return Inner(10, 11); }, [] { return int64_t(0); },
+      [&Inner, &Seen](int64_t V) { Seen = Inner(V, -1); }, Cfg);
+  EXPECT_EQ(Seen.load(), 12);
+  EXPECT_EQ(R.Stats.Mispredictions, 1);
+  EXPECT_EQ(R.Stats.Reexecutions, 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Speculation::iterateChunked
 //===----------------------------------------------------------------------===//
