@@ -91,9 +91,10 @@ public:
   ServerContext(const ServerContext &) = delete;
   ServerContext &operator=(const ServerContext &) = delete;
 
-  /// Registers (or replaces) \p P under its name. Call before the
-  /// tenant submits; replacement requires no job of the old policy in
-  /// flight.
+  /// Registers (or replaces) \p P under its name and gives a new name
+  /// the next dense tenant id (a replacement keeps the old one). Call
+  /// before the tenant submits; replacement requires no job of the old
+  /// policy in flight.
   void registerTenant(TenantPolicy P);
 
   /// Submits \p Work for \p Tenant. Always returns a valid future: an

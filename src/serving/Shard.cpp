@@ -47,25 +47,12 @@ const char *jobOutcomeName(JobOutcome O) {
   return "?";
 }
 
-namespace {
-/// Per-shard identity for the flight recorder: its own dump-file label
-/// and a disjoint attempt-id namespace (shard index in the high bits),
-/// so two shards' recorders tee'ing into one shared tenant tracer can
-/// never collide on an attempt id.
-rt::FlightRecorder::Options
-shardFlightOptions(unsigned Index, rt::FlightRecorder::Options O) {
-  O.Label = "shard" + std::to_string(Index);
-  O.AttemptIdBase = (static_cast<uint64_t>(Index) + 1) << 48;
-  return O;
-}
-} // namespace
-
 Shard::Shard(unsigned Index, unsigned NumThreads, size_t QueueCapacity,
              const WorkloadCatalog &Catalog,
              rt::FlightRecorder::Options FlightOpts)
     : Index(Index), QueueCapacity(QueueCapacity), Catalog(Catalog),
       Ex(rt::SpecExecutor::create(NumThreads)),
-      Flight(shardFlightOptions(Index, std::move(FlightOpts))),
+      Flight(std::move(FlightOpts)),
       Dispatcher([this] { dispatchLoop(); }) {}
 
 Shard::~Shard() {
@@ -206,17 +193,7 @@ JobResult Shard::runJob(const Job &Work, TenantState &Tenant,
                         std::chrono::steady_clock::time_point AbsDeadline,
                         rt::TraceContext Ctx) {
   JobResult R;
-  // The shard's flight recorder is the run's primary sink — always on,
-  // so post-mortems exist even for untraced tenants — and tees into the
-  // tenant's own tracer when one is configured. The tee is installed
-  // only for this job's duration; the dispatcher runs one job at a
-  // time, so no other run can observe the wrong tenant sink.
   rt::Tracer &FlightTr = Flight.tracer();
-  struct TeeGuard {
-    rt::Tracer &Tr;
-    ~TeeGuard() { Tr.forwardTo(nullptr); }
-  } Tee{FlightTr};
-  FlightTr.forwardTo(Tenant.Trace.get());
   // Bracket the whole job with a Start/Finish pair of its own (Index =
   // job kind), so even a job that never drives the speculation runtime
   // (a sleeping callable, a pre-dispatch deadline expiry) leaves a span

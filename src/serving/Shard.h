@@ -38,14 +38,12 @@
 namespace specpar {
 namespace serving {
 
-/// Server-side state of one registered tenant: its policy, its tracer
-/// (when tracing is on), and the aggregates the metrics endpoint
-/// renders. Shared by every shard a tenant's jobs land on; `record()`
-/// serializes updates.
+/// Server-side state of one registered tenant: its policy, its trace
+/// id, and the aggregates the metrics endpoint renders. Shared by every
+/// shard a tenant's jobs land on; `record()` serializes updates.
 struct TenantState {
-  explicit TenantState(TenantPolicy P)
-      : Policy(std::move(P)),
-        Trace(Policy.Trace ? std::make_unique<rt::Tracer>() : nullptr),
+  TenantState(TenantPolicy P, uint32_t Id)
+      : Policy(std::move(P)), Id(Id),
         Profile(Policy.ProfileGuided ? std::make_unique<rt::ProfileStore>()
                                      : nullptr) {
     // Warm from disk when persistence is configured; a missing or
@@ -60,7 +58,9 @@ struct TenantState {
   }
 
   const TenantPolicy Policy;
-  const std::unique_ptr<rt::Tracer> Trace;
+  /// Dense nonzero id stamped on every trace event of the tenant's jobs
+  /// (`rt::TraceContext::Tenant`).
+  const uint32_t Id;
   /// The tenant's profile store (null unless `Policy.ProfileGuided`).
   /// Shared by every shard the tenant's jobs land on — the store is
   /// internally synchronized.
@@ -140,9 +140,7 @@ public:
   /// \p NumThreads workers back this shard's executor; \p QueueCapacity
   /// bounds the admission queue (enqueue() refuses beyond it).
   /// \p FlightOpts configures the shard's always-on flight recorder
-  /// (dump dir, retention); its Label and AttemptIdBase are overridden
-  /// per shard so every shard dumps under its own name and mints attempt
-  /// ids in its own namespace.
+  /// (dump dir, retention, dump-file label).
   Shard(unsigned Index, unsigned NumThreads, size_t QueueCapacity,
         const WorkloadCatalog &Catalog,
         rt::FlightRecorder::Options FlightOpts = rt::FlightRecorder::Options());
@@ -202,9 +200,9 @@ public:
   const std::shared_ptr<rt::SpecExecutor> &executor() const { return Ex; }
   rt::ExecutorStats executorStats() const { return Ex->stats(); }
 
-  /// The shard's always-on flight recorder: primary trace sink of every
-  /// job this shard runs (tenant tracers are tee'd off it), retaining
-  /// the recent-event window anomaly dumps and `/debug/trace` read.
+  /// The shard's always-on flight recorder: the only trace sink of every
+  /// job this shard runs, retaining the recent-event window that anomaly
+  /// dumps, `/debug/trace` and the per-tenant metrics read.
   rt::FlightRecorder &flight() { return Flight; }
   const rt::FlightRecorder &flight() const { return Flight; }
 

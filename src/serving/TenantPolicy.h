@@ -9,9 +9,9 @@
 /// The per-tenant knobs of the `specd` serving layer. A tenant is a named
 /// client of the server; its policy says how much speculation its jobs
 /// may use, how long they may run, and whether the runtime's adaptive
-/// and observability machinery is armed for them. The policy is the only
-/// thing a tenant controls — which shard executes a job and which
-/// executor backs that shard are the server's decisions.
+/// machinery is armed for them. The policy is the only thing a tenant
+/// controls — which shard executes a job and which executor backs that
+/// shard are the server's decisions.
 ///
 /// `toConfig()` lowers a policy onto a concrete shard: it produces the
 /// `rt::SpecConfig` a dispatch thread passes into the speculation
@@ -56,11 +56,6 @@ struct TenantPolicy {
 
   /// Chunk autotuner target, microseconds per chunk; zero disables.
   int64_t AutotuneTargetMicros = 0;
-
-  /// When true the server owns a `rt::Tracer` for this tenant and
-  /// attaches it to every run; per-kind event counts are exported on the
-  /// metrics endpoint as `specd_trace_events_total{tenant,kind}`.
-  bool Trace = false;
 
   /// When true the server owns a `rt::ProfileStore` for this tenant and
   /// arms profile-guided prediction on every run, keyed per job kind
@@ -120,8 +115,8 @@ struct TenantPolicy {
   /// tenant (chaos testing; must outlive the tenant's jobs).
   rt::FaultPlan *Faults = nullptr;
 
-  /// Lowers this policy onto \p Shard's executor. \p Tr is the tenant's
-  /// tracer (null when tracing is off).
+  /// Lowers this policy onto \p Shard's executor. \p Tr is the shard's
+  /// flight-recorder tracer (null runs untraced).
   rt::SpecConfig toConfig(std::shared_ptr<rt::SpecExecutor> Shard,
                           rt::Tracer *Tr) const {
     rt::SpecConfig Cfg = rt::SpecConfig().executor(std::move(Shard)).mode(Mode);

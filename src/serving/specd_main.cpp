@@ -14,8 +14,8 @@
 ///  * default — start, print the metrics URL, serve until stdin closes
 ///    (EOF) so the process is script- and supervisor-friendly;
 ///  * `--smoke` — the self-contained CI exercise: start, register three
-///    tenants (one with a deadline, one tracing), submit a burst of
-///    app + callable jobs, scrape /metrics over the real socket, verify
+///    tenants (one with a deadline), submit a burst of app + callable
+///    jobs, scrape /metrics over the real socket, verify
 ///    outcomes and exposition-format sanity, shut down cleanly, print
 ///    PASS/FAIL. The `serving-smoke` ctest label runs exactly this;
 ///  * `--chaos-smoke` — the same shape under injected chaos: one tenant
@@ -393,7 +393,6 @@ int main(int Argc, char **Argv) {
   TenantPolicy Traced;
   Traced.Name = "traced";
   Traced.NumTasks = 4;
-  Traced.Trace = true;
   Ctx.registerTenant(Traced);
 
   if (*ChaosSmoke) {

@@ -173,18 +173,6 @@ TEST(Policy, DeadlineTenantTimesOutSlowJobs) {
   EXPECT_EQ(R2.Outcome, JobOutcome::Ok) << R2.Error;
 }
 
-TEST(Policy, TracedTenantAccumulatesEvents) {
-  ServerContext Ctx(testOptions(1));
-  TenantPolicy P = basicTenant("traced");
-  P.Trace = true;
-  Ctx.registerTenant(P);
-  EXPECT_EQ(Ctx.submit("traced", Job::decode()).get().Outcome, JobOutcome::Ok);
-  TenantState *TS = Ctx.tenant("traced");
-  ASSERT_NE(TS, nullptr);
-  ASSERT_NE(TS->Trace, nullptr);
-  EXPECT_FALSE(TS->Trace->snapshot().empty());
-}
-
 TEST(Policy, StatsAggregateAcrossJobs) {
   ServerContext Ctx(testOptions(1));
   Ctx.registerTenant(basicTenant("t"));
@@ -396,9 +384,7 @@ void verifyPrometheusText(const std::string &Text) {
 TEST(Metrics, ExpositionTextParses) {
   ServerContext Ctx(testOptions(2));
   Ctx.registerTenant(basicTenant("alpha"));
-  TenantPolicy Traced = basicTenant("beta");
-  Traced.Trace = true;
-  Ctx.registerTenant(Traced);
+  Ctx.registerTenant(basicTenant("beta"));
   std::vector<std::future<JobResult>> Fs;
   for (int I = 0; I < 4; ++I) {
     Fs.push_back(Ctx.submit("alpha", Job::lex()));
@@ -952,9 +938,7 @@ TEST(Tracing, DebugTraceAnswers404ForUnknownAnd400ForBadIds) {
 TEST(Tracing, StatuszParsesAndReconcilesWithMetrics) {
   ServerContext Ctx(testOptions(2));
   Ctx.registerTenant(basicTenant("alpha"));
-  TenantPolicy Traced = basicTenant("beta");
-  Traced.Trace = true;
-  Ctx.registerTenant(Traced);
+  Ctx.registerTenant(basicTenant("beta"));
   std::vector<std::future<JobResult>> Fs;
   for (int I = 0; I < 4; ++I) {
     Fs.push_back(Ctx.submit("alpha", Job::lex()));
@@ -992,7 +976,63 @@ TEST(Tracing, StatuszParsesAndReconcilesWithMetrics) {
   // And the flight drop counter family exists (zero on this tiny run).
   EXPECT_NE(Metrics.find("specd_trace_dropped_events_total"),
             std::string::npos);
+  // Each shard reports how far back its retained window really reaches.
+  const double RetainMs =
+      std::chrono::duration<double, std::milli>(testOptions(2).FlightRetain)
+          .count();
+  int Windows = 0;
+  for (size_t At = Body.find("\"window_ms\":"); At != std::string::npos;
+       At = Body.find("\"window_ms\":", At + 1)) {
+    const double Ms = std::stod(Body.substr(At + 12));
+    EXPECT_GE(Ms, 0.0) << Body;
+    EXPECT_LE(Ms, RetainMs) << Body;
+    ++Windows;
+  }
+  EXPECT_EQ(Windows, 2) << Body;
   Http.stop();
+}
+
+TEST(Tracing, EachEventIsRecordedOnceAndAttributedToItsTenant) {
+  // Two tenants on one shard share its flight recorder; the per-tenant
+  // metric must partition that one window, event for event.
+  ServerContext Ctx(testOptions(1));
+  Ctx.registerTenant(basicTenant("a"));
+  Ctx.registerTenant(basicTenant("b"));
+  std::vector<std::pair<std::string, std::future<JobResult>>> Fs;
+  for (int I = 0; I < 3; ++I) {
+    Fs.emplace_back("a", Ctx.submit("a", Job::lex()));
+    Fs.emplace_back("b", Ctx.submit("b", Job::decode()));
+  }
+  std::map<uint64_t, std::string> TenantOf; // TraceId -> tenant name
+  for (auto &[Name, F] : Fs) {
+    JobResult R = F.get();
+    ASSERT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+    TenantOf[R.TraceId] = Name;
+  }
+  Ctx.drain();
+  EXPECT_NE(Ctx.tenant("a")->Id, 0u);
+  EXPECT_NE(Ctx.tenant("a")->Id, Ctx.tenant("b")->Id);
+
+  std::map<std::string, uint64_t> Retained;
+  for (const rt::SpecEvent &E : Ctx.shard(0).flight().recentEvents()) {
+    auto It = TenantOf.find(E.JobId);
+    ASSERT_NE(It, TenantOf.end()) << "event of no job, trace " << E.JobId;
+    EXPECT_EQ(E.Tenant, Ctx.tenant(It->second)->Id) << "trace " << E.JobId;
+    ++Retained[It->second];
+  }
+
+  const std::string Text = Ctx.metricsText();
+  for (const std::string Name : {"a", "b"}) {
+    const std::string Prefix =
+        "specd_trace_events_total{tenant=\"" + Name + "\",";
+    uint64_t Sum = 0;
+    std::istringstream In(Text);
+    for (std::string Line; std::getline(In, Line);)
+      if (Line.rfind(Prefix, 0) == 0)
+        Sum += std::stoull(Line.substr(Line.rfind(' ') + 1));
+    EXPECT_GT(Retained[Name], 0u) << Name;
+    EXPECT_EQ(Sum, Retained[Name]) << Name << "\n" << Text;
+  }
 }
 
 TEST(Tracing, FlightWindowEvictionTurnsTraceInto404) {
