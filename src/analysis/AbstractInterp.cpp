@@ -272,11 +272,13 @@ static MustSet deriveLoopMustWrites(const Effects &BodyAtSym,
       if (*C == 0) {
         Out.add(N, I); // written every iteration at a fixed place
       } else if (*C == 1 || *C == -1) {
-        SymExpr AtLo = I.lo().substitute(IndexVar, LoWorst);
-        SymExpr AtHi = I.lo().substitute(IndexVar, HiWorst);
+        std::optional<SymExpr> AtLo = I.lo().substitute(IndexVar, LoWorst);
+        std::optional<SymExpr> AtHi = I.lo().substitute(IndexVar, HiWorst);
+        if (!AtLo || !AtHi)
+          continue; // overflowed: no must-range survives
         if (*C == -1)
           std::swap(AtLo, AtHi);
-        Out.add(N, SymInterval::of(AtLo, AtHi));
+        Out.add(N, SymInterval::of(*AtLo, *AtHi));
       }
       // |coefficient| >= 2 leaves gaps: not a contiguous must-range.
     }
@@ -292,14 +294,18 @@ static SymInterval substituteRange(const SymInterval &I,
                                    const SymInterval &Range) {
   if (I.isEmpty() || Range.isEmpty())
     return I;
-  auto SubBound = [&](const SymExpr &E, bool IsLow) {
+  auto SubBound = [&](const SymExpr &E, bool IsLow) -> std::optional<SymExpr> {
     std::optional<int64_t> C = E.coefficientOf(Var);
     if (!C || *C == 0)
       return E;
     bool UseRangeLo = (*C > 0) == IsLow;
     return E.substitute(Var, UseRangeLo ? Range.lo() : Range.hi());
   };
-  return SymInterval::of(SubBound(I.lo(), true), SubBound(I.hi(), false));
+  std::optional<SymExpr> Lo = SubBound(I.lo(), true);
+  std::optional<SymExpr> Hi = SubBound(I.hi(), false);
+  if (!Lo || !Hi)
+    return SymInterval::full();
+  return SymInterval::of(std::move(*Lo), std::move(*Hi));
 }
 
 static AccessSet substituteRange(const AccessSet &A,
@@ -493,9 +499,10 @@ AbsValue AbstractInterpreter::evalSpecFoldSite(const SpecFold *S,
                "symbolic index analysis");
   } else {
     SymExpr IVar = SymExpr::variable(IndexVar);
+    // i + 1 has constant 1 and coefficient 1: it cannot overflow.
+    SymExpr INext = *SymExpr::add(IVar, SymExpr::constant(1));
     AbsValue ISym = AbsValue::ofInt(SymInterval::point(IVar));
-    AbsValue INextSym =
-        AbsValue::ofInt(SymInterval::point(IVar + SymExpr::constant(1)));
+    AbsValue INextSym = AbsValue::ofInt(SymInterval::point(INext));
 
     // Body of iteration i (producer role).
     AbsHeap HB = H;
@@ -508,7 +515,7 @@ AbsValue AbstractInterpreter::evalSpecFoldSite(const SpecFold *S,
     AbsHeap HG = H;
     Effects Eg;
     apply(Guess, {INextSym}, HG, Eg, S);
-    Effects EbNext = EbPre.substitute(IndexVar, IVar + SymExpr::constant(1));
+    Effects EbNext = EbPre.substitute(IndexVar, INext);
     Effects SpecConsumer = Eg.restrictToPreExisting(PreEpoch);
     SpecConsumer.sequence(EbNext);
 

@@ -17,7 +17,7 @@ AccessSet AccessSet::substitute(const lang::Binding *Var,
   AccessSet R;
   R.Universal = Universal;
   for (const auto &[N, I] : Map)
-    R.Map.emplace(N, I.substitute(Var, Repl));
+    R.Map.emplace(N, I.substitute(Var, Repl).value_or(SymInterval::full()));
   return R;
 }
 
@@ -120,9 +120,11 @@ Effects Effects::substitute(const lang::Binding *Var,
   Effects R;
   R.MayRead = MayRead.substitute(Var, Repl);
   R.MayWrite = MayWrite.substitute(Var, Repl);
+  // A must-write whose bound overflows is dropped (under-approximation).
   for (const auto &[N, Intervals] : MustWrite.Map)
     for (const SymInterval &I : Intervals)
-      R.MustWrite.add(N, I.substitute(Var, Repl));
+      if (std::optional<SymInterval> S = I.substitute(Var, Repl))
+        R.MustWrite.add(N, *S);
   return R;
 }
 

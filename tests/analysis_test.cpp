@@ -27,14 +27,15 @@ namespace {
 TEST(SymExpr, LinearAlgebra) {
   Binding I{"i", 0};
   SymExpr V = SymExpr::variable(&I);
-  SymExpr E = V + SymExpr::constant(3);
+  SymExpr E = *SymExpr::add(V, SymExpr::constant(3));
   EXPECT_EQ(E.str(), "i + 3");
-  EXPECT_EQ((E - V).str(), "3");
+  EXPECT_EQ(SymExpr::sub(E, V)->str(), "3");
   std::optional<SymExpr> M = SymExpr::mul(SymExpr::constant(2), E);
   ASSERT_TRUE(M);
   EXPECT_EQ(M->str(), "2*i + 6");
   EXPECT_FALSE(SymExpr::mul(V, V));
-  std::optional<int64_t> D = (V + SymExpr::constant(5)).differenceFrom(V);
+  std::optional<int64_t> D =
+      SymExpr::add(V, SymExpr::constant(5))->differenceFrom(V);
   ASSERT_TRUE(D);
   EXPECT_EQ(*D, 5);
   Binding J{"j", 1};
@@ -43,17 +44,19 @@ TEST(SymExpr, LinearAlgebra) {
 
 TEST(SymExpr, Substitution) {
   Binding I{"i", 0};
-  SymExpr E = SymExpr::variable(&I) + SymExpr::constant(1);
-  SymExpr S = E.substitute(&I, SymExpr::variable(&I) + SymExpr::constant(1));
-  EXPECT_EQ(S.str(), "i + 2");
-  EXPECT_EQ(E.substitute(&I, SymExpr::constant(10)).str(), "11");
+  SymExpr E = *SymExpr::add(SymExpr::variable(&I), SymExpr::constant(1));
+  std::optional<SymExpr> S = E.substitute(&I, E);
+  ASSERT_TRUE(S);
+  EXPECT_EQ(S->str(), "i + 2");
+  EXPECT_EQ(E.substitute(&I, SymExpr::constant(10))->str(), "11");
 }
 
 TEST(SymInterval, SymbolicDisjointness) {
   Binding I{"i", 0};
   SymExpr V = SymExpr::variable(&I);
   SymInterval At = SymInterval::point(V);
-  SymInterval Next = SymInterval::point(V + SymExpr::constant(1));
+  SymInterval Next =
+      SymInterval::point(*SymExpr::add(V, SymExpr::constant(1)));
   EXPECT_FALSE(SymInterval::mayOverlap(At, Next))
       << "[i,i] and [i+1,i+1] are provably disjoint";
   EXPECT_TRUE(SymInterval::mayOverlap(At, At));
@@ -73,8 +76,8 @@ TEST(SymInterval, JoinWidensIncomparable) {
   SymInterval Joined = SymInterval::join(A, B);
   EXPECT_TRUE(Joined.lo().isNegInf());
   EXPECT_TRUE(Joined.hi().isPosInf());
-  SymInterval C = SymInterval::point(SymExpr::variable(&I) +
-                                     SymExpr::constant(2));
+  SymInterval C = SymInterval::point(
+      *SymExpr::add(SymExpr::variable(&I), SymExpr::constant(2)));
   EXPECT_EQ(SymInterval::join(A, C).str(), "[i, i + 2]");
 }
 
