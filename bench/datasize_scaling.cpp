@@ -12,17 +12,16 @@
 /// intervals", with a small average drop attributed to the memory
 /// subsystem.
 ///
-/// Note (EXPERIMENTS.md): the single-vCPU substitution cannot reproduce
-/// memory-bandwidth *contention between threads*; the simulated speedups
-/// capture the measured per-byte cost growth of larger inputs (cache
-/// effects on the real segment timings) but stay essentially flat, which
-/// matches the paper's primary observation.
+/// The speedup is measured at 4 threads on 4 pinned cores (fewer if the
+/// host has fewer), max overlap, as the median of 11 repeats in each of
+/// 5 processes (bench/RealCores.h); every timed decode is checked against
+/// the input, and the cells go to BENCH_datasize.json.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "apps/SpeculativeHuffman.h"
+#include "RealCores.h"
+
 #include "runtime/Telemetry.h"
-#include "simsched/SimSched.h"
 #include "support/CommandLine.h"
 #include "workloads/Datasets.h"
 
@@ -30,6 +29,7 @@
 
 using namespace specpar;
 using namespace specpar::apps;
+using namespace specpar::bench;
 using namespace specpar::huffman;
 using namespace specpar::workloads;
 
@@ -38,49 +38,71 @@ int main(int Argc, char **Argv) {
                  "dataset-size scaling for Huffman decoding");
   std::string *TraceOut = Args.strOption(
       "trace-out", "",
-      "write a Chrome trace_event JSON of the real chunked runs to FILE");
+      "write a Chrome trace_event JSON of one untimed speculative decode "
+      "per size to FILE");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 2;
 
-  std::printf("=== Dataset-size scaling (Huffman/text, 4 threads, max "
-              "overlap) ===\n\n");
-  std::printf("%10s %14s %12s %10s  %s\n", "size (MB)", "seq decode (ms)",
-              "ns per byte", "speedup", "real chunked run");
+  const int64_t OverlapBytes = 512;
+  const CoreSet Cores;
+  Grid G;
+  G.Threads = {Cores.paperThreads().back()};
+  const unsigned P = G.Threads[0];
+  const size_t Sizes[] = {1, 2, 4, 8};
 
-  // The real runs share the persistent default shard; the simulated
-  // speedup substitutes for the missing cores (DESIGN.md Section 5).
-  rt::Tracer Tr;
-  rt::SpecConfig Cfg =
-      rt::SpecConfig().executor(rt::SpecExecutor::defaultShard());
-  if (!TraceOut->empty())
-    Cfg.trace(&Tr);
-  for (size_t MB : {1, 2, 4, 8}) {
-    size_t Bytes = MB * 1000000;
-    std::vector<uint8_t> Data =
-        generateHuffmanData(HuffmanFlavour::Text, 7, Bytes);
-    Encoded E = encode(Data);
-    Decoder D(E.Code);
-    BitReader In(E.Bytes, E.NumBits);
-    SegmentedMeasurement M = measureHuffman(D, In, 4, 512 * 8);
-    sim::MachineParams P;
-    P.NumProcs = 4;
-    P.PredictorWork = M.PredictorSeconds;
-    sim::SimResult R = sim::simulateIteration(M.Tasks, P);
-    // End-to-end sanity: the chunked speculative decode reproduces the
-    // input through the real runtime at this size.
-    HuffmanRun Run = speculativeDecode(D, In, 4, 512 * 8, Cfg);
-    std::printf("%10zu %14.2f %12.2f %10.2f  %s [%s]\n", MB,
-                M.SequentialSeconds * 1e3,
-                M.SequentialSeconds * 1e9 / double(Bytes), R.Speedup,
-                Run.Decoded == Data ? "ok" : "MISMATCH",
-                Run.Stats.Spec.str().c_str());
-    if (Run.Decoded != Data)
-      return 1;
+  std::vector<Row> Rows;
+  for (size_t MB : Sizes)
+    Rows.push_back({"huffman/text-" + std::to_string(MB) + "MB",
+                    {OverlapBytes},
+                    [&, MB](const Row &R, std::vector<Sample> &Out) {
+                      return decodeCells(
+                          Cores, G, R.Name, R.Overlaps,
+                          encode(generateHuffmanData(HuffmanFlavour::Text, 7,
+                                                     MB * 1000000)),
+                          Out);
+                    }});
+
+  std::printf("=== Dataset-size scaling (Huffman/text, %u threads on "
+              "pinned cores, max overlap, median of %d repeats x %d "
+              "processes) ===\n\n",
+              P, kRepeats, kProcesses);
+  std::vector<Cell> Cells = sampleProcesses(Rows);
+  if (Cells.empty())
+    return 1;
+
+  std::printf("%10s %15s %12s %9s %15s %14s\n", "size (MB)",
+              "seq decode (ms)", "ns per byte", "speedup", "p10-p90",
+              "mispredictions");
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    const Cell &C = Cells[I];
+    const double Seq = median(C.SeqSeconds);
+    std::printf("%10zu %15.2f %12.2f %9.2f %7.2f-%-7.2f %14.0f\n",
+                Sizes[I], Seq * 1e3, Seq * 1e9 / double(Sizes[I] * 1000000),
+                median(C.Speedups), quantile(C.Speedups, 0.1),
+                quantile(C.Speedups, 0.9), median(C.Mispredictions));
   }
   std::printf("\n(paper: speedups do not vary significantly with size; a "
               "small drop from memory effects)\n");
+  if (!writeSpeedupJson("BENCH_datasize.json", "datasize_scaling", Cores,
+                        Cells))
+    return 1;
 
   if (!TraceOut->empty()) {
+    rt::Tracer Tr;
+    rt::SpecConfig Cfg = rt::SpecConfig().executor(Cores.executor(P));
+    Cfg.trace(&Tr);
+    for (size_t MB : Sizes) {
+      std::vector<uint8_t> Data =
+          generateHuffmanData(HuffmanFlavour::Text, 7, MB * 1000000);
+      Encoded E = encode(Data);
+      Decoder D(E.Code);
+      BitReader In(E.Bytes, E.NumBits);
+      if (speculativeDecode(D, In, static_cast<int>(P), OverlapBytes * 8, Cfg)
+              .Decoded != Data) {
+        std::fprintf(stderr, "MISMATCH: traced decode of %zu MB\n", MB);
+        return 1;
+      }
+    }
     if (!Tr.writeChromeTrace(*TraceOut)) {
       std::fprintf(stderr, "error: cannot write trace to '%s'\n",
                    TraceOut->c_str());

@@ -7,16 +7,16 @@
 ///
 /// Regenerates Figure 6, "Variation in scalability of the three benchmark
 /// programs with number of threads, data sets and prediction quality":
-/// for every benchmark/dataset pair, the speedup at 1/2/4/8 threads with
-/// a large overlap ("max speedup", mispredictions eliminated) and a
-/// minimal overlap ("min speedup").
+/// for every benchmark/dataset pair, the wall-clock speedup at 1/2/4
+/// threads (those the host has) with a large overlap ("max speedup",
+/// mispredictions eliminated) and a minimal overlap ("min speedup"),
+/// one task per thread.
 ///
-/// Hardware substitution (DESIGN.md Section 5): the host has one vCPU, so
-/// speedups come from the discrete-event P-processor simulator driven by
-/// *measured* per-segment work and *measured* prediction outcomes of the
-/// real application code on the real generated datasets; runtime
-/// overheads (task spawn, validation) are measured from the real
-/// speculation runtime on this machine.
+/// Each thread count runs on that many pinned cores; every cell is the
+/// median of 11 repeats in each of 5 processes (bench/RealCores.h), and
+/// every timed run is checked against the sequential output. The
+/// per-process speedups, their median, p10 and p90, and the median
+/// mispredictions go to BENCH_speedup.json.
 ///
 /// Expected shape (paper): near-linear scaling with large overlaps
 /// (e.g. Latex lexing ~4x at 4 threads); with small overlaps anywhere
@@ -24,133 +24,81 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "apps/SpeculativeHuffman.h"
-#include "apps/SpeculativeLexing.h"
-#include "apps/SpeculativeMwis.h"
-#include "runtime/Speculation.h"
-#include "runtime/Telemetry.h"
-#include "simsched/SimSched.h"
+#include "RealCores.h"
+
 #include "support/CommandLine.h"
-#include "support/Timer.h"
 #include "workloads/Datasets.h"
 #include "workloads/SourceGen.h"
 
 #include <cstdio>
-#include <functional>
 #include <string>
 
 using namespace specpar;
-using namespace specpar::apps;
+using namespace specpar::bench;
 using namespace specpar::lexgen;
 using namespace specpar::huffman;
 using namespace specpar::workloads;
 
-namespace {
-
-/// Measures the real per-task overhead of the speculation runtime on
-/// this machine: a trivial chunked iterate() on the shared default
-/// shard, amortized over the speculative chunk attempts — the same
-/// granularity the apps now dispatch at.
-double measureSpawnOverheadSeconds(rt::Tracer *Tr) {
-  const int64_t N = 2000, ChunkSize = 8;
-  Timer T;
-  rt::SpecResult<int64_t> R = rt::Speculation::iterateChunked<int64_t>(
-      0, N, ChunkSize, [](int64_t, int64_t A) { return A; },
-      [](int64_t) { return int64_t(0); },
-      rt::SpecConfig().executor(rt::SpecExecutor::defaultShard()).trace(Tr));
-  return T.elapsedSeconds() / static_cast<double>(R.Stats.Tasks);
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
-  ArgParser Args("fig6_speedup", "Figure 6: speedup vs threads");
-  std::string *TraceOut = Args.strOption(
-      "trace-out", "",
-      "write a Chrome trace_event JSON of the real runtime calibration "
-      "run to FILE");
+  ArgParser Args("fig6_speedup",
+                 "Figure 6: speedup vs threads, on pinned real cores");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 2;
 
-  rt::Tracer Tr;
-  const double SpawnOverhead =
-      measureSpawnOverheadSeconds(TraceOut->empty() ? nullptr : &Tr);
-  std::printf("=== Figure 6: speedup vs threads (max overlap / min "
-              "overlap) ===\n");
-  std::printf("measured per-task runtime overhead: %.1f us "
-              "(chunked, %.2f us amortized per iteration)\n\n",
-              SpawnOverhead * 1e6, SpawnOverhead * 1e6 / 8);
-  std::printf("%-22s %9s %9s %9s %9s\n", "benchmark/dataset", "1 thr",
-              "2 thr", "4 thr", "8 thr");
+  const CoreSet Cores;
+  Grid G;
+  G.Threads = Cores.paperThreads();
 
-  auto Report = [&](const std::string &Name,
-                    const std::function<SegmentedMeasurement(int, int64_t)>
-                        &Measure,
-                    int64_t MaxOverlap, int64_t MinOverlap) {
-    std::printf("%-22s", Name.c_str());
-    for (unsigned Procs : {1u, 2u, 4u, 8u}) {
-      int NumTasks = static_cast<int>(Procs);
-      double Speedups[2];
-      int Idx = 0;
-      for (int64_t Overlap : {MaxOverlap, MinOverlap}) {
-        SegmentedMeasurement M = Measure(NumTasks, Overlap);
-        sim::MachineParams P;
-        P.NumProcs = Procs;
-        P.SpawnOverhead = SpawnOverhead;
-        P.ValidationOverhead = SpawnOverhead / 4;
-        P.PredictorWork = M.PredictorSeconds;
-        Speedups[Idx++] = sim::simulateIteration(M.Tasks, P).Speedup;
-      }
-      std::printf(" %4.2f/%-4.2f", Speedups[0], Speedups[1]);
+  // Overlaps are {max, min}.
+  std::vector<Row> Rows;
+  for (Language L : AllLanguages)
+    Rows.push_back({std::string("lex/") + languageName(L), {2048, 8},
+                    [&, L](const Row &R, std::vector<Sample> &Out) {
+                      std::string Text = generateSource(L, 42, 2000000);
+                      return lexCells(Cores, G, R.Name, R.Overlaps,
+                                      makeLexer(L), Text, Out);
+                    }});
+  for (HuffmanFlavour F : AllHuffmanFlavours)
+    Rows.push_back({std::string("huffman/") + huffmanFlavourName(F), {512, 2},
+                    [&, F](const Row &R, std::vector<Sample> &Out) {
+                      return decodeCells(
+                          Cores, G, R.Name, R.Overlaps,
+                          encode(generateHuffmanData(F, 7, 4000000)), Out);
+                    }});
+  for (int64_t MaxW : {50, 5000})
+    Rows.push_back({"mwis/uni-" + std::to_string(MaxW), {128, 2},
+                    [&, MaxW](const Row &R, std::vector<Sample> &Out) {
+                      return mwisCells(Cores, G, R.Name, R.Overlaps,
+                                       generatePathGraph(3, 4000000, MaxW),
+                                       Out);
+                    }});
+
+  std::printf("=== Figure 6: speedup vs threads (max overlap / min "
+              "overlap), %u pinned cores, median of %d repeats x %d "
+              "processes ===\n\n",
+              Cores.size(), kRepeats, kProcesses);
+  std::vector<Cell> Cells = sampleProcesses(Rows);
+  if (Cells.empty())
+    return 1;
+
+  std::printf("%-22s %11s %11s %11s\n", "benchmark/dataset", "1 thr",
+              "2 thr", "4 thr");
+  for (const Row &Rw : Rows) {
+    std::printf("%-22s", Rw.Name.c_str());
+    for (unsigned P : {1u, 2u, 4u}) {
+      const Cell *Max = findCell(Cells, Rw.Name, "seq", Rw.Overlaps[0], P);
+      const Cell *Min = findCell(Cells, Rw.Name, "seq", Rw.Overlaps[1], P);
+      if (Max && Min)
+        std::printf("   %4.2f/%-4.2f", median(Max->Speedups),
+                    median(Min->Speedups));
+      else
+        std::printf(" %11s", "n/a");
     }
     std::printf("\n");
-  };
-
-  // --- Lexical analysis: four languages ---------------------------------
-  for (Language L : AllLanguages) {
-    std::string Text = generateSource(L, 42, 2000000);
-    Lexer LX = makeLexer(L);
-    Report(std::string("lex/") + languageName(L),
-           [&](int Tasks, int64_t Overlap) {
-             return measureLexing(LX, Text, Tasks, Overlap);
-           },
-           /*MaxOverlap=*/2048, /*MinOverlap=*/8);
   }
-
-  // --- Huffman decoding: three dataset flavours --------------------------
-  for (HuffmanFlavour F : AllHuffmanFlavours) {
-    Encoded E = encode(generateHuffmanData(F, 7, 4000000));
-    Decoder D(E.Code);
-    BitReader In(E.Bytes, E.NumBits);
-    Report(std::string("huffman/") + huffmanFlavourName(F),
-           [&](int Tasks, int64_t Overlap) {
-             return measureHuffman(D, In, Tasks, Overlap * 8);
-           },
-           /*MaxOverlap=*/512, /*MinOverlap=*/2);
-  }
-
-  // --- MWIS: two weight ranges -------------------------------------------
-  for (int64_t MaxW : {int64_t(50), int64_t(5000)}) {
-    std::vector<int64_t> W = generatePathGraph(3, 4000000, MaxW);
-    Report("mwis/uni-" + std::to_string(MaxW),
-           [&](int Tasks, int64_t Overlap) {
-             return measureMwis(W, Tasks, Overlap);
-           },
-           /*MaxOverlap=*/128, /*MinOverlap=*/2);
-  }
-
-  std::printf("\n(speedups are simulated on P workers from measured "
-              "per-segment work and real misprediction patterns; see "
-              "DESIGN.md section 5)\n");
-
-  if (!TraceOut->empty()) {
-    if (!Tr.writeChromeTrace(*TraceOut)) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   TraceOut->c_str());
-      return 1;
-    }
-    std::printf("\n%s\nwrote Chrome trace to %s\n", Tr.summary().c_str(),
-                TraceOut->c_str());
-  }
-  return 0;
+  std::printf("\n(medians over processes of per-process speedups; "
+              "spread and mispredictions in BENCH_speedup.json)\n");
+  return writeSpeedupJson("BENCH_speedup.json", "fig6_speedup", Cores, Cells)
+             ? 0
+             : 1;
 }

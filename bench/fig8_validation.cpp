@@ -10,45 +10,34 @@
 /// dataset per benchmark, the speedup under Seq and Par validation, at a
 /// small ("min") and a large ("max") overlap, across thread counts.
 ///
+/// Each thread count runs on that many pinned cores, with 4 tasks per
+/// thread so that parallel validation has re-dispatch opportunities;
+/// every cell is the median of 11 repeats in each of 5 processes
+/// (bench/RealCores.h), every timed run is checked against the
+/// sequential output, and the cells go to BENCH_validation.json.
+///
 /// Expected shape (paper): the two modes perform equally well in many
 /// cases, but Seq validation wins with 4 threads and a good predictor —
 /// the overhead of creating extra validation/corrective tasks outweighs
-/// the benefit of parallel validation. The simulator reproduces both the
-/// corrective-task chaining and the garbage-corrective cascades of the
-/// real runtime.
+/// the benefit of parallel validation.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "apps/SpeculativeHuffman.h"
-#include "apps/SpeculativeLexing.h"
-#include "apps/SpeculativeMwis.h"
-#include "runtime/Speculation.h"
+#include "RealCores.h"
+
 #include "runtime/Telemetry.h"
-#include "simsched/SimSched.h"
 #include "support/CommandLine.h"
-#include "support/Timer.h"
 #include "workloads/Datasets.h"
 #include "workloads/SourceGen.h"
 
 #include <cstdio>
-#include <functional>
 #include <string>
 
 using namespace specpar;
-using namespace specpar::apps;
+using namespace specpar::bench;
 using namespace specpar::lexgen;
 using namespace specpar::huffman;
 using namespace specpar::workloads;
-
-static double measureSpawnOverheadSeconds() {
-  const int64_t N = 2000, ChunkSize = 8;
-  Timer T;
-  rt::SpecResult<int64_t> R = rt::Speculation::iterateChunked<int64_t>(
-      0, N, ChunkSize, [](int64_t, int64_t A) { return A; },
-      [](int64_t) { return int64_t(0); },
-      rt::SpecConfig().executor(rt::SpecExecutor::defaultShard()));
-  return T.elapsedSeconds() / static_cast<double>(R.Stats.Tasks);
-}
 
 /// Runs the real runtime under both validation modes with the tracer
 /// attached: once with perfect predictions (every chunk validates and is
@@ -86,73 +75,62 @@ int main(int Argc, char **Argv) {
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 2;
 
-  const double SpawnOverhead = measureSpawnOverheadSeconds();
-  std::printf("=== Figure 8: seq vs par validation (speedup, "
-              "seq/par) ===\n");
-  std::printf("measured per-task runtime overhead: %.1f us\n\n",
-              SpawnOverhead * 1e6);
-  std::printf("%-26s %11s %11s %11s %11s\n", "benchmark (overlap)", "1 thr",
-              "2 thr", "4 thr", "8 thr");
+  const CoreSet Cores;
+  Grid G;
+  G.Threads = Cores.paperThreads();
+  G.TasksPerThread = 4;
+  G.Modes = {rt::ValidationMode::Seq, rt::ValidationMode::Par};
 
-  auto Report = [&](const std::string &Name,
-                    const std::function<SegmentedMeasurement(int, int64_t)>
-                        &Measure,
-                    int64_t Overlap) {
-    std::printf("%-26s", Name.c_str());
-    for (unsigned Procs : {1u, 2u, 4u, 8u}) {
-      // The paper uses more tasks than threads so that parallel
-      // validation has re-dispatch opportunities.
-      int NumTasks = static_cast<int>(Procs) * 4;
-      SegmentedMeasurement M = Measure(NumTasks, Overlap);
-      double S[2];
-      int Idx = 0;
-      for (sim::SimValidation V :
-           {sim::SimValidation::Seq, sim::SimValidation::Par}) {
-        sim::MachineParams P;
-        P.NumProcs = Procs;
-        P.SpawnOverhead = SpawnOverhead;
-        P.ValidationOverhead = SpawnOverhead / 4;
-        P.PredictorWork = M.PredictorSeconds;
-        P.Mode = V;
-        S[Idx++] = sim::simulateIteration(M.Tasks, P).Speedup;
+  // Overlaps are {min, max}.
+  const std::vector<Row> Rows = {
+      {"lex/Java", {8, 2048},
+       [&](const Row &R, std::vector<Sample> &Out) {
+         std::string Text = generateSource(Language::Java, 42, 2000000);
+         return lexCells(Cores, G, R.Name, R.Overlaps,
+                         makeLexer(Language::Java), Text, Out);
+       }},
+      {"huffman/text", {2, 512},
+       [&](const Row &R, std::vector<Sample> &Out) {
+         return decodeCells(
+             Cores, G, R.Name, R.Overlaps,
+             encode(generateHuffmanData(HuffmanFlavour::Text, 7, 4000000)),
+             Out);
+       }},
+      {"mwis/uni-50", {2, 128},
+       [&](const Row &R, std::vector<Sample> &Out) {
+         return mwisCells(Cores, G, R.Name, R.Overlaps,
+                          generatePathGraph(3, 4000000, 50), Out);
+       }}};
+
+  std::printf("=== Figure 8: seq vs par validation (speedup, seq/par), %u "
+              "pinned cores, median of %d repeats x %d processes ===\n\n",
+              Cores.size(), kRepeats, kProcesses);
+  std::vector<Cell> Cells = sampleProcesses(Rows);
+  if (Cells.empty())
+    return 1;
+
+  std::printf("%-26s %13s %13s %13s\n", "benchmark (overlap)", "1 thr",
+              "2 thr", "4 thr");
+  for (const Row &R : Rows)
+    for (size_t I = 0; I < R.Overlaps.size(); ++I) {
+      std::string Label = R.Name + (I == 0 ? " (min)" : " (max)");
+      std::printf("%-26s", Label.c_str());
+      for (unsigned P : {1u, 2u, 4u}) {
+        const Cell *Seq = findCell(Cells, R.Name, "seq", R.Overlaps[I], P);
+        const Cell *Par = findCell(Cells, R.Name, "par", R.Overlaps[I], P);
+        if (Seq && Par)
+          std::printf("   %5.2f/%-5.2f", median(Seq->Speedups),
+                      median(Par->Speedups));
+        else
+          std::printf(" %13s", "n/a");
       }
-      std::printf(" %5.2f/%-5.2f", S[0], S[1]);
+      std::printf("\n");
     }
-    std::printf("\n");
-  };
-
-  {
-    std::string Text = generateSource(Language::Java, 42, 2000000);
-    Lexer LX = makeLexer(Language::Java);
-    auto Measure = [&](int Tasks, int64_t Overlap) {
-      return measureLexing(LX, Text, Tasks, Overlap);
-    };
-    Report("lex/Java (min overlap)", Measure, 8);
-    Report("lex/Java (max overlap)", Measure, 2048);
-  }
-  {
-    Encoded E =
-        encode(generateHuffmanData(HuffmanFlavour::Text, 7, 4000000));
-    Decoder D(E.Code);
-    BitReader In(E.Bytes, E.NumBits);
-    auto Measure = [&](int Tasks, int64_t Overlap) {
-      return measureHuffman(D, In, Tasks, Overlap * 8);
-    };
-    Report("huffman/text (min)", Measure, 2);
-    Report("huffman/text (max)", Measure, 512);
-  }
-  {
-    std::vector<int64_t> W = generatePathGraph(3, 4000000, 50);
-    auto Measure = [&](int Tasks, int64_t Overlap) {
-      return measureMwis(W, Tasks, Overlap);
-    };
-    Report("mwis/uni-50 (min)", Measure, 2);
-    Report("mwis/uni-50 (max)", Measure, 128);
-  }
-
-  std::printf("\n(simulated on P workers from measured inputs; Par mode "
-              "models the runtime's corrective-task chaining, including "
-              "wasted garbage correctives during cascades)\n");
+  std::printf("\n(medians over processes of per-process speedups; "
+              "spread and mispredictions in BENCH_validation.json)\n");
+  if (!writeSpeedupJson("BENCH_validation.json", "fig8_validation", Cores,
+                        Cells))
+    return 1;
 
   if (!TraceOut->empty()) {
     rt::Tracer Tr;

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// google-benchmark microbenchmarks of the individual substrates: raw
-/// lexing/decoding/DP throughput (the Work inputs of the speedup
-/// simulation), predictor costs, speculation-runtime per-task overhead,
-/// and the interpreter's steps/second. Not tied to a paper figure; used
-/// to sanity-check that measured segment costs are in sane ranges.
+/// lexing/decoding/DP throughput, predictor costs, speculation-runtime
+/// per-task overhead, and the interpreter's steps/second. Not tied to a
+/// paper figure; used to sanity-check that measured segment costs are in
+/// sane ranges.
 ///
 //===----------------------------------------------------------------------===//
 

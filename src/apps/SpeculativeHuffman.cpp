@@ -7,10 +7,6 @@
 
 #include "apps/SpeculativeHuffman.h"
 
-#include "support/Timer.h"
-
-#include <algorithm>
-
 using namespace specpar;
 using namespace specpar::apps;
 using namespace specpar::huffman;
@@ -86,48 +82,4 @@ double specpar::apps::huffmanPredictionAccuracy(const Decoder &D,
       ++Correct;
   }
   return 100.0 * Correct / Total;
-}
-
-SegmentedMeasurement specpar::apps::measureHuffman(const Decoder &D,
-                                                   const BitReader &In,
-                                                   int NumTasks,
-                                                   int64_t OverlapBits,
-                                                   int Repeats) {
-  SegmentedMeasurement M;
-  const int64_t NumBits = In.numBits();
-  std::vector<uint8_t> Scratch;
-  int64_t Carried = 0;
-  double PredTotal = 0;
-  for (int I = 0; I < NumTasks; ++I) {
-    int64_t SegEnd =
-        I + 1 == NumTasks ? NumBits : NumBits * (I + 1) / NumTasks;
-    bool Correct = true;
-    double PredSeconds = 0;
-    if (I > 0) {
-      Timer T;
-      int64_t Pred =
-          D.predictSyncPoint(In, NumBits * I / NumTasks, OverlapBits);
-      PredSeconds = T.elapsedSeconds();
-      Correct = Pred == Carried;
-    }
-    PredTotal += PredSeconds;
-    double Best = -1;
-    int64_t Out = Carried;
-    for (int R = 0; R < Repeats; ++R) {
-      Scratch.clear();
-      Timer T;
-      Out = D.decodeRange(In, Carried, SegEnd, &Scratch);
-      double S = T.elapsedSeconds();
-      if (Best < 0 || S < Best)
-        Best = S;
-    }
-    Carried = Out;
-    sim::TaskSpec Spec;
-    Spec.Work = Best;
-    Spec.PredictionCorrect = Correct;
-    M.Tasks.push_back(Spec);
-    M.SequentialSeconds += Best;
-  }
-  M.PredictorSeconds = NumTasks > 1 ? PredTotal / (NumTasks - 1) : 0;
-  return M;
 }

@@ -16,7 +16,6 @@
 #ifndef SPECPAR_APPS_SPECULATIVEHUFFMAN_H
 #define SPECPAR_APPS_SPECULATIVEHUFFMAN_H
 
-#include "apps/SpeculativeLexing.h" // SegmentedMeasurement
 #include "huffman/Huffman.h"
 #include "runtime/Speculation.h"
 
@@ -53,12 +52,6 @@ inline constexpr int64_t kHuffChunkSize = 8;
 double huffmanPredictionAccuracy(const huffman::Decoder &D,
                                  const huffman::BitReader &In,
                                  int64_t OverlapBits, int NumPoints = 32);
-
-/// Per-segment work and prediction outcomes for the speedup simulation.
-SegmentedMeasurement measureHuffman(const huffman::Decoder &D,
-                                    const huffman::BitReader &In,
-                                    int NumTasks, int64_t OverlapBits,
-                                    int Repeats = 3);
 
 } // namespace apps
 } // namespace specpar

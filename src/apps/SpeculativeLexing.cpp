@@ -7,10 +7,6 @@
 
 #include "apps/SpeculativeLexing.h"
 
-#include "support/Timer.h"
-
-#include <algorithm>
-
 using namespace specpar;
 using namespace specpar::apps;
 using namespace specpar::lexgen;
@@ -94,49 +90,4 @@ double specpar::apps::lexPredictionAccuracy(const Lexer &L,
       ++Correct;
   }
   return 100.0 * Correct / Total;
-}
-
-SegmentedMeasurement specpar::apps::measureLexing(const Lexer &L,
-                                                  std::string_view Text,
-                                                  int NumTasks,
-                                                  int64_t Overlap,
-                                                  int Repeats) {
-  SegmentedMeasurement M;
-  const int64_t N = static_cast<int64_t>(Text.size());
-  const int64_t Frag = (N + NumTasks - 1) / NumTasks;
-  std::vector<Token> Scratch;
-  LexState Carried = L.initialState(0);
-  double PredTotal = 0;
-  for (int I = 0; I < NumTasks; ++I) {
-    int64_t From = I * Frag, To = std::min(N, (I + 1) * Frag);
-    // Prediction outcome against the true carried state.
-    bool Correct = true;
-    double PredSeconds = 0;
-    if (I > 0) {
-      Timer T;
-      LexState Pred = L.predictStateAt(Text, From, Overlap);
-      PredSeconds = T.elapsedSeconds();
-      Correct = Pred == Carried;
-    }
-    PredTotal += PredSeconds;
-    // Segment work: best of Repeats timings of the real range lex.
-    double Best = -1;
-    LexState Out = Carried;
-    for (int R = 0; R < Repeats; ++R) {
-      Scratch.clear();
-      Timer T;
-      Out = L.lexRange(Text, From, To, Carried, &Scratch);
-      double S = T.elapsedSeconds();
-      if (Best < 0 || S < Best)
-        Best = S;
-    }
-    Carried = Out;
-    sim::TaskSpec Spec;
-    Spec.Work = Best;
-    Spec.PredictionCorrect = Correct;
-    M.Tasks.push_back(Spec);
-    M.SequentialSeconds += Best;
-  }
-  M.PredictorSeconds = NumTasks > 1 ? PredTotal / (NumTasks - 1) : 0;
-  return M;
 }

@@ -19,7 +19,6 @@
 
 #include "lexgen/Lexer.h"
 #include "runtime/Speculation.h"
-#include "simsched/SimSched.h"
 
 #include <string_view>
 #include <vector>
@@ -59,20 +58,6 @@ inline constexpr int64_t kLexChunkSize = 8;
 /// spaced boundaries (the paper's Figure 7 methodology), in percent.
 double lexPredictionAccuracy(const lexgen::Lexer &L, std::string_view Text,
                              int64_t Overlap, int NumPoints = 32);
-
-/// Measures the per-segment work and prediction outcomes that drive the
-/// discrete-event speedup simulation (DESIGN.md Section 5): Work is the
-/// measured sequential time of each segment, PredictionCorrect the real
-/// predictor outcome on this input.
-struct SegmentedMeasurement {
-  std::vector<sim::TaskSpec> Tasks;
-  double PredictorSeconds = 0; // average predictor cost
-  double SequentialSeconds = 0;
-};
-
-SegmentedMeasurement measureLexing(const lexgen::Lexer &L,
-                                   std::string_view Text, int NumTasks,
-                                   int64_t Overlap, int Repeats = 3);
 
 } // namespace apps
 } // namespace specpar

@@ -7,10 +7,6 @@
 
 #include "apps/SpeculativeMwis.h"
 
-#include "support/Timer.h"
-
-#include <algorithm>
-
 using namespace specpar;
 using namespace specpar::apps;
 using namespace specpar::mwis;
@@ -104,43 +100,4 @@ double specpar::apps::mwisPredictionAccuracy(
       ++Correct;
   }
   return 100.0 * Correct / Total;
-}
-
-SegmentedMeasurement specpar::apps::measureMwis(
-    const std::vector<int64_t> &Weights, int NumTasks, int64_t Overlap,
-    int Repeats) {
-  SegmentedMeasurement M;
-  const int64_t N = static_cast<int64_t>(Weights.size());
-  std::vector<int64_t> D(Weights.size());
-  int64_t Carried = 0;
-  double PredTotal = 0;
-  for (int I = 0; I < NumTasks; ++I) {
-    int64_t From = N * I / NumTasks, To = N * (I + 1) / NumTasks;
-    bool Correct = true;
-    double PredSeconds = 0;
-    if (I > 0) {
-      Timer T;
-      int64_t Pred = predictForward(Weights, From, Overlap);
-      PredSeconds = T.elapsedSeconds();
-      Correct = Pred == Carried;
-    }
-    PredTotal += PredSeconds;
-    double Best = -1;
-    int64_t Out = Carried;
-    for (int R = 0; R < Repeats; ++R) {
-      Timer T;
-      Out = forwardSegment(Weights, From, To, Carried, D);
-      double S = T.elapsedSeconds();
-      if (Best < 0 || S < Best)
-        Best = S;
-    }
-    Carried = Out;
-    sim::TaskSpec Spec;
-    Spec.Work = Best;
-    Spec.PredictionCorrect = Correct;
-    M.Tasks.push_back(Spec);
-    M.SequentialSeconds += Best;
-  }
-  M.PredictorSeconds = NumTasks > 1 ? PredTotal / (NumTasks - 1) : 0;
-  return M;
 }

@@ -16,7 +16,6 @@
 #ifndef SPECPAR_APPS_SPECULATIVEMWIS_H
 #define SPECPAR_APPS_SPECULATIVEMWIS_H
 
-#include "apps/SpeculativeLexing.h" // SegmentedMeasurement
 #include "mwis/Mwis.h"
 #include "runtime/Speculation.h"
 
@@ -55,12 +54,6 @@ inline constexpr int64_t kMwisChunkSize = 8;
 /// Phase-1 prediction accuracy at \p NumPoints boundaries, in percent.
 double mwisPredictionAccuracy(const std::vector<int64_t> &Weights,
                               int64_t Overlap, int NumPoints = 32);
-
-/// Per-segment work and prediction outcomes of the forward phase, for the
-/// speedup simulation.
-SegmentedMeasurement measureMwis(const std::vector<int64_t> &Weights,
-                                 int NumTasks, int64_t Overlap,
-                                 int Repeats = 3);
 
 } // namespace apps
 } // namespace specpar
