@@ -11,8 +11,8 @@
 ///  * `CoreSet` pins the calling thread to the first P CPUs of the
 ///    inherited affinity mask and creates a P-worker executor, whose
 ///    workers inherit that mask. "P threads" therefore means P cores:
-///    the validating caller helps run attempts, so an unpinned P-worker
-///    executor really uses P+1 cores.
+///    the validating caller runs its own unclaimed attempts, so an
+///    unpinned P-worker executor really uses P+1 cores.
 ///  * `medianSeconds` times a callable as the median of kRepeats runs.
 ///  * `sampleProcesses` repeats a measurement in kProcesses processes, each
 ///    fork()ed from a parent that has started no thread, because the

@@ -11,8 +11,8 @@
 /// speculative implementations against the plain sequential ones, each
 /// the median of 11 repeats. The whole run is pinned to one CPU, and the
 /// speculative runs get a one-worker executor on that CPU
-/// (bench/RealCores.h): the validating caller helps run attempts, so an
-/// unpinned one-worker executor would use a second core and the ratio
+/// (bench/RealCores.h): the validating caller runs its own unclaimed
+/// attempts, so an unpinned one-worker executor would use a second core and the ratio
 /// would be a parallel speedup, not the library's overhead.
 ///
 //===----------------------------------------------------------------------===//

@@ -52,10 +52,10 @@ namespace {
 
 /// Busy-work sink: \p Spin rounds of a SplitMix64-style mix, forced via
 /// a relaxed atomic store so the optimizer cannot delete it (attempts on
-/// different threads — including the helping validator — store
-/// concurrently). The carried value stays 0 so the trivial predictor is
-/// always correct and the run exercises the accept path, not
-/// re-execution.
+/// different threads — including the validator, which runs its own
+/// unclaimed attempts — store concurrently). The carried value stays 0
+/// so the trivial predictor is always correct and the run exercises the
+/// accept path, not re-execution.
 std::atomic<uint64_t> SpinSink;
 void spinWork(int64_t I, int64_t Spin) {
   uint64_t Z = static_cast<uint64_t>(I) + 0x9e3779b97f4a7c15ULL;
@@ -171,7 +171,7 @@ int main(int Argc, char **Argv) {
   // runs, where it is ~25% of the run and far above scheduler noise)
   // relative to a realistic chunk's work. A direct A/B at realistic
   // granularity cannot resolve 2% on a small shared host — the ~0.15%
-  // true delta drowns in schedule-dependent helping/wait CPU — so that
+  // true delta drowns in schedule-dependent claim/wait CPU — so that
   // pair is reported for tracking only.
   const double RealChunkSec = OffReal / 250.0;
   const double OverheadPct =

@@ -13,32 +13,36 @@
 /// point for speculation to pay off, and the regression gate for executor
 /// and attempt-lifecycle changes.
 ///
-/// Two measurements per configuration, wall clock, min-of-repeats:
+/// One measurement per configuration, wall clock, over --repeats runs
+/// (default 11) after a warm-up run:
 ///  * per_attempt_ns — iterateChunked with an empty body over NumChunks
 ///    chunks, perfect predictor, divided by NumChunks. Includes submit,
 ///    wakeup, steal/pop, attempt state publication, validator quiesce,
-///    and recycling.
-///  * steady_alloc — placeholder for the allocation-free criterion; the
-///    authoritative assertion lives in runtime_test (operator-new hook).
+///    and recycling. Reported as the median and the p10/p90 of the
+///    repeats (bench/RealCores.h's `quantile`), so one lucky or unlucky
+///    run moves neither.
+/// The steady-state allocation criterion is asserted by hotpath_test
+/// (operator-new hook), not here.
 ///
-/// Output: a JSON report (default BENCH_scalability.json). When
-/// --baseline-json FILE is given, that file's entire contents are embedded
-/// under "baseline_pre_change" so the pre-change numbers recorded in the
-/// same PR travel with the post-change ones, and the improvement factor at
-/// 8 threads is computed from the matching configuration.
+/// Output: a JSON report (default BENCH_scalability.json) recording the
+/// host (nproc, CPU model). When --baseline-json FILE is given, that
+/// file's entire contents are embedded under "baseline_pre_change" so the
+/// pre-change numbers recorded in the same PR travel with the
+/// post-change ones.
 ///
 /// --smoke runs a reduced sweep as a CI sanity gate (the bench must run to
 /// completion; perf numbers on shared CI boxes are informational).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Speculation.h"
+#include "RealCores.h"
 #include "support/CommandLine.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace specpar;
@@ -71,25 +75,20 @@ struct Row {
   unsigned Threads;
   int64_t ChunkSize;
   int64_t NumChunks;
-  double PerAttemptNs;
+  double MedianNs, P10Ns, P90Ns;
 };
 
 Row measure(unsigned Threads, int64_t NumChunks, int64_t ChunkSize,
             int Repeats) {
   rt::SpecExecutor Ex(Threads);
   runOnce(Ex, NumChunks, ChunkSize); // warm-up: worker spin-up, first touch
-  double Best = -1;
-  for (int R = 0; R < Repeats; ++R) {
-    double S = runOnce(Ex, NumChunks, ChunkSize);
-    if (Best < 0 || S < Best)
-      Best = S;
-  }
-  Row Out;
-  Out.Threads = Threads;
-  Out.ChunkSize = ChunkSize;
-  Out.NumChunks = NumChunks;
-  Out.PerAttemptNs = Best / static_cast<double>(NumChunks) * 1e9;
-  return Out;
+  std::vector<double> PerAttemptNs;
+  for (int R = 0; R < Repeats; ++R)
+    PerAttemptNs.push_back(runOnce(Ex, NumChunks, ChunkSize) /
+                           static_cast<double>(NumChunks) * 1e9);
+  return {Threads, ChunkSize, NumChunks, bench::median(PerAttemptNs),
+          bench::quantile(PerAttemptNs, 0.1),
+          bench::quantile(PerAttemptNs, 0.9)};
 }
 
 } // namespace
@@ -98,7 +97,8 @@ int main(int Argc, char **Argv) {
   ArgParser Args("scalability_sweep",
                  "Per-attempt runtime overhead across threads x chunk size");
   bool *Smoke = Args.flag("smoke", "reduced sweep for CI smoke runs");
-  int64_t *Repeats = Args.intOption("repeats", 7, "min-of-N repeats");
+  int64_t *Repeats =
+      Args.intOption("repeats", 11, "timed runs per configuration");
   int64_t *Chunks = Args.intOption("chunks", 512, "chunks per run");
   std::string *Out = Args.strOption("out", "BENCH_scalability.json",
                                     "JSON output path (empty: skip)");
@@ -123,25 +123,29 @@ int main(int Argc, char **Argv) {
     ChunkSizes = {8};
   }
 
+  const unsigned Nproc = std::thread::hardware_concurrency();
+  const std::string Cpu = bench::cpuModel();
   std::vector<Row> Rows;
   std::printf("=== per-attempt overhead (empty body, %lld chunks, wall "
-              "min-of-%d) ===\n",
-              static_cast<long long>(NumChunks), Reps);
-  std::printf("%8s %10s %16s\n", "threads", "chunk-size", "ns/attempt");
+              "median [p10, p90] of %d; %u CPUs, %s) ===\n",
+              static_cast<long long>(NumChunks), Reps, Nproc, Cpu.c_str());
+  std::printf("%8s %10s %12s %12s %12s\n", "threads", "chunk-size",
+              "median ns", "p10 ns", "p90 ns");
   for (unsigned T : ThreadSweep)
     for (int64_t C : ChunkSizes) {
       Row R = measure(T, NumChunks, C, Reps);
       Rows.push_back(R);
-      std::printf("%8u %10lld %16.0f\n", R.Threads,
-                  static_cast<long long>(R.ChunkSize), R.PerAttemptNs);
+      std::printf("%8u %10lld %12.0f %12.0f %12.0f\n", R.Threads,
+                  static_cast<long long>(R.ChunkSize), R.MedianNs, R.P10Ns,
+                  R.P90Ns);
     }
 
-  // The headline number: per-attempt overhead at 8 threads, chunk size 8
-  // (the configuration the apps' default granularity uses).
+  // The headline number: median per-attempt overhead at 8 threads, chunk
+  // size 8 (the configuration the apps' default granularity uses).
   double At8 = -1;
   for (const Row &R : Rows)
     if (R.Threads == 8 && R.ChunkSize == 8)
-      At8 = R.PerAttemptNs;
+      At8 = R.MedianNs;
 
   if (!Out->empty()) {
     std::FILE *F = std::fopen(Out->c_str(), "w");
@@ -149,18 +153,24 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "cannot write %s\n", Out->c_str());
       return 1;
     }
-    std::fprintf(F, "{\n  \"config\": {\"chunks\": %lld, \"repeats\": %d, "
-                 "\"smoke\": %s},\n",
+    std::string CpuJson;
+    appendJsonString(CpuJson, Cpu);
+    std::fprintf(F, "{\n  \"host\": {\"nproc\": %u, \"cpu_model\": %s},\n",
+                 Nproc, CpuJson.c_str());
+    std::fprintf(F, "  \"config\": {\"chunks\": %lld, \"repeats\": %d, "
+                 "\"smoke\": %s, \"statistic\": \"wall ns per attempt, "
+                 "median [p10, p90] over repeats\"},\n",
                  static_cast<long long>(NumChunks), Reps,
                  *Smoke ? "true" : "false");
     std::fprintf(F, "  \"per_attempt_ns\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I)
       std::fprintf(F,
                    "    {\"threads\": %u, \"chunk_size\": %lld, "
-                   "\"ns_per_attempt\": %.1f}%s\n",
+                   "\"median\": %.1f, \"p10\": %.1f, \"p90\": %.1f}%s\n",
                    Rows[I].Threads,
-                   static_cast<long long>(Rows[I].ChunkSize),
-                   Rows[I].PerAttemptNs, I + 1 == Rows.size() ? "" : ",");
+                   static_cast<long long>(Rows[I].ChunkSize), Rows[I].MedianNs,
+                   Rows[I].P10Ns, Rows[I].P90Ns,
+                   I + 1 == Rows.size() ? "" : ",");
     std::fprintf(F, "  ],\n");
     std::fprintf(F, "  \"per_attempt_ns_8threads_chunk8\": %.1f", At8);
     if (!BaselineJson->empty()) {
@@ -175,7 +185,6 @@ int main(int Argc, char **Argv) {
         std::fclose(B);
         while (!All.empty() && (All.back() == '\n' || All.back() == ' '))
           All.pop_back();
-        // Indent the embedded object two spaces for readability.
         std::fputs(All.c_str(), F);
       } else {
         std::fprintf(stderr, "warning: cannot read %s\n",

@@ -21,7 +21,7 @@
 ///    mutex. The hot lowerings (inlined folds, fused specfold bodies)
 ///    allocate nothing per iteration.
 ///  * A `FrameStack` is strictly thread-local; frames obey LIFO even
-///    under the executor's help-while-waiting nesting.
+///    when a nested run's validator runs nested attempts on this thread.
 ///  * Frame *slots* are written only by the thread evaluating the
 ///    binding site that owns them. The resolver allocates slots
 ///    monotonically (lang/Ast.h `Binding::Slot`), so when a `spec`

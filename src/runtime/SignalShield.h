@@ -138,7 +138,8 @@ void ensureWatchdog();
 void unblockShieldSignals();
 
 /// Saved arming state for nesting (an attempt body that itself runs a
-/// nested speculative region through help-while-waiting).
+/// nested speculative run, whose waiting validator runs the nested
+/// attempts on this thread).
 struct ShieldFrame {
   sigjmp_buf Jmp;
   uint32_t Armed;
@@ -216,7 +217,7 @@ private:
 /// propagate normally — the shield only intercepts signals, and it
 /// disarms and restores the outer frame before rethrowing. Must not
 /// be called from a signal handler; ordinary nesting (attempt body ->
-/// help-while-waiting -> nested attempt) is supported via frame
+/// nested run's validator -> nested attempt) is supported via frame
 /// save/restore.
 template <typename Fn>
 ShieldOutcome shieldedCall(int64_t BudgetNs, Fn &&F) {

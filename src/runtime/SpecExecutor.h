@@ -29,12 +29,12 @@
 ///    single seq_cst load when every worker is busy — the old protocol
 ///    took a second mutex and `notify_all` on every submit *and* every
 ///    completion;
-///  * **cooperative helping**: any thread — worker or not — can call
-///    `tryRunOneTask()` to execute one queued task inline. The speculation
-///    runtime uses this so a worker that blocks inside a speculative run
-///    (waiting for a consumer, quiescing a slot, draining attempts)
-///    executes queued tasks instead of idling. This is what makes *nested*
-///    speculation on one shared executor deadlock-free;
+///  * **helping**: any thread — worker or not — can call
+///    `tryRunOneTask()` to execute one queued task inline, and `waitIdle()`
+///    does so while it waits. The speculation runtime does not: a run
+///    waiting on an attempt claims and runs that attempt itself when no
+///    worker has started it (runtime/Speculation.h), which is what makes
+///    *nested* speculation on one shared executor deadlock-free;
 ///  * destruction drains the queues (every submitted task runs) and joins
 ///    the workers.
 ///
@@ -81,8 +81,9 @@ struct ExecutorStats {
   uint64_t InjectionPops = 0;
   /// Tasks stolen from another worker's deque.
   uint64_t Steals = 0;
-  /// Tasks executed inline through `tryRunOneTask()` — the cooperative
-  /// helping blocked speculative runs perform instead of idling.
+  /// Tasks executed inline through `tryRunOneTask()`, by `waitIdle()` or a
+  /// direct caller. Speculative runs never help (they claim their own
+  /// attempts instead), so they contribute 0.
   uint64_t HelpRuns = 0;
   /// The largest number of submitted-but-unfinished tasks observed.
   uint64_t PeakQueueDepth = 0;
@@ -154,8 +155,7 @@ public:
   /// Runs one queued task inline on the calling thread, if any is
   /// available: the calling worker's own deque first, then the injection
   /// ring, then steals from other workers. Returns false if every queue
-  /// was empty. Safe to call from any thread; this is the helping
-  /// primitive blocked speculative runs use instead of idling.
+  /// was empty. Safe to call from any thread.
   bool tryRunOneTask();
 
   /// Blocks until every task submitted so far has finished. Helps (runs

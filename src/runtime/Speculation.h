@@ -20,11 +20,12 @@
 ///    per-task overhead amortizes over the chunk (the way the paper's
 ///    segment experiments assume).
 ///
-/// `apply` and `iterate` share one attempt lifecycle: a speculative body
-/// runs under its attempt's cancel scope, fault probes and optional
-/// shield (`detail::runSpeculativeBody`), publishes with one seq_cst
-/// `Done` store, and is awaited, drained and accounted through the run's
-/// `detail::SegRunSync`.
+/// `apply` and `iterate` share one attempt lifecycle: an attempt is run
+/// by whichever thread claims it first — a worker that pops its task, or
+/// the thread waiting on it — under its cancel scope, fault probes and
+/// optional shield (`detail::runSpeculativeBody`); it publishes with one
+/// seq_cst Done RMW on its claim word in the run's `detail::SegRunSync`,
+/// which also awaits and accounts it.
 ///
 /// Calls are configured with a fluent `SpecConfig` and return a
 /// `SpecResult<T>` carrying the value and the run's `SpeculationStats`:
@@ -34,9 +35,10 @@
 ///   use(R.Value, R.Stats);
 ///
 /// By default runs execute on the process's default executor shard
-/// (`SpecExecutor::defaultShard()`): the executor's cooperative helping
-/// makes *nested* speculation on one shared executor deadlock-free, so a
-/// long-lived process no longer needs transient per-run pools. Callers
+/// (`SpecExecutor::defaultShard()`). A thread waiting on an attempt runs
+/// it itself if no worker has claimed it yet, which makes *nested*
+/// speculation on one shared executor deadlock-free, so a long-lived
+/// process needs no transient per-run pools. Callers
 /// that care about placement or lifetime name their executor explicitly
 /// — `SpecConfig::executor(SpecExecutor::create(N))` — and the config
 /// shares ownership of the handle.
@@ -236,8 +238,8 @@ public:
   /// The config shares ownership of the handle: the executor cannot be
   /// destroyed out from under a run (or a queued job holding a copy of
   /// this config). Sharing one executor between concurrent and *nested*
-  /// runs is safe: a run that blocks inside the executor helps drain
-  /// queued tasks.
+  /// runs is safe: a run waiting on one of its attempts runs it itself
+  /// when no worker has claimed it.
   SpecConfig &executor(std::shared_ptr<SpecExecutor> E) {
     Ex = std::move(E);
     return *this;
@@ -524,10 +526,11 @@ bool currentTaskCancelled();
 namespace detail {
 
 /// The part of a speculative attempt that every run form shares: its
-/// identity, its cancellation state, what its body left behind, and the
-/// publication point. `Done` is that point: every plain field is written
-/// before the seq_cst store of `Done` and read by the validating thread
-/// only after it loads `Done == true`.
+/// identity, its cancellation state and what its body left behind. The
+/// attempt's claim word (SegRunSync) decides who runs it and carries its
+/// Done bit, the publication point: every plain field is written before
+/// the seq_cst Done RMW and read by the validating thread only after it
+/// loads Done.
 struct AttemptCore {
   /// Telemetry attempt id (0 when no tracer is installed).
   uint64_t TraceId = 0;
@@ -549,7 +552,6 @@ struct AttemptCore {
   /// mid-run: its output may be a partial bail-out value and must never
   /// be accepted.
   std::atomic<bool> ObservedCancel{false};
-  std::atomic<bool> Done{false};
 };
 
 /// One pooled speculative execution of a segment [B, E) with a given
@@ -568,23 +570,15 @@ template <typename T, typename U> struct SegAttempt : AttemptCore {
   int64_t B = 0, E = 0;
   /// Wave-local slot this attempt belongs to.
   int64_t SlotIdx = 0;
-  /// A corrective attempt runs only after its slot's prior attempt has
-  /// finished, so attempts of one segment never run concurrently.
+  /// A corrective attempt runs only after its slot's prior attempt is
+  /// Done, so attempts of one segment never run concurrently.
   SegAttempt *After = nullptr;
   /// Body wall time in ns, measured only when the autotuner is armed.
   int64_t BodyNs = 0;
   /// Which freelist the attempt returns to at wave end.
   bool FromChainPool = false;
-  /// The corrective attempt parked on this one (see
-  /// SegEngine::handOff), or this attempt itself once it has finished.
-  std::atomic<SegAttempt *> Successor{nullptr};
-  /// Set when a thread claims the attempt and enters runAttempt. Drives
-  /// the validator's help-vs-park choice: helping only makes progress on
-  /// attempts still sitting in an executor queue — once every pending
-  /// attempt of a slot is running on some thread, draining unrelated
-  /// queued work would only delay the validate/finalize pipeline behind
-  /// arbitrary later attempts.
-  std::atomic<bool> Started{false};
+  /// The attempt's claim word in the run's SegRunSync.
+  uint32_t Idx = 0;
 };
 
 /// apply()'s one speculative attempt: the predictor, then the consumer
@@ -606,65 +600,78 @@ template <typename T, typename U> struct SegSlot {
   std::atomic<SegAttempt<T, U> *> Items[2] = {};
 };
 
-/// Lock-free synchronisation of one speculative run (an iterate engine
-/// run or one apply()). `attemptFinished()` is one atomic decrement plus
-/// a conditional wake through the eventcount. apply() waits through
-/// `helpUntil()` (the engine's slot quiesce adds a help-vs-park policy
-/// on top), and every run ends with `retire()`.
+/// Synchronisation of one speculative run (an iterate engine run or one
+/// apply()), in one refcounted block: the run holds a reference and so
+/// does every task it submits, so a task popped after its attempt was
+/// claimed, recycled into a later wave, or after its run returned still
+/// finds its claim word here, fails to claim, and returns.
+///
+/// An attempt is run by whichever thread claims it first: a worker that
+/// pops its task, or a thread waiting on it. A waiting thread runs only
+/// the attempts it waits for and otherwise parks on the eventcount, so
+/// no wait depends on the executor draining other work. An attempt's
+/// claim word packs its wave generation (bits 32-63), the index + 1 of a
+/// corrective parked on it (bits 2-31; 0 = none), Done (bit 1) and
+/// Claimed (bit 0).
 struct SegRunSync {
-  EventCount EC;
-  /// Attempts queued or running. seq_cst: participates in the eventcount
-  /// Dekker protocol with waiters' prepareWait/re-check.
-  std::atomic<int64_t> Outstanding{0};
-  /// Orders attempt completions (FinishStamp = fetch_add + 1).
-  std::atomic<uint64_t> FinishCounter{0};
-  /// The run is tearing down (final drain, degrade, timeout): an initial
-  /// attempt that is already cancelled when it starts may skip its body
-  /// entirely. Never set while the validator still wants bodies to run —
-  /// cancelled-but-running bodies stay observable (cooperative
-  /// cancellation tests rely on it).
-  std::atomic<bool> Draining{false};
-  /// Tasks dispatched by Par-mode chainers. Workers must not touch the
-  /// run's (non-atomic) SpeculationStats, so they count here and the
-  /// validator merges before the run returns.
-  std::atomic<int64_t> ChainedTasks{0};
-  /// Shield containments and watchdog escalations, counted by workers
-  /// (same rule as ChainedTasks: never the non-atomic stats) and merged
-  /// by the validator before the run returns.
-  std::atomic<int64_t> ContainedCrashes{0};
-  std::atomic<int64_t> RunawayCancels{0};
-  /// Workers inside the decrement-then-notify window below. The run's
-  /// final drain waits for this to reach zero after Outstanding does:
-  /// otherwise the validator could observe Outstanding == 0 and destroy
-  /// this struct while the last worker is still touching EC.
-  std::atomic<int32_t> Exiting{0};
-  /// The validating thread, recorded at run start. runAttempt() sets
-  /// ForeignClaim when any *other* thread claims one of the current
-  /// wave's attempts; the validator's help-vs-park policy keys off it
-  /// (see quiesceSlot). Reset each wave.
-  std::thread::id ValidatorId;
-  std::atomic<bool> ForeignClaim{false};
+  explicit SegRunSync(size_t Attempts) : Words(Attempts) {}
 
-  void attemptFinished() {
-    Exiting.fetch_add(1, std::memory_order_seq_cst);
-    Outstanding.fetch_sub(1, std::memory_order_seq_cst);
-    EC.notifyAll();
-    Exiting.fetch_sub(1, std::memory_order_seq_cst);
+  static constexpr uint64_t Claimed = 1, Done = 2;
+
+  /// Arms attempt \p I for wave \p Gen: unclaimed, not Done, nothing
+  /// parked. Published with the attempt (task submission or slot item).
+  void reset(uint32_t I, uint32_t Gen) {
+    Words[I].V.store(uint64_t(Gen) << 32, std::memory_order_relaxed);
   }
 
-  /// Waits until \p Ready() holds, helping \p Ex between checks: the
-  /// caller runs queued tasks instead of idling, and parks on EC only
-  /// when there is none. Helping keeps waits deadlock-free on a shared
-  /// executor, from worker threads too, as long as a thread only ever
-  /// waits for attempts its own run dispatched (never a sibling's): such
-  /// an attempt is either running elsewhere or queued, and queued tasks
-  /// run right here. The
-  /// 500 us park cap is a safety net for state changes no notify
-  /// covers. Returns false once \p Deadline passes with \p Ready() still
-  /// false (time_point::max() = no deadline). \p Ready must read state
-  /// its writer stores seq_cst before notifying EC.
+  /// Claims attempt \p I of wave \p Gen for the calling thread.
+  /// Invariant 1: an attempt's body runs at most once, on the thread
+  /// whose claim succeeded — at most one claim per generation succeeds.
+  bool claim(uint32_t I, uint32_t Gen) {
+    uint64_t W = Words[I].V.load(std::memory_order_seq_cst);
+    do {
+      if ((W >> 32) != Gen || (W & Claimed))
+        return false;
+    } while (!Words[I].V.compare_exchange_weak(W, W | Claimed,
+                                               std::memory_order_seq_cst));
+    return true;
+  }
+
+  bool done(uint32_t I) const {
+    return Words[I].V.load(std::memory_order_seq_cst) & Done;
+  }
+
+  /// Publishes attempt \p I, claimed by the caller, as Done and wakes the
+  /// run's waiters. Returns the index + 1 of the corrective parked on it
+  /// (0 = none), which the caller may now claim.
+  uint32_t finish(uint32_t I) {
+    const uint64_t Old = Words[I].V.fetch_or(Done, std::memory_order_seq_cst);
+    EC.notifyAll();
+    return static_cast<uint32_t>(Old) >> 2;
+  }
+
+  /// Parks corrective \p C on its predecessor \p P, whose runner claims it
+  /// right after finish(P). Returns false when P is already Done: C is
+  /// claimable now.
+  bool park(uint32_t P, uint32_t C) {
+    uint64_t W = Words[P].V.load(std::memory_order_seq_cst);
+    do {
+      if (W & Done)
+        return false;
+    } while (!Words[P].V.compare_exchange_weak(
+        W, W | (uint64_t(C) + 1) << 2, std::memory_order_seq_cst));
+    return true;
+  }
+
+  /// Waits until \p Ready() holds, parking on the eventcount between
+  /// checks. \p Ready may claim an attempt for the caller to run
+  /// (returning true). The 500 us park cap bounds every wait, also
+  /// against state changes no notify covers. Returns false once
+  /// \p Deadline passes with \p Ready() still false (time_point::max() =
+  /// no deadline). \p Ready must read state its writer stores seq_cst
+  /// before notifying.
   template <typename ReadyFn>
-  bool helpUntil(SpecExecutor &Ex, ReadyFn Ready,
+  bool waitUntil(ReadyFn Ready,
                  std::chrono::steady_clock::time_point Deadline =
                      std::chrono::steady_clock::time_point::max()) {
     const bool HasDeadline =
@@ -672,8 +679,6 @@ struct SegRunSync {
     while (!Ready()) {
       if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
         return false;
-      if (Ex.tryRunOneTask())
-        continue;
       const uint64_t Ticket = EC.prepareWait();
       if (Ready()) {
         EC.cancelWait();
@@ -684,22 +689,34 @@ struct SegRunSync {
     return true;
   }
 
-  /// Ends the run: waits (helping, never under the deadline) for every
-  /// attempt to retire — their tasks reference the run — then merges the
-  /// counters workers kept here into \p Stats.
-  void retire(SpecExecutor &Ex, SpeculationStats &Stats) {
-    helpUntil(Ex, [this] {
-      return Outstanding.load(std::memory_order_seq_cst) == 0;
-    });
-    // Outstanding is zero, but the last finisher may still be inside its
-    // decrement-then-notify window, touching EC. Bounded spin: the
-    // window is a handful of instructions.
-    while (Exiting.load(std::memory_order_seq_cst) != 0)
-      std::this_thread::yield();
+  /// Merges the counters workers kept here into \p Stats. Called once
+  /// every attempt of the run is Done.
+  void mergeInto(SpeculationStats &Stats) const {
     Stats.Tasks += ChainedTasks.load(std::memory_order_relaxed);
     Stats.ContainedCrashes += ContainedCrashes.load(std::memory_order_relaxed);
     Stats.RunawayCancels += RunawayCancels.load(std::memory_order_relaxed);
   }
+
+  EventCount EC;
+  /// One claim word per cache line: neighbouring attempts are claimed
+  /// and finished by different threads.
+  struct alignas(64) Word {
+    std::atomic<uint64_t> V{0};
+  };
+  std::vector<Word> Words;
+  /// The run's tasks submitted to the executor and not yet popped.
+  std::atomic<int64_t> Queued{0};
+  /// Orders attempt completions (FinishStamp = fetch_add + 1).
+  std::atomic<uint64_t> FinishCounter{0};
+  /// Tasks dispatched by Par-mode chainers. Workers must not touch the
+  /// run's (non-atomic) SpeculationStats, so they count here and the
+  /// validator merges before the run returns.
+  std::atomic<int64_t> ChainedTasks{0};
+  /// Shield containments and watchdog escalations, counted by workers
+  /// (same rule as ChainedTasks: never the non-atomic stats) and merged
+  /// by the validator before the run returns.
+  std::atomic<int64_t> ContainedCrashes{0};
+  std::atomic<int64_t> RunawayCancels{0};
 };
 
 /// The run-wide settings every speculative body of a run executes under.
@@ -835,8 +852,8 @@ inline int candidateId(const std::string &Name) {
 /// executor's activity delta across the run. Constructed immediately
 /// after executor resolution — and therefore destroyed *before* a
 /// transient executor is, so the final read never touches a dead
-/// executor. By then the engine has validated or drained every attempt,
-/// so the delta covers the run's work.
+/// executor. By then every attempt of the run is Done, so the delta
+/// covers the run's work.
 struct ExecDeltaGuard {
   stats::Snapshot *Snap;
   SpecExecutor *Ex;
@@ -886,7 +903,7 @@ private:
   /// the producer (rule SPEC-APPLY); the check step (rule CHECK) then
   /// accepts that attempt or re-executes the consumer with the produced
   /// value. Every exit — accept, re-execution, producer exception,
-  /// timeout — goes through one cancel → retire → resolve path.
+  /// timeout — goes through one cancel → quiesce → resolve path.
   template <typename T, typename ProducerFn, typename PredictorFn,
             typename ConsumerFn, typename Eq>
   static void applyImpl(ProducerFn &&Producer, PredictorFn &&Predictor,
@@ -908,16 +925,18 @@ private:
     if (Env.Shield)
       installSignalShield();
 
-    // The task references these; retire() below outlives it on every
-    // path.
-    detail::SegRunSync Run;
+    // The task touches A, Env and the callables only after it claims the
+    // attempt, and this frame returns only once the attempt is Done.
+    const auto RunRef = std::make_shared<detail::SegRunSync>(1);
+    detail::SegRunSync &Run = *RunRef;
     detail::ApplyAttempt<T> A;
     A.TraceId = Tr ? Tr->newAttemptId() : 0;
     ++Stats.Tasks;
-    Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
     if (Tr)
       Tr->record(SpecEventKind::Dispatch, 0, A.TraceId, JobCtx);
-    Ex.submit([&A, &Run, &Env, &Predictor, &Consumer] {
+    // The attempt, run by whichever thread claims it: the predictor, then
+    // the consumer on its guess.
+    auto RunAttempt = [&A, &Run, &Env, &Predictor, &Consumer] {
       if (Env.Tr)
         Env.Tr->record(SpecEventKind::Start, 0, A.TraceId, Env.Ctx);
       std::optional<T> G;
@@ -943,12 +962,18 @@ private:
       // decision to run.
       if (Env.FP && Env.FP->shouldFire(FaultSite::SpuriousCancel))
         A.CancelFlag.store(true, std::memory_order_seq_cst);
+      // Invariant 5: a consumer cancelled before it starts never runs.
       if (G && !A.CancelFlag.load(std::memory_order_seq_cst))
         detail::runSpeculativeBody(A, Run, Env, [&] { Consumer(*G); });
       if (Env.Tr)
         Env.Tr->record(SpecEventKind::Finish, 0, A.TraceId, Env.Ctx);
-      A.Done.store(true, std::memory_order_seq_cst);
-      Run.attemptFinished();
+      Run.finish(0); // Done: the caller's frame may be gone after this
+    };
+    Ex.submit([RunRef, &RunAttempt] {
+      // Invariant 3: popped after the caller claimed the attempt, the
+      // task touches only *RunRef, which it keeps alive.
+      if (RunRef->claim(0, 0))
+        RunAttempt();
     });
 
     std::optional<T> Produced;
@@ -972,9 +997,13 @@ private:
         // resolved prediction point (resolved without a guess).
         ++Stats.Predictions;
         ++Stats.FailedPredictions;
-      } else if (!Run.helpUntil(
-                     Ex,
-                     [&A] {
+      } else if (!Run.waitUntil(
+                     [&] {
+                       // Invariant 6: an attempt no worker has started
+                       // runs right here, exactly as a worker would run
+                       // it, before the check.
+                       if (Run.claim(0, 0))
+                         RunAttempt();
                        return A.GuessReady.load(std::memory_order_seq_cst);
                      },
                      Env.Deadline)) {
@@ -989,9 +1018,8 @@ private:
         if (Hit && FP && FP->shouldFire(FaultSite::ForceMispredict))
           Hit = false;
         if (Hit) {
-          TimedOut = !Run.helpUntil(
-              Ex, [&A] { return A.Done.load(std::memory_order_seq_cst); },
-              Env.Deadline);
+          TimedOut = !Run.waitUntil([&Run] { return Run.done(0); },
+                                    Env.Deadline);
           // Accept only a consumer that ran to completion, was never
           // cancelled (a contained crash cancels) and never *observed*
           // cancellation — a spuriously cancelled or deadline-bailed
@@ -1014,12 +1042,18 @@ private:
     // retires before anything below runs, so a re-execution's writes
     // land last.
     if (!Accept) {
-      if (Tr && !A.Done.load(std::memory_order_acquire) &&
+      if (Tr && !Run.done(0) &&
           !A.CancelFlag.load(std::memory_order_acquire))
         Tr->record(SpecEventKind::Cancel, 0, A.TraceId, JobCtx);
       A.CancelFlag.store(true, std::memory_order_seq_cst);
     }
-    Run.retire(Ex, Stats);
+    // Retract the attempt if it is still unclaimed (cancelled, its
+    // consumer never runs), else wait for its runner — never under the
+    // deadline.
+    if (Run.claim(0, 0))
+      RunAttempt();
+    Run.waitUntil([&Run] { return Run.done(0); });
+    Run.mergeInto(Stats);
     if (ProducerErr)
       std::rethrow_exception(ProducerErr);
     // Like the iterate engine's validation: a spent budget is reported,
@@ -1202,11 +1236,13 @@ private:
   /// with the executor's TaskRef/slot pooling the steady-state cost of a
   /// segment is zero heap allocations.
   ///
-  /// Synchronisation is lock-free on the hot path: an attempt publishes
-  /// its results with one seq_cst store of `Done`, completion is an
-  /// atomic decrement plus a conditional eventcount wake, and the
-  /// validator spins-briefly-then-parks, helping the executor drain
-  /// queued tasks while it waits (deadlock-freedom for nested runs).
+  /// Synchronisation is lock-free on the hot path. An attempt is run by
+  /// whichever thread claims it first (detail::SegRunSync): a worker that
+  /// pops its task, or the validator waiting on its slot. The runner
+  /// publishes with one seq_cst Done RMW on the attempt's claim word,
+  /// which also wakes parked waiters. The validator runs only the
+  /// unclaimed attempts of the slot it waits on and otherwise parks, so
+  /// nested runs stay deadlock-free without draining the executor.
   /// Par-mode chaining appends to the next slot with a reserve-then-
   /// publish CAS on the slot's Count.
   ///
@@ -1252,6 +1288,8 @@ private:
                                          : Cfg.attemptBudgetAutoMult()),
           MeasureBody(AutotuneTargetNs > 0 ||
                       Cfg.attemptBudgetAutoMult() > 0),
+          Run(std::make_shared<detail::SegRunSync>(
+              static_cast<size_t>(3 * W))),
           AttemptStore(static_cast<size_t>(3 * W)),
           Slots(static_cast<size_t>(W)), WavePred(static_cast<size_t>(W)),
           WaveB(static_cast<size_t>(W)), WaveE(static_cast<size_t>(W)),
@@ -1260,6 +1298,8 @@ private:
       CurBudgetNs.store(BudgetNsCfg, std::memory_order_relaxed);
       FreeLocal.reserve(static_cast<size_t>(W));
       ChainPool.reserve(static_cast<size_t>(2 * W));
+      for (int64_t I = 0; I < 3 * W; ++I)
+        AttemptStore[static_cast<size_t>(I)].Idx = static_cast<uint32_t>(I);
       for (int64_t I = 0; I < W; ++I)
         FreeLocal.push_back(&AttemptStore[static_cast<size_t>(I)]);
       for (int64_t I = W; I < 3 * W; ++I) {
@@ -1290,7 +1330,6 @@ private:
       ShieldPause PauseOuter;
       if (Shield)
         installSignalShield();
-      Run.ValidatorId = std::this_thread::get_id();
       if (ProfOn)
         profileSeed();
       // The non-speculative initial value of the loop-carried state; its
@@ -1364,15 +1403,17 @@ private:
               // beyond the wave were never dispatched — nothing to
               // cancel there.
               Degraded = true;
-              Run.Draining.store(true, std::memory_order_seq_cst);
               for (int64_t KK = K; KK < WaveCount; ++KK)
                 cancelSlot(KK, WaveUser[static_cast<size_t>(KK)]);
             }
           }
           if (Degraded) {
             // Quiesce the (cancelled) slot so this in-order execution's
-            // writes land last, then run the segment exactly once.
-            if (!quiesceSlot(K)) {
+            // writes land last, then run the segment exactly once. The
+            // slot is cancelled again first: a corrective may have been
+            // chained into it after the trip.
+            cancelSlot(K, UI);
+            if (!quiesceSlot(K, Deadline)) {
               TimedOut = true;
               TimeoutIdx = UI;
               break;
@@ -1453,8 +1494,8 @@ private:
           // cancelled or deadline-bailed body may have returned a
           // partial value. Otherwise the validator re-executes, making
           // its own writes final (condition (e)'s re-execution).
-          sweepSlot(K, UI, ForceReexec, Correct);
-          if (!quiesceSlot(K)) {
+          cancelSlot(K, UI, ForceReexec ? nullptr : &Correct);
+          if (!quiesceSlot(K, Deadline)) {
             TimedOut = true;
             TimeoutIdx = UI;
             break;
@@ -1548,14 +1589,21 @@ private:
         recycleWave();
       }
 
-      // Cancel whatever speculation is still in flight and wait for
-      // every attempt to retire (their tasks reference this engine).
-      // This drain is *not* under the deadline — a timed-out run still
-      // retires every task before throwing, so nothing is ever leaked.
-      Run.Draining.store(true, std::memory_order_seq_cst);
+      // Cancel whatever speculation is still in flight, then quiesce every
+      // slot in order, not under the deadline: the validator claims each
+      // slot's unclaimed attempts, which, cancelled, skip their bodies
+      // (invariant 5), and waits for those running elsewhere. A slot is
+      // cancelled again right before its quiesce, which catches a
+      // corrective chained into it after the first pass. Once every
+      // attempt is Done the run is over: queued tasks of its attempts
+      // fail their claims and touch only the claim block.
       for (int64_t K = 0; K < WaveCount; ++K)
         cancelSlot(K, WaveUser[static_cast<size_t>(K)]);
-      Run.retire(Ex, Stats);
+      for (int64_t K = 0; K < WaveCount; ++K) {
+        cancelSlot(K, WaveUser[static_cast<size_t>(K)]);
+        quiesceSlot(K, Clock::time_point::max());
+      }
+      Run->mergeInto(Stats);
       // The segmentation the run actually ended on — after any autotune
       // resizes and regardless of how the run exits. DegradedChunks (and
       // chunk ordinals generally) count segments of *this* dynamic grid,
@@ -1640,10 +1688,9 @@ private:
     /// fully initialised before the first task runs, because an early
     /// finisher may immediately chain into a later slot.
     void dispatchWave() {
-      // No attempts are outstanding between waves, so this reset cannot
-      // race a worker's claim; the wave starts in the validator's eager
-      // helping mode (see quiesceSlot).
-      Run.ForeignClaim.store(false, std::memory_order_relaxed);
+      // A new claim generation: tasks still queued from earlier waves
+      // can no longer claim the attempts recycled into this one.
+      ++Wave;
       for (int64_t K = 0; K < WaveCount; ++K) {
         Slot &S = Slots[static_cast<size_t>(K)];
         S.Items[0].store(nullptr, std::memory_order_relaxed);
@@ -1660,8 +1707,12 @@ private:
             A, std::memory_order_relaxed);
         Slots[static_cast<size_t>(K)].Count.store(1,
                                                   std::memory_order_relaxed);
-        Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
         ++Stats.Tasks;
+        // Recorded here, not between the submits below: a traced wave's
+        // tasks then reach the workers as one burst, and the validator
+        // claims its first slots itself as often as an untraced one.
+        if (Tr)
+          Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
       }
       for (int64_t K = 0; K < WaveCount; ++K) {
         // Guard on the prediction, not the slot: an already-running
@@ -1670,11 +1721,8 @@ private:
         // its chainer, not here.
         if (!WavePred[static_cast<size_t>(K)])
           continue;
-        Attempt *A = Slots[static_cast<size_t>(K)].Items[0].load(
-            std::memory_order_relaxed);
-        if (Tr)
-          Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
-        submitAttempt(A);
+        submitAttempt(Slots[static_cast<size_t>(K)].Items[0].load(
+            std::memory_order_relaxed));
       }
     }
 
@@ -1693,39 +1741,55 @@ private:
       A->Crashed = false;
       A->CancelFlag.store(false, std::memory_order_relaxed);
       A->ObservedCancel.store(false, std::memory_order_relaxed);
-      A->Successor.store(nullptr, std::memory_order_relaxed);
-      A->Started.store(false, std::memory_order_relaxed);
-      A->Done.store(false, std::memory_order_relaxed);
       A->TraceId = Tr ? Tr->newAttemptId() : 0;
+      Run->reset(A->Idx, Wave);
     }
 
-    //===---------------- the worker-side attempt ------------------------===//
+    //===---------------- attempts: claim, run, publish -------------------===//
 
-    void attemptTask(Attempt *A) {
-      runAttempt(A);
-      Run.attemptFinished();
+    /// Submits \p A's task. The thunk captures the claim block, the
+    /// engine and the attempt's claim index and generation — it fits
+    /// TaskRef's inline storage, so a steady-state dispatch never
+    /// allocates. A run keeps at most kMaxQueuedTasks tasks unpopped:
+    /// past that the workers are not keeping up, so \p A just waits in
+    /// its slot for the validator to claim it, and tasks whose attempts
+    /// the validator claimed meanwhile cannot pile up in the executor's
+    /// fixed-size injection ring.
+    void submitAttempt(Attempt *A) {
+      std::atomic<int64_t> &Queued = Run->Queued;
+      if (Queued.load(std::memory_order_relaxed) >= kMaxQueuedTasks)
+        return;
+      Queued.fetch_add(1, std::memory_order_relaxed);
+      Ex.submit([RunRef = Run, this, I = A->Idx, Gen = Wave] {
+        RunRef->Queued.fetch_sub(1, std::memory_order_relaxed);
+        // Invariant 3: once the attempt was claimed elsewhere or recycled
+        // into a later wave, the claim fails and the task has touched
+        // only *RunRef, which it keeps alive — never this engine, which
+        // may be gone.
+        if (RunRef->claim(I, Gen))
+          runClaimed(&AttemptStore[I]);
+      });
     }
 
-    /// Runs one attempt, then (in Par mode) chains a corrective attempt
-    /// for the next slot if our output contradicts its prediction. A
-    /// corrective attempt is submitted only once the slot's prior attempt
-    /// has finished (handOff), so attempts of one segment never write the
-    /// same locations concurrently; it skips its body if it was cancelled
-    /// meanwhile.
-    void runAttempt(Attempt *A) {
-      // Claimed before the corrective's predecessor wait: the attempt is
-      // now driven by this thread, so the validator no longer needs to
-      // help on its behalf.
-      A->Started.store(true, std::memory_order_seq_cst);
-      if (std::this_thread::get_id() != Run.ValidatorId)
-        Run.ForeignClaim.store(true, std::memory_order_relaxed);
-      // A corrective cancelled while parked on its predecessor skips its
-      // body. An initial attempt skips only during teardown: during
-      // normal validation a cancelled body still runs (and may observe
-      // the flag) — required by the cooperative-cancellation contract.
-      const bool Skip = A->CancelFlag.load(std::memory_order_seq_cst) &&
-                        (A->After ||
-                         Run.Draining.load(std::memory_order_relaxed));
+    /// Runs \p A, claimed by the calling thread, and then each corrective
+    /// its finish hands over.
+    void runClaimed(Attempt *A) {
+      while (A)
+        A = runAttempt(A);
+    }
+
+    /// Runs one attempt the calling thread has claimed, then (in Par mode)
+    /// chains a corrective attempt for the next slot if our output
+    /// contradicts its prediction, and publishes Done. Returns the
+    /// corrective parked on \p A, claimed for the caller to run next, or
+    /// nullptr.
+    Attempt *runAttempt(Attempt *A) {
+      // Invariant 5: an attempt cancelled before anyone claimed it never
+      // runs its body — that is how the validator retracts the attempts
+      // it cancels (misprediction, degrade, teardown) and then claims. One
+      // cancelled after its claim still runs and may observe the flag,
+      // as the cooperative-cancellation contract requires.
+      const bool Skip = A->CancelFlag.load(std::memory_order_seq_cst);
       // Injection site: trip this attempt's cancellation flag even
       // though its input may be perfectly valid. The validator's
       // not-cancelled acceptance check turns this into a re-execution,
@@ -1738,7 +1802,7 @@ private:
       std::optional<U> Local;
       if (!Skip) {
         detail::runSpeculativeBody(
-            *A, Run,
+            *A, *Run,
             {FP, Tr, JobCtx, Deadline, Shield,
              CurBudgetNs.load(std::memory_order_relaxed)},
             [&] {
@@ -1771,56 +1835,41 @@ private:
       Attempt *Chained = nullptr;
       if (Mode == ValidationMode::Par && Out && A->SlotIdx + 1 < WaveCount &&
           !A->CancelFlag.load(std::memory_order_seq_cst) &&
-          !A->ObservedCancel.load(std::memory_order_relaxed) &&
-          !Run.Draining.load(std::memory_order_relaxed))
+          !A->ObservedCancel.load(std::memory_order_relaxed))
         Chained = tryChain(A->SlotIdx + 1, *Out);
       // Publish: every plain field first (the runner already wrote Err
-      // and Crashed), then the seq_cst Done store. Copy what the Finish
-      // event needs *before* the store — once Done is visible the
-      // validator may accept and recycle this attempt.
-      const uint64_t MyTrace = A->TraceId;
-      const int64_t MyUser = A->UserIdx;
+      // and Crashed), and every trace event, then Done.
       A->Out = std::move(Out);
       A->Local = std::move(Local);
       A->FinishStamp =
-          Run.FinishCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-      // Release a corrective parked on us. This happens before Done: once
-      // Done is visible the wave may end and recycle this attempt. The
-      // corrective's finish stamp comes after ours either way.
-      Attempt *Parked = A->Successor.exchange(A, std::memory_order_seq_cst);
-      A->Done.store(true, std::memory_order_seq_cst);
-      if (Tr)
-        Tr->record(SpecEventKind::Finish, MyUser, MyTrace, JobCtx);
-      if (Chained) {
-        if (Tr) {
+          Run->FinishCounter.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (Tr) {
+        Tr->record(SpecEventKind::Finish, A->UserIdx, A->TraceId, JobCtx);
+        if (Chained) {
           Tr->record(SpecEventKind::Chain, Chained->UserIdx,
                      Chained->TraceId, JobCtx);
           Tr->record(SpecEventKind::Dispatch, Chained->UserIdx,
                      Chained->TraceId, JobCtx);
         }
-        handOff(Chained);
       }
-      if (Parked)
-        submitAttempt(Parked);
-      // Our own completion is signalled by the attemptTask wrapper.
-    }
-
-    void submitAttempt(Attempt *A) {
-      // The thunk captures two pointers — it fits TaskRef's inline
-      // storage, so a steady-state dispatch never allocates.
-      Ex.submit([this, A] { attemptTask(A); });
-    }
-
-    /// Submits corrective \p C once its predecessor has finished: now, if
-    /// it already has, else by parking C on it for the predecessor's own
-    /// finish to submit. A corrective therefore never waits for a
-    /// sibling attempt. Such a wait could deadlock two helping threads:
-    /// each would be blocked above a frame the other one waits for.
-    void handOff(Attempt *C) {
-      Attempt *Expected = nullptr;
-      if (!C->After || !C->After->Successor.compare_exchange_strong(
-                           Expected, C, std::memory_order_seq_cst))
-        submitAttempt(C);
+      detail::SegRunSync &Sync = *Run;
+      // Invariant 4: a corrective is claimable only once its predecessor
+      // is Done, so attempts of one segment never overlap. Without a
+      // predecessor, or with one already Done, it is submitted now;
+      // otherwise it parks on the predecessor's claim word, and the
+      // predecessor's runner claims it right after publishing Done.
+      if (Chained && (!Chained->After ||
+                      !Sync.park(Chained->After->Idx, Chained->Idx)))
+        submitAttempt(Chained);
+      const uint32_t Gen = Wave;
+      // Done. From here on the validator may accept and recycle A, or
+      // end the run: this thread touches only Sync (its caller keeps it
+      // alive), unless it claims the parked corrective, which keeps the
+      // run going until that corrective is Done.
+      const uint32_t Parked = Sync.finish(A->Idx);
+      if (Parked && Sync.claim(Parked - 1, Gen))
+        return &AttemptStore[Parked - 1];
+      return nullptr;
     }
 
     /// Appends a corrective attempt with input \p OutVal to slot \p NK if
@@ -1877,8 +1926,7 @@ private:
         } while (!After);
       }
       resetAttempt(NA, NK, OutVal, After);
-      Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
-      Run.ChainedTasks.fetch_add(1, std::memory_order_relaxed);
+      Run->ChainedTasks.fetch_add(1, std::memory_order_relaxed);
       S.Items[Cur].store(NA, std::memory_order_release);
       return NA;
     }
@@ -1907,130 +1955,69 @@ private:
       return A;
     }
 
-    /// Cancels every attempt in slot \p K (telemetry: a Cancel event per
-    /// attempt that was neither done nor already cancelled).
-    void cancelSlot(int64_t K, int64_t UI) {
+    /// Cancels slot \p K's attempts: all of them, or, given \p Correct,
+    /// those whose input is already known wrong (telemetry: a Cancel
+    /// event per attempt that was neither done nor already cancelled).
+    void cancelSlot(int64_t K, int64_t UI, const T *Correct = nullptr) {
       Slot &S = Slots[static_cast<size_t>(K)];
       const int C = S.Count.load(std::memory_order_acquire);
       for (int I = 0; I < C; ++I) {
         Attempt *A = slotItem(S, I);
-        if (!A)
+        bool InCmpThrew = false;
+        if (!A ||
+            (Correct && guardedEqual(Equal, FP, *A->In, *Correct, InCmpThrew)))
           continue;
-        if (Tr && !A->Done.load(std::memory_order_acquire) &&
+        if (Tr && !Run->done(A->Idx) &&
             !A->CancelFlag.load(std::memory_order_acquire))
           Tr->record(SpecEventKind::Cancel, UI, A->TraceId, JobCtx);
         A->CancelFlag.store(true, std::memory_order_seq_cst);
       }
     }
 
-    /// Cancels slot \p K's attempts whose input is already known wrong.
-    void sweepSlot(int64_t K, int64_t UI, bool ForceReexec,
-                   const T &Correct) {
+    /// One scan of slot \p K by the validator waiting on it: sets
+    /// \p AllDone when every attempt is Done, and otherwise claims and
+    /// returns the first attempt of the slot that is unclaimed and
+    /// claimable (invariant 4: its predecessor, if any, is Done), or
+    /// nullptr when every pending attempt is running on another thread
+    /// or parked on one that is.
+    Attempt *claimInSlot(int64_t K, bool &AllDone) {
       Slot &S = Slots[static_cast<size_t>(K)];
       const int C = S.Count.load(std::memory_order_acquire);
+      AllDone = true;
       for (int I = 0; I < C; ++I) {
         Attempt *A = slotItem(S, I);
-        if (!A)
+        if (!A || Run->done(A->Idx))
           continue;
-        bool InCmpThrew = false;
-        if (ForceReexec ||
-            !guardedEqual(Equal, FP, *A->In, Correct, InCmpThrew)) {
-          if (Tr && !A->Done.load(std::memory_order_acquire) &&
-              !A->CancelFlag.load(std::memory_order_acquire))
-            Tr->record(SpecEventKind::Cancel, UI, A->TraceId, JobCtx);
-          A->CancelFlag.store(true, std::memory_order_seq_cst);
-        }
+        AllDone = false;
+        if ((!A->After || Run->done(A->After->Idx)) &&
+            Run->claim(A->Idx, Wave))
+          return A;
       }
+      return nullptr;
     }
 
-    bool slotAllDone(int64_t K) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      const int C = S.Count.load(std::memory_order_acquire);
-      for (int I = 0; I < C; ++I) {
-        Attempt *A = S.Items[I].load(std::memory_order_acquire);
-        if (!A || !A->Done.load(std::memory_order_seq_cst))
-          return false;
-      }
-      return true;
-    }
-
-    /// True if some attempt of slot \p K is still sitting in an executor
-    /// queue — published (or mid-publish) but not yet claimed by any
-    /// thread. Only those attempts can be advanced by helping; a
-    /// corrective parked on a still-running predecessor (handOff) cannot.
-    bool slotHasUnstarted(int64_t K) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      const int C = S.Count.load(std::memory_order_acquire);
-      for (int I = 0; I < C; ++I) {
-        Attempt *A = S.Items[I].load(std::memory_order_acquire);
-        // A reserved-but-unpublished item (null) is about to be
-        // submitted; treat it as unstarted so we never park on it.
-        if (!A)
-          return true;
-        if (!A->Started.load(std::memory_order_seq_cst) &&
-            (!A->After || A->After->Done.load(std::memory_order_seq_cst)))
-          return true;
-      }
-      return false;
-    }
-
-    /// Waits until every attempt in slot \p K is done, choosing between
-    /// helping the executor drain tasks and parking on the run's
-    /// eventcount. Returns false if the deadline expired first.
-    ///
-    /// Help-vs-park policy. Helping only makes progress on attempts
-    /// still sitting in an executor queue, and it is mandatory for
-    /// deadlock freedom when no worker will ever claim them (nested runs
-    /// occupying every worker, or all workers blocked in their own
-    /// waits). But helping also has a cost: a validator pinned inside an
-    /// arbitrary popped task cannot accept/finalize the segments it is
-    /// actually waiting for, and a body it runs allocates on *this*
-    /// thread's malloc arena — alternating bodies between the validator
-    /// and a worker makes their multi-megabyte scratch buffers bounce
-    /// between arenas, and glibc then returns them to the OS and
-    /// page-faults them back in every run. So:
-    ///
-    ///  - On a worker thread (a nested run), help immediately: the
-    ///    nested attempts live in this thread's own deque and running
-    ///    them inline is both the fast path and the liveness argument.
-    ///  - On the run's validator thread, help eagerly only while no
-    ///    other thread has claimed any of the wave's attempts — the
-    ///    workers are still waking up (or the executor is saturated by
-    ///    other runs), and inline execution beats a park/wake round
-    ///    trip per wave.
-    ///  - Once a worker is actively claiming attempts, park, and help
-    ///    only after a full grace timeout finds the slot unchanged: a
-    ///    parked validator never races an awake worker for a queued
-    ///    attempt, so bodies stay on worker threads and the validator
-    ///    accepts each segment the moment it completes.
-    bool quiesceSlot(int64_t K) {
-      const bool OnWorker = Ex.onWorkerThread();
-      bool GracePassed = false;
+    /// Waits until every attempt in slot \p K is Done. Returns false if
+    /// \p Until passed first. Invariant 2: the waiting thread runs only
+    /// this slot's unclaimed attempts of its own run and otherwise parks
+    /// on the run's eventcount; it never runs another slot's or another
+    /// run's attempt and never pops an executor task.
+    /// Deadlock freedom for nested runs is therefore local: every awaited
+    /// attempt is Done, claimable right here, running on some thread, or
+    /// parked on a predecessor that is one of these.
+    bool quiesceSlot(int64_t K, Clock::time_point Until) {
       for (;;) {
-        if (slotAllDone(K))
-          return true;
-        if (HasDeadline && Clock::now() >= Deadline)
+        Attempt *Mine = nullptr;
+        bool AllDone = false;
+        if (!Run->waitUntil(
+                [&] {
+                  Mine = claimInSlot(K, AllDone);
+                  return Mine || AllDone;
+                },
+                Until))
           return false;
-        const bool Eager =
-            OnWorker || !Run.ForeignClaim.load(std::memory_order_relaxed);
-        if ((Eager || GracePassed) && slotHasUnstarted(K) &&
-            Ex.tryRunOneTask()) {
-          GracePassed = false;
-          continue;
-        }
-        const uint64_t Ticket = Run.EC.prepareWait();
-        if (slotAllDone(K)) {
-          Run.EC.cancelWait();
+        if (!Mine)
           return true;
-        }
-        if (Eager && slotHasUnstarted(K)) {
-          // A queued attempt appeared between the failed pop and the
-          // ticket — go back to helping instead of parking on it.
-          Run.EC.cancelWait();
-          continue;
-        }
-        if (!Run.EC.waitFor(Ticket, std::chrono::microseconds(500)))
-          GracePassed = true;
+        runClaimed(Mine);
       }
     }
 
@@ -2291,6 +2278,8 @@ private:
 
     //===---------------- state ------------------------------------------===//
 
+    static constexpr int64_t kMaxQueuedTasks = 256;
+
     const int64_t Low, High;
     int64_t CurChunk;
     const bool OrdinalIndices;
@@ -2334,7 +2323,11 @@ private:
     int64_t BudgetEwmaNs = 0; ///< Validator-only latency EWMA.
     int64_t MaxChunk = 1;
 
-    detail::SegRunSync Run;
+    /// Shared with the run's queued tasks (see detail::SegRunSync).
+    const std::shared_ptr<detail::SegRunSync> Run;
+    /// The current wave's claim generation: validator-written between
+    /// waves, read by the wave's attempts before they are Done.
+    uint32_t Wave = 0;
     /// 3W pooled attempts: [0, W) seed the validator's freelist, the
     /// rest the chainers' shared pool.
     std::vector<Attempt> AttemptStore;

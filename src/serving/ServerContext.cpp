@@ -469,7 +469,7 @@ std::string ServerContext::metricsText() const {
       {"specd_executor_steals_total", "Tasks stolen between workers.",
        &rt::ExecutorStats::Steals},
       {"specd_executor_help_runs_total",
-       "Tasks run inline by blocked speculative runs.",
+       "Tasks run inline by waitIdle() or tryRunOneTask() callers.",
        &rt::ExecutorStats::HelpRuns},
       {"specd_executor_eventcount_parks_total", "Worker park operations.",
        &rt::ExecutorStats::EventcountParks},

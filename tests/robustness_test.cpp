@@ -612,12 +612,24 @@ TEST(Shield, RealNullDereferenceIsContained) {
   // turn the hardware fault into a discarded attempt. Sanitizer builds
   // skip this: UBSan/ASan intercept the bad load before it ever becomes
   // a SIGSEGV (the injected-crash tests still run there — they raise()
-  // the signal directly).
+  // the signal directly). A mispredicted attempt the validator cancels
+  // before any thread claims it never runs, so iteration 0's body waits
+  // (at most 10 s) until a worker has started one on garbage input.
   const int64_t N = 24;
   std::atomic<int64_t> Sink{0};
+  std::atomic<bool> GarbageStarted{false};
   auto R = Speculation::iterate<int64_t>(
       0, N,
-      [&Sink](int64_t I, int64_t A) {
+      [&Sink, &GarbageStarted](int64_t I, int64_t A) {
+        if (I == 0) {
+          const auto Until =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!GarbageStarted.load() &&
+                 std::chrono::steady_clock::now() < Until)
+            std::this_thread::yield();
+        }
+        if (A < 0)
+          GarbageStarted = true;
         const int64_t *P = A < 0 ? nullptr : &I;
         Sink += *P; // crashes on garbage input
         return A + I;

@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace specpar;
 using namespace specpar::rt;
@@ -552,12 +555,24 @@ TEST(Iterate, CustomEqualityRelaxesValidation) {
 
 TEST(Iterate, CooperativeCancellationIsVisibleToBodies) {
   // A mispredicted long-running body observes cancellation and exits
-  // early. We assert that cancellation is eventually signalled.
+  // early. The premise is that the body is *running* when the validator
+  // cancels it, so iteration 1's body waits (at most 10 s) until the
+  // mispredicted iteration 2 has started on a worker: the validator
+  // reaches iteration 2 only after iteration 1 is done.
   std::atomic<bool> SawCancel{false};
+  std::atomic<bool> WrongStarted{false};
   Speculation::iterate<int64_t>(
       0, 3,
-      [&SawCancel](int64_t I, int64_t A) {
+      [&SawCancel, &WrongStarted](int64_t I, int64_t A) {
+        if (I == 1) {
+          const auto Until =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!WrongStarted.load() &&
+                 std::chrono::steady_clock::now() < Until)
+            std::this_thread::yield();
+        }
         if (I == 2 && A == 555) {
+          WrongStarted = true;
           // Wrong-input speculative run: spin until cancelled.
           for (int Spin = 0; Spin < 100000000; ++Spin) {
             if (currentTaskCancelled()) {
@@ -640,8 +655,8 @@ TEST(Iterate, SharedSlotWritesFinalValuesAreValidOnesUnderParMode) {
 TEST(Nested, IterateInsideIterateOnOneSharedExecutorCompletes) {
   // Regression: on the old fixed FIFO pool this deadlocked — the outer
   // bodies occupied every worker while their inner runs' attempts sat
-  // queued forever. With help-while-waiting the blocked outer bodies
-  // drain the inner attempts themselves.
+  // queued forever. Each inner validator runs its own unclaimed
+  // attempts itself.
   SpecExecutor Ex(2);
   SpecConfig Cfg = SpecConfig().executor(Ex);
   auto R = Speculation::iterate<int64_t>(
@@ -662,7 +677,7 @@ TEST(Nested, IterateInsideIterateOnOneSharedExecutorCompletes) {
 
 TEST(Nested, IterateInsideIterateOnSingleWorkerExecutorCompletes) {
   // The worst case: one worker serves both nesting levels, so every inner
-  // attempt *must* be executed by a helping wait somewhere.
+  // attempt *must* be run by the inner validator that waits on it.
   SpecExecutor Ex(1);
   SpecConfig Cfg = SpecConfig().executor(Ex);
   auto R = Speculation::iterate<int64_t>(
@@ -679,7 +694,7 @@ TEST(Nested, IterateInsideIterateOnSingleWorkerExecutorCompletes) {
 
 TEST(Nested, MispredictedNestedRunsOnSharedExecutorStayCorrect) {
   // Nesting plus forced mispredictions at both levels and Par-mode
-  // chaining — the stress combination for helping waits.
+  // chaining — the stress combination for the claim protocol.
   SpecExecutor Ex(2);
   SpecConfig Cfg =
       SpecConfig().executor(Ex).mode(ValidationMode::Par);
@@ -730,9 +745,9 @@ TEST(Nested, ApplyInsideIterateOnSharedExecutorCompletes) {
 }
 
 TEST(Nested, ApplyInsideIterateOnSingleWorkerExecutorCompletes) {
-  // One worker serves both levels: an apply() blocked on its speculative
-  // task must run queued tasks — possibly that very task — while it
-  // waits. Odd iterations mispredict, so re-executions happen nested too.
+  // One worker serves both levels: an apply() waiting on its speculative
+  // attempt must run it itself when no worker has started it. Odd
+  // iterations mispredict, so re-executions happen nested too.
   SpecExecutor Ex(1);
   SpecConfig Cfg = SpecConfig().executor(Ex);
   auto R = Speculation::iterate<int64_t>(
@@ -768,6 +783,90 @@ TEST(Nested, ApplyInsideApplyOnSingleWorkerExecutorCompletes) {
   EXPECT_EQ(Seen.load(), 12);
   EXPECT_EQ(R.Stats.Mispredictions, 1);
   EXPECT_EQ(R.Stats.Reexecutions, 1);
+}
+
+//===----------------------------------------------------------------------===//
+// The claim protocol: a waiting thread runs only the attempts it awaits
+//===----------------------------------------------------------------------===//
+
+TEST(Claim, WaitingValidatorRunsOnlyTheSlotItAwaits) {
+  // Every body that runs on the calling (validating) thread must belong
+  // to the iteration the validator currently awaits: the finalizers mark
+  // its progress, and iteration I is awaited once I iterations are
+  // finalized. DelayTaskStart holds popped tasks back, so the validator
+  // often finds attempts nobody has claimed yet.
+  FaultPlan Plan(/*Seed=*/11);
+  Plan.arm(FaultSite::DelayTaskStart, 0.5)
+      .delayRange(std::chrono::microseconds(20),
+                  std::chrono::microseconds(200));
+  SpecExecutor Ex(2);
+  Ex.injectFaults(&Plan);
+  const std::thread::id Caller = std::this_thread::get_id();
+  const int64_t N = 64;
+  for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par}) {
+    std::atomic<int64_t> Finalized{0};
+    // (iteration, iterations finalized) per body run on the caller; only
+    // the caller appends.
+    std::vector<std::pair<int64_t, int64_t>> OnCaller;
+    auto R = Speculation::iterateLocal<int64_t, int>(
+        0, N, [] { return 0; },
+        [&](int64_t I, int &, int64_t A) {
+          if (std::this_thread::get_id() == Caller)
+            OnCaller.emplace_back(I, Finalized.load());
+          volatile uint64_t Sink = 0;
+          for (int K = 0; K < 2000; ++K)
+            Sink = Sink + static_cast<uint64_t>(K);
+          return A + I;
+        },
+        // Every third prediction is wrong.
+        [](int64_t I) { return I % 3 == 2 ? int64_t(-1) : I * (I - 1) / 2; },
+        [&Finalized](int64_t I, int &) { Finalized.store(I + 1); },
+        SpecConfig().executor(Ex).mode(Mode));
+    EXPECT_EQ(R.Value, N * (N - 1) / 2);
+    for (const auto &[I, Progress] : OnCaller)
+      EXPECT_EQ(I, Progress) << "mode " << int(Mode) << ": the validator ran "
+                             << "iteration " << I << " while awaiting "
+                             << Progress;
+  }
+  Ex.injectFaults(nullptr);
+}
+
+TEST(Claim, RunsCompleteWhileTheOnlyWorkerIsHeld) {
+  // Liveness without helping: the executor's only worker is held in a
+  // gate task for the whole run, so no worker ever pops the runs' tasks;
+  // the waiting caller claims and runs each attempt itself.
+  SpecExecutor Ex(1);
+  std::atomic<bool> Held{false}, Release{false};
+  Ex.submit([&Held, &Release] {
+    Held = true;
+    while (!Release.load())
+      std::this_thread::yield();
+  });
+  const auto Until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Held.load() && std::chrono::steady_clock::now() < Until)
+    std::this_thread::yield();
+  ASSERT_TRUE(Held.load());
+
+  const int64_t N = 200;
+  for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par}) {
+    auto R = Speculation::iterateChunked<int64_t>(
+        0, N, 8, [](int64_t I, int64_t A) { return A + I; },
+        [](int64_t I) { return I % 16 == 8 ? int64_t(-1) : I * (I - 1) / 2; },
+        SpecConfig().executor(Ex).mode(Mode));
+    EXPECT_EQ(R.Value, N * (N - 1) / 2) << "mode " << int(Mode);
+  }
+  for (int Guess : {7, 8}) {
+    int Seen = 0;
+    SpecResult<void> R = Speculation::apply<int>(
+        [] { return 7; }, [Guess] { return Guess; },
+        [&Seen](int V) { Seen = V; }, SpecConfig().executor(Ex));
+    EXPECT_EQ(Seen, 7) << "guess " << Guess;
+    EXPECT_EQ(R.Stats.Predictions, 1);
+    EXPECT_EQ(R.Stats.Reexecutions, Guess == 7 ? 0 : 1);
+  }
+  Release = true;
+  Ex.waitIdle();
 }
 
 //===----------------------------------------------------------------------===//
