@@ -1226,7 +1226,6 @@ CompiledProgram::run(const RunOptions &Opts) const {
   // buys anything here.
   RS.BaseCfg.shield(false);
   RS.BaseCfg.attemptBudget(std::chrono::nanoseconds(0));
-  RS.BaseCfg.attemptBudgetAuto(0);
   if (!RS.BaseCfg.executor() && RS.BaseCfg.threads() > 0) {
     // One executor for the whole run rather than one transient pool per
     // site execution.

@@ -259,13 +259,21 @@ struct JsonParser {
       fail();
       return 0;
     }
+    // Accumulated with the sign applied, so INT64_MIN parses; a value
+    // out of int64_t range fails the load instead of overflowing.
     int64_t V = 0;
     while (Pos < S.size() &&
            std::isdigit(static_cast<unsigned char>(S[Pos]))) {
-      V = V * 10 + (S[Pos] - '0');
+      const int Digit = S[Pos] - '0';
+      if (__builtin_mul_overflow(V, 10, &V) ||
+          (Neg ? __builtin_sub_overflow(V, Digit, &V)
+               : __builtin_add_overflow(V, Digit, &V))) {
+        fail();
+        return 0;
+      }
       ++Pos;
     }
-    return Neg ? -V : V;
+    return V;
   }
 
   /// Parses `{ "key": <parseValue(key)>, ... }`; \p OnField is called

@@ -56,7 +56,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -140,17 +139,9 @@ public:
   /// called from any other thread it goes to the injection ring (FIFO).
   /// The callable must be passed as an rvalue — the submission path is
   /// move-only end-to-end (see TaskRef).
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, std::function<void()>>>>
-  void submit(F &&Task) {
+  template <typename F> void submit(F &&Task) {
     submitRef(TaskRef(std::forward<F>(Task)));
   }
-
-  /// Compatibility overload: accepts a std::function by value (one move
-  /// from an rvalue argument; lvalues pay the unavoidable copy at this
-  /// API boundary and nothing further downstream).
-  void submit(std::function<void()> Task) { submitRef(TaskRef(std::move(Task))); }
 
   /// Runs one queued task inline on the calling thread, if any is
   /// available: the calling worker's own deque first, then the injection

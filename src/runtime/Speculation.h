@@ -375,8 +375,7 @@ public:
   /// and degraded sequential paths keep default crash semantics — a
   /// crash there is a real bug. Destructors of locals in the crashed
   /// body's skipped frames do not run; bodies that own resources across
-  /// a crash-prone region should not opt in. Implied by attemptBudget()
-  /// and attemptBudgetAuto().
+  /// a crash-prone region should not opt in. Implied by attemptBudget().
   SpecConfig &shield(bool B = true) {
     ShieldOn = B;
     return *this;
@@ -392,15 +391,6 @@ public:
     BudgetNs = Budget.count() < 0 ? 0 : Budget.count();
     return *this;
   }
-  /// Derives the per-attempt budget adaptively: \p Mult times the
-  /// exponentially-weighted average of observed chunk-body latencies
-  /// (floored at 1 ms, so startup jitter never trips it). An explicit
-  /// attemptBudget() takes precedence. Implies shield(). `0` disables
-  /// (the default); the suggested multiplier is 8.
-  SpecConfig &attemptBudgetAuto(double Mult = 8.0) {
-    BudgetAutoMult = Mult < 0 ? 0 : Mult;
-    return *this;
-  }
   /// Stamps every trace event this run records with \p Ctx (see
   /// `rt::TraceContext`): the serving layer mints one per admitted job so
   /// the job's attempts remain reassemblable — across retries and shards
@@ -414,10 +404,6 @@ public:
   ValidationMode mode() const { return Mode; }
   /// The explicitly configured executor (nullptr when none was set).
   SpecExecutor *executor() const { return Ex.get(); }
-  /// The explicitly configured ownership handle (empty when none was
-  /// set; non-owning when the borrowing `executor(SpecExecutor &)`
-  /// overload was used).
-  const std::shared_ptr<SpecExecutor> &executorHandle() const { return Ex; }
   bool eagerProducerAbort() const { return EagerAbort; }
   Tracer *trace() const { return TraceSink; }
   FaultPlan *faults() const { return FaultSink; }
@@ -430,13 +416,10 @@ public:
   const std::string &profileSite() const { return Site; }
   /// True when the signal shield is armed — explicitly, or implied by a
   /// per-attempt budget (the watchdog's forced abandonment needs it).
-  bool shield() const {
-    return ShieldOn || BudgetNs > 0 || BudgetAutoMult > 0;
-  }
+  bool shield() const { return ShieldOn || BudgetNs > 0; }
   std::chrono::nanoseconds attemptBudget() const {
     return std::chrono::nanoseconds(BudgetNs);
   }
-  double attemptBudgetAutoMult() const { return BudgetAutoMult; }
   TraceContext traceContext() const { return TraceCtx; }
 
   /// The persistent executor this config resolves to — the explicit one,
@@ -466,7 +449,6 @@ private:
   std::string Site;
   bool ShieldOn = false;
   int64_t BudgetNs = 0;
-  double BudgetAutoMult = 0;
   TraceContext TraceCtx;
 };
 
@@ -1278,16 +1260,12 @@ private:
           Deadline(resolveDeadline(Cfg)),
           HasDeadline(Deadline != Clock::time_point::max()),
           DegradeThresh(Cfg.degradeThreshold()),
-          DegradeWindow(Cfg.degradeThreshold() >= 0 ? Cfg.degradeWindow()
-                                                    : 0),
+          DegradeWin(Cfg.degradeThreshold() >= 0 ? Cfg.degradeWindow() : 0),
           Prof(Cfg.profile()), SiteName(&Cfg.profileSite()),
           ProfOn(Prof != nullptr && !SiteName->empty()),
           W(std::max<int64_t>(8, 4 * static_cast<int64_t>(Ex.numThreads()))),
-          Shield(Cfg.shield()), BudgetNsCfg(Cfg.attemptBudget().count()),
-          BudgetAutoMult(BudgetNsCfg > 0 ? 0.0
-                                         : Cfg.attemptBudgetAutoMult()),
-          MeasureBody(AutotuneTargetNs > 0 ||
-                      Cfg.attemptBudgetAutoMult() > 0),
+          Shield(Cfg.shield()), BudgetNs(Cfg.attemptBudget().count()),
+          MeasureBody(AutotuneTargetNs > 0),
           Run(std::make_shared<detail::SegRunSync>(
               static_cast<size_t>(3 * W))),
           AttemptStore(static_cast<size_t>(3 * W)),
@@ -1295,7 +1273,6 @@ private:
           WaveB(static_cast<size_t>(W)), WaveE(static_cast<size_t>(W)),
           WaveUser(static_cast<size_t>(W)),
           WaveCand(ProfOn ? static_cast<size_t>(W) : 0) {
-      CurBudgetNs.store(BudgetNsCfg, std::memory_order_relaxed);
       FreeLocal.reserve(static_cast<size_t>(W));
       ChainPool.reserve(static_cast<size_t>(2 * W));
       for (int64_t I = 0; I < 3 * W; ++I)
@@ -1338,7 +1315,7 @@ private:
       T Correct = Predictor(Low);
       // Sliding window of prediction-point outcomes feeding the degrade
       // monitor (1 = mispredicted or failed).
-      std::vector<char> WinBuf(static_cast<size_t>(DegradeWindow), 0);
+      std::vector<char> WinBuf(static_cast<size_t>(DegradeWin), 0);
       int WinCount = 0, WinPos = 0, WinBad = 0;
       int64_t NextB = Low;  // first iteration not yet planned
       int64_t NextOrd = 0;  // its segment ordinal
@@ -1376,8 +1353,8 @@ private:
             TimeoutIdx = UI;
             break;
           }
-          if (!Degraded && DegradeWindow > 0 && WinCount == DegradeWindow &&
-              WinBad > DegradeThresh * DegradeWindow) {
+          if (!Degraded && DegradeWin > 0 && WinCount == DegradeWin &&
+              WinBad > DegradeThresh * DegradeWin) {
             // The window is saturated with bad prediction points:
             // speculation is burning work. With a profile attached, first
             // try to switch to a candidate predictor that has been
@@ -1500,37 +1477,36 @@ private:
             TimeoutIdx = UI;
             break;
           }
-          if (DegradeWindow > 0 && GlobalOrd > 0) {
-            if (WinCount == DegradeWindow)
+          if (DegradeWin > 0 && GlobalOrd > 0) {
+            if (WinCount == DegradeWin)
               WinBad -= WinBuf[static_cast<size_t>(WinPos)];
             else
               ++WinCount;
             WinBuf[static_cast<size_t>(WinPos)] = SlotBad ? 1 : 0;
             WinBad += SlotBad ? 1 : 0;
-            WinPos = (WinPos + 1) % DegradeWindow;
+            WinPos = (WinPos + 1) % DegradeWin;
           }
 
           Attempt *Match = acceptableAttempt(K, ForceReexec, Correct);
-          std::optional<U> LocalForFinal;
           int64_t SegNs = 0;
           if (Match) {
             if (Tr)
               Tr->record(SpecEventKind::ValidateAccept, UI, Match->TraceId,
                          JobCtx);
-            if (Match->Err)
+            if (Match->Err) {
               FirstValidErr = Match->Err;
-            else {
-              Correct = *Match->Out;
-              LocalForFinal = std::move(Match->Local);
-              SegNs = Match->BodyNs;
+              break;
             }
+            Correct = *Match->Out;
+            SegNs = Match->BodyNs;
+            U L = std::move(*Match->Local);
+            if (!finalizeSegment(UI, L))
+              break;
           } else {
             // Misprediction (or a stale valid run that was overwritten
             // by a later garbage attempt): re-execute on the validator
             // thread (rule CHECK's consumer re-execution). The slot is
             // quiescent, so this execution's writes land last.
-            // Deliberately *not* under a CancelScope of its own: this is
-            // authoritative code.
             if (HasDeadline && Clock::now() >= Deadline) {
               // Don't start an authoritative chunk we already have no
               // budget for — the timeout path below reports instead.
@@ -1541,36 +1517,10 @@ private:
             ++Stats.Reexecutions;
             if (Tr)
               Tr->record(SpecEventKind::Reexecute, UI, 0, JobCtx);
-            try {
-              if (FP)
-                FP->maybeThrow(FaultSite::BodyThrow);
-              U L = Init();
-              Clock::time_point T0;
-              if (MeasureBody)
-                T0 = Clock::now();
-              T Acc = std::move(Correct);
-              for (int64_t I = WaveB[static_cast<size_t>(K)];
-                   I < WaveE[static_cast<size_t>(K)]; ++I)
-                Acc = Body(I, L, std::move(Acc));
-              if (MeasureBody)
-                SegNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            Clock::now() - T0)
-                            .count();
-              Correct = std::move(Acc);
-              LocalForFinal = std::move(L);
-            } catch (...) {
-              FirstValidErr = std::current_exception();
-            }
-          }
-          if (FirstValidErr)
-            break;
-          try {
-            Finalize(UI, *LocalForFinal);
-            if (Tr)
-              Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
-          } catch (...) {
-            FirstValidErr = std::current_exception();
-            break;
+            if (!runSegment(WaveB[static_cast<size_t>(K)],
+                            WaveE[static_cast<size_t>(K)], UI, Correct,
+                            SegNs))
+              break;
           }
           if (MeasureBody) {
             WaveNs += SegNs;
@@ -1585,7 +1535,7 @@ private:
         if (TimedOut || FirstValidErr)
           break; // the drain below retires whatever is still in flight
         if (!Degraded)
-          autotuneAdjust(NextB);
+          autotuneAdjust();
         recycleWave();
       }
 
@@ -1803,8 +1753,7 @@ private:
       if (!Skip) {
         detail::runSpeculativeBody(
             *A, *Run,
-            {FP, Tr, JobCtx, Deadline, Shield,
-             CurBudgetNs.load(std::memory_order_relaxed)},
+            {FP, Tr, JobCtx, Deadline, Shield, BudgetNs},
             [&] {
               U L = Init();
               Clock::time_point T0;
@@ -2052,29 +2001,42 @@ private:
       return LastReal;
     }
 
-    /// Runs segment [B, E) in order on the calling thread (degraded
-    /// mode). Returns false when a body or finalizer exception aborts
-    /// the run (recorded in FirstValidErr).
-    bool degradedSegment(int64_t B, int64_t E, int64_t UI, T &Correct) {
-      ++Stats.DegradedChunks;
-      if (Tr)
-        Tr->record(SpecEventKind::Degrade, UI, 0, JobCtx);
-      std::optional<U> DegradedLocal;
+    /// The one authoritative segment runner: executes segment [B, E)
+    /// from \p Correct on the validator thread, advances \p Correct past
+    /// it, and finalizes it. Used for a re-execution and for a degraded
+    /// segment; deliberately *not* under a CancelScope of its own. One
+    /// BodyThrow probe per segment. \p SegNs receives the body time when
+    /// MeasureBody. Returns false when a body or finalizer exception
+    /// aborts the run (recorded in FirstValidErr).
+    bool runSegment(int64_t B, int64_t E, int64_t UI, T &Correct,
+                    int64_t &SegNs) {
       try {
         if (FP)
           FP->maybeThrow(FaultSite::BodyThrow);
         U L = Init();
+        Clock::time_point T0;
+        if (MeasureBody)
+          T0 = Clock::now();
         T Acc = std::move(Correct);
         for (int64_t I = B; I < E; ++I)
           Acc = Body(I, L, std::move(Acc));
+        if (MeasureBody)
+          SegNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      Clock::now() - T0)
+                      .count();
         Correct = std::move(Acc);
-        DegradedLocal = std::move(L);
+        return finalizeSegment(UI, L);
       } catch (...) {
         FirstValidErr = std::current_exception();
         return false;
       }
+    }
+
+    /// Runs the user finalizer of validated segment \p UI; same return
+    /// contract as runSegment().
+    bool finalizeSegment(int64_t UI, U &L) {
       try {
-        Finalize(UI, *DegradedLocal);
+        Finalize(UI, L);
         if (Tr)
           Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
       } catch (...) {
@@ -2082,6 +2044,15 @@ private:
         return false;
       }
       return true;
+    }
+
+    /// Runs segment [B, E) in order in degraded mode.
+    bool degradedSegment(int64_t B, int64_t E, int64_t UI, T &Correct) {
+      ++Stats.DegradedChunks;
+      if (Tr)
+        Tr->record(SpecEventKind::Degrade, UI, 0, JobCtx);
+      int64_t SegNs = 0;
+      return runSegment(B, E, UI, Correct, SegNs);
     }
 
     //===---------------- wave teardown / autotune -----------------------===//
@@ -2114,50 +2085,30 @@ private:
     /// when the wave mispredicted badly (smaller chunks re-validate
     /// sooner) or when bodies overshoot the target (lost parallelism);
     /// double it when bodies run far under the target (per-attempt
-    /// overhead dominating).
-    void autotuneAdjust(int64_t NextB) {
+    /// overhead dominating). A no-op unless MeasureBody timed the wave.
+    void autotuneAdjust() {
       if (WaveMeasured == 0)
         return;
       const double AvgNs = static_cast<double>(WaveNs) / WaveMeasured;
-      // The auto attempt budget rides the same measurements: an EWMA of
-      // per-segment latency, scaled by the configured multiplier, with a
-      // 1 ms floor so scheduling noise on tiny chunks can never trip
-      // the watchdog.
-      if (BudgetAutoMult > 0) {
-        BudgetEwmaNs =
-            BudgetEwmaNs == 0
-                ? static_cast<int64_t>(AvgNs)
-                : (3 * BudgetEwmaNs + static_cast<int64_t>(AvgNs)) / 4;
-        CurBudgetNs.store(
-            std::max<int64_t>(1000 * 1000,
-                              static_cast<int64_t>(
-                                  BudgetAutoMult *
-                                  static_cast<double>(BudgetEwmaNs))),
-            std::memory_order_relaxed);
-      }
-      if (AutoTargetNs > 0) {
-        const double BadRate =
-            WaveBoundaries > 0
-                ? static_cast<double>(WaveBad) / WaveBoundaries
-                : 0.0;
-        int64_t NewChunk = CurChunk;
-        if (BadRate > 0.5)
-          NewChunk = CurChunk / 2;
-        else if (AvgNs < static_cast<double>(AutoTargetNs) / 2)
-          NewChunk = CurChunk * 2;
-        else if (AvgNs > static_cast<double>(AutoTargetNs) * 2)
-          NewChunk = CurChunk / 2;
-        NewChunk = std::max<int64_t>(1, std::min(NewChunk, MaxChunk));
-        if (NewChunk != CurChunk) {
-          CurChunk = NewChunk;
-          // Telemetry: the event's index is the *new* chunk size, so a
-          // trace shows the size trajectory. 0 attempt id: this is a
-          // run-level decision, not tied to an attempt. NextB unused
-          // beyond documentation value for debuggers.
-          (void)NextB;
-          if (Tr)
-            Tr->record(SpecEventKind::Autotune, CurChunk, 0, JobCtx);
-        }
+      const double BadRate =
+          WaveBoundaries > 0
+              ? static_cast<double>(WaveBad) / WaveBoundaries
+              : 0.0;
+      int64_t NewChunk = CurChunk;
+      if (BadRate > 0.5)
+        NewChunk = CurChunk / 2;
+      else if (AvgNs < static_cast<double>(AutoTargetNs) / 2)
+        NewChunk = CurChunk * 2;
+      else if (AvgNs > static_cast<double>(AutoTargetNs) * 2)
+        NewChunk = CurChunk / 2;
+      NewChunk = std::max<int64_t>(1, std::min(NewChunk, MaxChunk));
+      if (NewChunk != CurChunk) {
+        CurChunk = NewChunk;
+        // Telemetry: the event's index is the *new* chunk size, so a
+        // trace shows the size trajectory. 0 attempt id: this is a
+        // run-level decision, not tied to an attempt.
+        if (Tr)
+          Tr->record(SpecEventKind::Autotune, CurChunk, 0, JobCtx);
       }
       WaveNs = 0;
       WaveMeasured = 0;
@@ -2301,26 +2252,19 @@ private:
     const Clock::time_point Deadline;
     const bool HasDeadline;
     const double DegradeThresh;
-    const int DegradeWindow;
+    const int DegradeWin;
     /// Profile-guided prediction (armed iff a store *and* a site name
     /// are configured; everything below is untouched otherwise).
     ProfileStore *const Prof;
     const std::string *const SiteName;
     const bool ProfOn;
     const int64_t W;
-    /// Crash containment (SpecConfig::shield() / attemptBudget()). The
-    /// effective per-attempt budget workers read is CurBudgetNs: the
-    /// explicit budget when one is configured, else the auto budget the
-    /// validator derives from the observed chunk-latency EWMA (0 until
-    /// the first measured wave lands).
+    /// Crash containment (SpecConfig::shield() / attemptBudget()): the
+    /// per-attempt budget every attempt runs under (0 = none).
     const bool Shield;
-    const int64_t BudgetNsCfg;
-    const double BudgetAutoMult; ///< 0 when an explicit budget wins.
-    /// Body timing feeds the chunk autotuner and/or the auto budget;
-    /// either consumer turns the measurements on.
+    const int64_t BudgetNs;
+    /// Body timing feeds the chunk autotuner.
     const bool MeasureBody;
-    std::atomic<int64_t> CurBudgetNs{0};
-    int64_t BudgetEwmaNs = 0; ///< Validator-only latency EWMA.
     int64_t MaxChunk = 1;
 
     /// Shared with the run's queued tasks (see detail::SegRunSync).

@@ -40,7 +40,6 @@ ServerContext::ServerContext(const ServerOptions &O)
   rt::FlightRecorder::Options FlightOpts;
   FlightOpts.DumpDir = O.FlightDir;
   FlightOpts.Retain = O.FlightRetain;
-  FlightOpts.RingCapacity = O.FlightRingCapacity;
   FlightOpts.MinDumpGap = O.FlightMinDumpGap;
   Shards.reserve(NumShards);
   for (unsigned I = 0; I < NumShards; ++I) {
@@ -53,8 +52,7 @@ ServerContext::ServerContext(const ServerOptions &O)
       onJobFinished(std::move(T), std::move(R));
     });
   RetryThread = std::thread([this] { retryLoop(); });
-  if (Opts.HealthWatchdog)
-    HealthThread = std::thread([this] { healthLoop(); });
+  HealthThread = std::thread([this] { healthLoop(); });
 }
 
 ServerContext::~ServerContext() { shutdown(); }
@@ -247,11 +245,12 @@ void ServerContext::onJobFinished(Ticket &&T, JobResult &&R) {
   }
   if (Failure && T.Attempt <= TS->Policy.MaxRetries &&
       !Down.load(std::memory_order_acquire)) {
-    // Exponential backoff, capped, plus up to 25% jitter so synchronized
-    // failures don't re-converge on the same instant.
+    // Exponential backoff, capped at 1 s (or the base when larger), plus
+    // up to 25% jitter so synchronized failures don't re-converge on the
+    // same instant.
     const int64_t Base = std::max<int64_t>(0, TS->Policy.RetryBackoff.count());
-    const int64_t Cap =
-        std::max<int64_t>(Base, TS->Policy.RetryBackoffMax.count());
+    const int64_t Cap = std::max<int64_t>(
+        Base, std::chrono::nanoseconds(std::chrono::seconds(1)).count());
     int64_t Backoff = Base;
     for (int I = 1; I < T.Attempt && Backoff < Cap; ++I)
       Backoff *= 2;

@@ -64,20 +64,20 @@ struct ServerOptions {
   AdmissionPolicy Admission = AdmissionPolicy::LeastLoaded;
   /// Catalog dataset scale (bytes/symbols/nodes).
   int64_t WorkloadScale = 1 << 16;
-  /// Shard-health watchdog: a dispatcher that has been inside one job
-  /// longer than `StuckAfter` is quarantined — admission stops, its
-  /// queued jobs are re-dispatched to healthy shards — and reinstated
-  /// once it makes progress again. `HealthPeriod` is the poll cadence.
-  bool HealthWatchdog = true;
+  /// Shard-health watchdog (always running): a dispatcher that has been
+  /// inside one job longer than `StuckAfter` is quarantined — admission
+  /// stops, its queued jobs are re-dispatched to healthy shards — and
+  /// reinstated once it makes progress again. `HealthPeriod` is the poll
+  /// cadence.
   std::chrono::nanoseconds StuckAfter{std::chrono::milliseconds(500)};
   std::chrono::nanoseconds HealthPeriod{std::chrono::milliseconds(20)};
   /// Flight recorder (one per shard, always armed): where anomaly dumps
   /// go (empty = keep events in memory but write no dumps), how far back
-  /// the retained window reaches, the per-thread ring capacity, and the
-  /// per-shard minimum spacing between written dumps.
+  /// the retained window reaches, and the per-shard minimum spacing
+  /// between written dumps. Per-thread rings keep the flight recorder's
+  /// default capacity.
   std::string FlightDir;
   std::chrono::nanoseconds FlightRetain{std::chrono::seconds(30)};
-  size_t FlightRingCapacity = 1 << 12;
   std::chrono::nanoseconds FlightMinDumpGap{std::chrono::seconds(2)};
 };
 

@@ -49,10 +49,9 @@ struct TenantPolicy {
   std::chrono::nanoseconds Deadline{0};
 
   /// Adaptive sequential fallback: when >= 0, the misprediction rate
-  /// over `DegradeWindow` chunks above which the run degrades to
-  /// sequential execution. Negative disables the monitor.
+  /// over the runtime's default 8-chunk window above which the run
+  /// degrades to sequential execution. Negative disables the monitor.
   double DegradeMaxBadRate = -1.0;
-  int DegradeWindow = 8;
 
   /// Chunk autotuner target, microseconds per chunk; zero disables.
   int64_t AutotuneTargetMicros = 0;
@@ -73,34 +72,20 @@ struct TenantPolicy {
   /// lifetime. Meaningful only with `ProfileGuided`.
   std::string ProfilePath;
 
-  /// Arms the runtime's per-thread signal shield for this tenant's runs:
-  /// a SIGSEGV/SIGBUS/SIGFPE in a *speculative* attempt body is
-  /// contained and re-executed instead of killing the process (and every
-  /// other tenant on it). On by default — a multi-tenant server should
-  /// not die to one tenant's mispredicted pointer chase.
-  bool Shield = true;
-
-  /// Explicit per-attempt wall-clock budget; overrun attempts are
-  /// cooperatively cancelled, then forcibly abandoned by the runaway
-  /// watchdog. Zero leaves attempts unbudgeted (unless
-  /// `AttemptBudgetAutoMult` is set). Implies the shield.
+  /// Per-attempt wall-clock budget; overrun attempts are cooperatively
+  /// cancelled, then forcibly abandoned by the runaway watchdog. Zero
+  /// leaves attempts unbudgeted.
   std::chrono::nanoseconds AttemptBudget{0};
-
-  /// Auto-derived attempt budget: multiple of the observed per-chunk
-  /// latency EWMA (see `rt::SpecConfig::attemptBudgetAuto`). Zero
-  /// disables; `AttemptBudget` takes precedence.
-  double AttemptBudgetAutoMult = 0;
 
   /// Retries for `Faulted`/`TimedOut` jobs: up to `MaxRetries`
   /// additional attempts, re-admitted after an exponential backoff with
-  /// jitter (`RetryBackoff * 2^(attempt-1)`, capped at
-  /// `RetryBackoffMax`). A job with a `Deadline` retries only while
-  /// backoff + dispatch still fit the *remaining* budget — each attempt
-  /// runs under what is left, never a fresh full deadline. Zero (the
-  /// default) resolves the first failure as terminal.
+  /// jitter (`RetryBackoff * 2^(attempt-1)`, capped at 1 s). A job with
+  /// a `Deadline` retries only while backoff + dispatch still fit the
+  /// *remaining* budget — each attempt runs under what is left, never a
+  /// fresh full deadline. Zero (the default) resolves the first failure
+  /// as terminal.
   int MaxRetries = 0;
   std::chrono::nanoseconds RetryBackoff{std::chrono::milliseconds(10)};
-  std::chrono::nanoseconds RetryBackoffMax{std::chrono::seconds(1)};
 
   /// Circuit breaker per tenant×shard: after `BreakerThreshold`
   /// *consecutive* failed attempts on one shard, that shard is shed for
@@ -115,7 +100,10 @@ struct TenantPolicy {
   /// tenant (chaos testing; must outlive the tenant's jobs).
   rt::FaultPlan *Faults = nullptr;
 
-  /// Lowers this policy onto \p Shard's executor. \p Tr is the shard's
+  /// Lowers this policy onto \p Shard's executor, always with the
+  /// signal shield armed (a SIGSEGV/SIGBUS/SIGFPE in a *speculative*
+  /// attempt body is contained and re-executed instead of killing the
+  /// process and every other tenant on it). \p Tr is the shard's
   /// flight-recorder tracer (null runs untraced).
   rt::SpecConfig toConfig(std::shared_ptr<rt::SpecExecutor> Shard,
                           rt::Tracer *Tr) const {
@@ -123,15 +111,12 @@ struct TenantPolicy {
     if (Deadline.count() > 0)
       Cfg.deadline(Deadline);
     if (DegradeMaxBadRate >= 0)
-      Cfg.degrade(DegradeMaxBadRate, DegradeWindow);
+      Cfg.degrade(DegradeMaxBadRate);
     if (AutotuneTargetMicros > 0)
       Cfg.autotune(AutotuneTargetMicros);
-    if (Shield)
-      Cfg.shield();
+    Cfg.shield();
     if (AttemptBudget.count() > 0)
       Cfg.attemptBudget(AttemptBudget);
-    else if (AttemptBudgetAutoMult > 0)
-      Cfg.attemptBudgetAuto(AttemptBudgetAutoMult);
     if (Faults)
       Cfg.faults(Faults);
     if (Tr)

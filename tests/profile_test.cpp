@@ -203,6 +203,38 @@ TEST(ProfileStore, DamagedFilesLoadAsColdAndKeepPriorContents) {
   EXPECT_EQ(Seeded.seedChunk("keep-me"), 0); // load replaces, not merges
 }
 
+TEST(ProfileStore, LoadRejectsOutOfRangeInteger) {
+  TempFile F("overflow");
+  ProfileStore Seeded;
+  Seeded.recordRun("keep-me", obsWith(128, 10, 0));
+
+  ProfileStore Valid;
+  Valid.recordRun("a", obsWith(64, 5, 5));
+  ASSERT_TRUE(Valid.save(F.Path));
+  const std::string Text = slurp(F.Path);
+  const std::string Runs = "\"runs\":1,";
+  const size_t At = Text.find(Runs);
+  ASSERT_NE(At, std::string::npos);
+  // One past INT64_MAX on either side, and a 20-digit count.
+  for (const char *Big : {"99999999999999999999", "9223372036854775808",
+                          "-9223372036854775809"}) {
+    std::string Bad = Text;
+    Bad.replace(At, Runs.size(), "\"runs\":" + std::string(Big) + ",");
+    spew(F.Path, Bad);
+    EXPECT_FALSE(Seeded.load(F.Path)) << Big;
+  }
+  EXPECT_EQ(Seeded.size(), 1u);
+  EXPECT_EQ(Seeded.seedChunk("keep-me"), 128);
+
+  // The extremes themselves are in range.
+  for (const char *Edge : {"9223372036854775807", "-9223372036854775808"}) {
+    std::string Ok = Text;
+    Ok.replace(At, Runs.size(), "\"runs\":" + std::string(Edge) + ",");
+    spew(F.Path, Ok);
+    EXPECT_TRUE(Seeded.load(F.Path)) << Edge;
+  }
+}
+
 TEST(ProfileStore, ConcurrentRecordAndSaveNeverTearTheFile) {
   TempFile F("concurrent");
   ProfileStore Store;

@@ -188,6 +188,26 @@ TEST(Policy, StatsAggregateAcrossJobs) {
   EXPECT_EQ(TS->latency().count(), 3u);
 }
 
+TEST(Policy, LoweringAlwaysShieldsAndKeepsDefaultDegradeWindow) {
+  TenantPolicy P;
+  const rt::SpecConfig Default = P.toConfig(nullptr, nullptr);
+  EXPECT_TRUE(Default.shield());
+  EXPECT_LT(Default.degradeThreshold(), 0.0);
+  EXPECT_EQ(Default.attemptBudget().count(), 0);
+
+  P.DegradeMaxBadRate = 0.5;
+  const rt::SpecConfig Degrading = P.toConfig(nullptr, nullptr);
+  EXPECT_EQ(Degrading.degradeThreshold(), 0.5);
+  EXPECT_EQ(Degrading.degradeWindow(), 8);
+  EXPECT_TRUE(Degrading.shield());
+
+  TenantPolicy B;
+  B.AttemptBudget = std::chrono::milliseconds(20);
+  const rt::SpecConfig Budgeted = B.toConfig(nullptr, nullptr);
+  EXPECT_EQ(Budgeted.attemptBudget(), std::chrono::milliseconds(20));
+  EXPECT_TRUE(Budgeted.shield());
+}
+
 TEST(Policy, SpecJobRunsTheCompiledProgramAgainstTheOracle) {
   ServerContext Ctx(testOptions(1));
   Ctx.registerTenant(basicTenant("t"));
