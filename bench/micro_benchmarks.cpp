@@ -74,14 +74,34 @@ BENCHMARK(BM_HuffmanDecode)->Unit(benchmark::kMillisecond);
 
 void BM_MwisForward(benchmark::State &State) {
   std::vector<int64_t> W = generatePathGraph(3, 1 << 20, 50);
-  std::vector<int64_t> D(W.size());
+  std::vector<uint8_t> Positive(W.size());
   for (auto _ : State) {
-    int64_t Out = mwis::forwardSegment(W, 0, int64_t(W.size()), 0, D);
+    int64_t Sum = 0;
+    int64_t Out = mwis::forwardSegment(W, 0, int64_t(W.size()), 0,
+                                       Positive.data(), Sum);
     benchmark::DoNotOptimize(Out);
+    benchmark::DoNotOptimize(Sum);
   }
   State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(W.size()));
 }
 BENCHMARK(BM_MwisForward)->Unit(benchmark::kMillisecond);
+
+void BM_MwisBackward(benchmark::State &State) {
+  std::vector<int64_t> W = generatePathGraph(3, 1 << 20, 50);
+  std::vector<uint8_t> Positive(W.size());
+  int64_t Sum = 0;
+  mwis::forwardSegment(W, 0, int64_t(W.size()), 0, Positive.data(), Sum);
+  std::vector<int32_t> Members;
+  for (auto _ : State) {
+    Members.clear();
+    bool Out = mwis::backwardSegment(Positive.data(), 0, int64_t(W.size()),
+                                     false, Members);
+    benchmark::DoNotOptimize(Out);
+    benchmark::DoNotOptimize(Members.data());
+  }
+  State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(W.size()));
+}
+BENCHMARK(BM_MwisBackward)->Unit(benchmark::kMillisecond);
 
 void BM_IterateOverhead(benchmark::State &State) {
   rt::SpecExecutor Ex(2);

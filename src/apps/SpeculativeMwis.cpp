@@ -7,6 +7,8 @@
 
 #include "apps/SpeculativeMwis.h"
 
+#include <memory>
+
 using namespace specpar;
 using namespace specpar::apps;
 using namespace specpar::mwis;
@@ -21,8 +23,16 @@ MwisRun specpar::apps::speculativeMwis(const std::vector<int64_t> &Weights,
   if (NumTasks <= 0)
     NumTasks = 1;
 
-  std::vector<int64_t> D(Weights.size());
-  std::vector<uint8_t> Taken(Weights.size());
+  // One sign byte per node, Positive[i] = d[i] > 0, written by phase 1
+  // and read by phase 2. It is not zero-filled: phase 1 returns normally
+  // only once an accepted attempt (or the validator's re-execution) has
+  // run every sub-segment, and each sub-segment writes all its slots; a
+  // deadline throws SpecTimeoutError out of phase 1 before phase 2 reads
+  // a byte. (If this run is nested in an attempt that gets cancelled, a
+  // poll below can leave slots unwritten, but that attempt's output is
+  // refused, and backwardSegment stays in bounds whatever the bytes hold.)
+  auto Positive =
+      std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(N));
 
   // Sub-segment granularity: each chunk = one task's worth of
   // kMwisChunkSize node sub-segments processed sequentially inside one
@@ -41,45 +51,74 @@ MwisRun specpar::apps::speculativeMwis(const std::vector<int64_t> &Weights,
   rt::SpecConfig BwdCfg = Cfg;
   BwdCfg.statsOut(&BwdSnap);
 
-  // Phase 1: forward d-recurrence over sub-segments.
-  rt::SpecResult<int64_t> Fwd = rt::Speculation::iterateChunked<int64_t>(
-      0, NumSub, kMwisChunkSize,
-      [&](int64_t I, int64_t DIn) {
-        // Cooperative cancellation between node sub-segments; a cancelled
-        // attempt's output is never accepted.
-        if (rt::currentTaskCancelled())
-          return DIn;
-        return forwardSegment(Weights, Bound(I), Bound(I + 1), DIn, D);
-      },
-      [&](int64_t I) {
-        return I == 0 ? int64_t(0)
-                      : predictForward(Weights, Bound(I), Overlap);
-      },
-      FwdCfg);
+  // Phase 1: forward d-recurrence over sub-segments. A chunk's local is
+  // its positive-part sum; the accepted chunks' sums add up to the
+  // optimum. Re-executions overwrite their own sign slots, and a rejected
+  // attempt's sum is discarded with it.
+  rt::SpecResult<int64_t> Fwd =
+      rt::Speculation::iterateChunkedLocal<int64_t, int64_t>(
+          0, NumSub, kMwisChunkSize,
+          /*Init=*/[] { return int64_t(0); },
+          /*Body=*/
+          [&](int64_t I, int64_t &Sum, int64_t DIn) {
+            // Cooperative cancellation between node sub-segments; a
+            // cancelled attempt's output is never accepted.
+            if (rt::currentTaskCancelled())
+              return DIn;
+            return forwardSegment(Weights, Bound(I), Bound(I + 1), DIn,
+                                  Positive.get(), Sum);
+          },
+          /*Predictor=*/
+          [&](int64_t I) {
+            return I == 0 ? int64_t(0)
+                          : predictForward(Weights, Bound(I), Overlap);
+          },
+          /*Finalize=*/[&Run](int64_t, int64_t &Sum) { Run.Weight += Sum; },
+          FwdCfg);
   Run.ForwardStats = Fwd.Stats;
 
   // Phase 2: backward membership emission; sub-iteration I handles the
   // sub-segment counted from the top so the carried bit flows downwards.
-  rt::SpecResult<int64_t> Bwd = rt::Speculation::iterateChunked<int64_t>(
-      0, NumSub, kMwisChunkSize,
-      [&](int64_t I, int64_t NextTaken) {
-        if (rt::currentTaskCancelled())
-          return NextTaken;
-        int64_t Seg = NumSub - 1 - I;
-        return static_cast<int64_t>(backwardSegment(
-            D, Bound(Seg), Bound(Seg + 1), NextTaken != 0, Taken));
-      },
-      [&](int64_t I) {
-        if (I == 0)
-          return int64_t(0); // no node above the top segment
-        return static_cast<int64_t>(
-            predictBackward(D, Bound(NumSub - I), Overlap, N));
-      },
-      BwdCfg);
+  // A chunk's local is its members in descending order, so the accepted
+  // chunks, in the order they are finalized, list the set top-down.
+  std::vector<std::vector<int32_t>> Chunks;
+  rt::SpecResult<int64_t> Bwd =
+      rt::Speculation::iterateChunkedLocal<int64_t, std::vector<int32_t>>(
+          0, NumSub, kMwisChunkSize,
+          /*Init=*/[] { return std::vector<int32_t>(); },
+          /*Body=*/
+          [&](int64_t I, std::vector<int32_t> &Local, int64_t NextTaken) {
+            if (rt::currentTaskCancelled())
+              return NextTaken;
+            int64_t Seg = NumSub - 1 - I;
+            return static_cast<int64_t>(
+                backwardSegment(Positive.get(), Bound(Seg), Bound(Seg + 1),
+                                NextTaken != 0, Local));
+          },
+          /*Predictor=*/
+          [&](int64_t I) {
+            if (I == 0)
+              return int64_t(0); // no node above the top segment
+            return static_cast<int64_t>(
+                predictBackward(Positive.get(), Bound(NumSub - I), Overlap,
+                                N));
+          },
+          /*Finalize=*/
+          [&Chunks](int64_t, std::vector<int32_t> &Local) {
+            Chunks.push_back(std::move(Local));
+          },
+          BwdCfg);
   Run.BackwardStats = Bwd.Stats;
 
-  Run.Weight = weightFromD(D);
-  Run.Members = membersFromTaken(Taken);
+  // The one serial pass over the members: concatenate the chunks in
+  // reverse order, each reversed, into ascending node order.
+  size_t NumMembers = 0;
+  for (const std::vector<int32_t> &C : Chunks)
+    NumMembers += C.size();
+  Run.Members.reserve(NumMembers);
+  for (auto C = Chunks.rbegin(); C != Chunks.rend(); ++C)
+    Run.Members.insert(Run.Members.end(), C->rbegin(), C->rend());
+
   Run.Stats = FwdSnap;
   Run.Stats += BwdSnap;
   return Run;
@@ -90,13 +129,19 @@ double specpar::apps::mwisPredictionAccuracy(
   const int64_t N = static_cast<int64_t>(Weights.size());
   if (NumPoints <= 1 || N == 0)
     return 100.0;
-  std::vector<int64_t> D(Weights.size());
-  forwardSegment(Weights, 0, N, 0, D);
+  // The true d at each boundary: chain the forward pass from one
+  // boundary to the next. The sign bytes and sum are not needed.
+  auto Positive =
+      std::make_unique_for_overwrite<uint8_t[]>(static_cast<size_t>(N));
+  int64_t Truth = 0, Done = 0, Sum = 0;
   int Correct = 0, Total = 0;
   for (int I = 1; I < NumPoints; ++I) {
     int64_t Boundary = N * I / NumPoints;
+    Truth =
+        forwardSegment(Weights, Done, Boundary, Truth, Positive.get(), Sum);
+    Done = Boundary;
     ++Total;
-    if (predictForward(Weights, Boundary, Overlap) == D[Boundary - 1])
+    if (predictForward(Weights, Boundary, Overlap) == Truth)
       ++Correct;
   }
   return 100.0 * Correct / Total;

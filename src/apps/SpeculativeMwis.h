@@ -10,6 +10,9 @@
 /// runtime: a forward DP pass carrying the single-integer d value and a
 /// backward member-emission pass carrying the "next node taken" bit, both
 /// over NumTasks segments with overlap predictors (see mwis/Mwis.h).
+/// Both phases use the initializer/finalizer iteration form: accepted
+/// phase-1 chunks publish their partial weights, accepted phase-2 chunks
+/// their member lists, so no serial pass over the nodes follows.
 ///
 //===----------------------------------------------------------------------===//
 

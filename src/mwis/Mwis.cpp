@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 using namespace specpar;
 using namespace specpar::mwis;
@@ -47,15 +48,19 @@ int64_t specpar::mwis::solveSequential(const std::vector<int64_t> &Weights,
 
 int64_t specpar::mwis::forwardSegment(const std::vector<int64_t> &Weights,
                                       int64_t From, int64_t To, int64_t DIn,
-                                      std::vector<int64_t> &DOut) {
+                                      uint8_t *Positive,
+                                      int64_t &PositiveSum) {
   assert(From >= 0 && To <= static_cast<int64_t>(Weights.size()) &&
          From <= To && "segment out of bounds");
-  assert(DOut.size() == Weights.size() && "DOut must be pre-sized");
-  int64_t D = DIn;
+  const int64_t *W = Weights.data();
+  int64_t D = DIn, Pos = std::max<int64_t>(DIn, 0), Sum = 0;
   for (int64_t I = From; I < To; ++I) {
-    D = Weights[I] - std::max<int64_t>(D, 0);
-    DOut[I] = D;
+    D = W[I] - Pos;
+    Pos = std::max<int64_t>(D, 0);
+    Positive[I] = D > 0;
+    Sum += Pos;
   }
+  PositiveSum += Sum;
   return D;
 }
 
@@ -68,57 +73,50 @@ int64_t specpar::mwis::predictForward(const std::vector<int64_t> &Weights,
   return D;
 }
 
-bool specpar::mwis::backwardSegment(const std::vector<int64_t> &D,
-                                    int64_t From, int64_t To, bool NextTaken,
-                                    std::vector<uint8_t> &Taken) {
-  assert(From >= 0 && To <= static_cast<int64_t>(D.size()) && From <= To &&
-         "segment out of bounds");
-  assert(Taken.size() == D.size() && "Taken must be pre-sized");
-  bool Next = NextTaken;
+bool specpar::mwis::backwardSegment(const uint8_t *Positive, int64_t From,
+                                    int64_t To, bool NextTaken,
+                                    std::vector<int32_t> &Members) {
+  assert(From >= 0 && From <= To && "segment out of bounds");
+  // No two adjacent nodes are taken, so a range of L nodes holds at most
+  // L/2 + 1 members, and every store below lands in one of those slots:
+  // each node's id is stored at the end of the list and kept only when
+  // the node is taken. `(!Next) & byte` keeps only the byte's low bit, so
+  // the bound holds whatever the sign bytes hold.
+  const size_t Base = Members.size();
+  Members.resize(Base + static_cast<size_t>((To - From) / 2 + 1));
+  int32_t *Out = Members.data() + Base;
+  unsigned Next = NextTaken;
   for (int64_t I = To - 1; I >= From; --I) {
-    bool T = !Next && D[I] > 0;
-    Taken[I] = T;
-    Next = T;
+    *Out = static_cast<int32_t>(I);
+    Next = (!Next) & Positive[I];
+    Out += Next;
   }
-  return Next; // == Taken[From] if the segment is non-empty, else NextTaken.
+  Members.resize(static_cast<size_t>(Out - Members.data()));
+  return Next != 0; // node From's decision, or NextTaken if the range is empty
 }
 
-bool specpar::mwis::predictBackward(const std::vector<int64_t> &D,
-                                    int64_t Boundary, int64_t Overlap,
-                                    int64_t NumNodes) {
-  assert(NumNodes == static_cast<int64_t>(D.size()) && "size mismatch");
+bool specpar::mwis::predictBackward(const uint8_t *Positive, int64_t Boundary,
+                                    int64_t Overlap, int64_t NumNodes) {
   int64_t WindowTop = std::min(NumNodes, Boundary + Overlap);
   bool Next = false; // Assume the node just above the window is not taken.
   for (int64_t I = WindowTop - 1; I >= Boundary; --I)
-    Next = !Next && D[I] > 0;
+    Next = !Next && Positive[I];
   return Next;
-}
-
-int64_t specpar::mwis::weightFromD(const std::vector<int64_t> &D) {
-  int64_t Sum = 0;
-  for (int64_t V : D)
-    Sum += std::max<int64_t>(V, 0);
-  return Sum;
-}
-
-std::vector<int32_t>
-specpar::mwis::membersFromTaken(const std::vector<uint8_t> &Taken) {
-  std::vector<int32_t> Members;
-  for (size_t I = 0; I < Taken.size(); ++I)
-    if (Taken[I])
-      Members.push_back(static_cast<int32_t>(I));
-  return Members;
 }
 
 int64_t specpar::mwis::solveTwoPhase(const std::vector<int64_t> &Weights,
                                      std::vector<int32_t> *Members) {
-  int64_t N = static_cast<int64_t>(Weights.size());
-  std::vector<int64_t> D(N);
-  forwardSegment(Weights, 0, N, /*DIn=*/0, D);
+  const int64_t N = static_cast<int64_t>(Weights.size());
+  // Not zero-filled: the forward pass writes every slot before the
+  // backward pass reads it.
+  auto Positive = std::make_unique_for_overwrite<uint8_t[]>(
+      static_cast<size_t>(N));
+  int64_t Weight = 0;
+  forwardSegment(Weights, 0, N, /*DIn=*/0, Positive.get(), Weight);
   if (Members) {
-    std::vector<uint8_t> Taken(N);
-    backwardSegment(D, 0, N, /*NextTaken=*/false, Taken);
-    *Members = membersFromTaken(Taken);
+    Members->clear();
+    backwardSegment(Positive.get(), 0, N, /*NextTaken=*/false, *Members);
+    std::reverse(Members->begin(), Members->end());
   }
-  return weightFromD(D);
+  return Weight;
 }

@@ -23,9 +23,15 @@
 /// nodes immediately preceding the current segment will be part of the
 /// MWIS", which is exactly the sign information carried by d).
 ///
-/// The second phase walks the path backwards emitting the chosen nodes;
-/// its carried state is the boolean "was node i+1 taken", again predicted
-/// by an overlap walk.
+/// Only the sign of d[i] is needed after the forward pass, so phase 1
+/// carries the full int64 d but stores one sign byte per node,
+/// Positive[i] = d[i] > 0, and adds its segment's positive parts
+/// max(d[i], 0) to a partial sum; the partial sums of all segments add up
+/// to the optimum.
+///
+/// The second phase walks the path backwards over the sign bytes,
+/// appending the chosen nodes in descending order; its carried state is
+/// the boolean "was node i+1 taken", again predicted by an overlap walk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,12 +52,14 @@ int64_t solveSequential(const std::vector<int64_t> &Weights,
 
 /// Phase-1 segment body: computes d[i] for i in [From, To) given the
 /// carried value \p DIn = d[From-1] (0 for the first segment), storing
-/// d[i] into \p DOut[i] (pre-sized by the caller). Returns d[To-1].
+/// the sign byte `d[i] > 0` into \p Positive[i] and adding max(d[i], 0)
+/// to \p PositiveSum. Returns d[To-1] (\p DIn for an empty segment).
 ///
-/// Writes only the slots [From, To) of DOut — the disjoint-slot write
+/// Writes only the slots [From, To) of Positive — the disjoint-slot write
 /// pattern that rollback freedom condition (e) licenses.
 int64_t forwardSegment(const std::vector<int64_t> &Weights, int64_t From,
-                       int64_t To, int64_t DIn, std::vector<int64_t> &DOut);
+                       int64_t To, int64_t DIn, uint8_t *Positive,
+                       int64_t &PositiveSum);
 
 /// Phase-1 overlap predictor: predicts d[Boundary-1] by running the d
 /// recurrence over the \p Overlap nodes before \p Boundary from d = 0.
@@ -59,24 +67,19 @@ int64_t predictForward(const std::vector<int64_t> &Weights, int64_t Boundary,
                        int64_t Overlap);
 
 /// Phase-2 segment body: walks nodes [From, To) *backwards* (To > From)
-/// deciding membership from the d array. \p NextTaken says whether node To
-/// was taken (false for the last segment, i.e. To == n). Fills
-/// \p Taken[i] for i in [From, To). Returns whether node From was taken
-/// (the carried value for the segment below).
-bool backwardSegment(const std::vector<int64_t> &D, int64_t From, int64_t To,
-                     bool NextTaken, std::vector<uint8_t> &Taken);
+/// deciding membership from the sign bytes. \p NextTaken says whether
+/// node To was taken (false for the last segment, i.e. To == n). Appends
+/// the taken nodes of the range to \p Members in descending order.
+/// Returns whether node From was taken (the carried value for the segment
+/// below).
+bool backwardSegment(const uint8_t *Positive, int64_t From, int64_t To,
+                     bool NextTaken, std::vector<int32_t> &Members);
 
 /// Phase-2 overlap predictor: predicts whether node \p Boundary is taken
 /// by walking backwards over the \p Overlap nodes above it, assuming the
 /// node just past the window is not taken.
-bool predictBackward(const std::vector<int64_t> &D, int64_t Boundary,
+bool predictBackward(const uint8_t *Positive, int64_t Boundary,
                      int64_t Overlap, int64_t NumNodes);
-
-/// Computes the optimal weight from the d array (sum of positive parts).
-int64_t weightFromD(const std::vector<int64_t> &D);
-
-/// Extracts the member list from the phase-2 Taken flags.
-std::vector<int32_t> membersFromTaken(const std::vector<uint8_t> &Taken);
 
 /// Full sequential two-phase solver built from the segment primitives
 /// (single segment each). Used to cross-check the segmented formulation

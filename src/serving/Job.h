@@ -148,6 +148,7 @@ public:
 
   std::vector<int64_t> Weights;
   int64_t MwisOracleWeight = 0;
+  std::vector<int32_t> MwisOracleMembers;
 
   /// The Speculate program `JobKind::Spec` serves: a scale-sized
   /// sum-of-squares specfold with a closed-form predictor, compiled

@@ -266,6 +266,8 @@ JobResult Shard::runJob(const Job &Work, TenantState &Tenant,
       R.Value = Run.Weight;
       if (Run.Weight != Catalog.MwisOracleWeight)
         throw std::runtime_error("mwis weight mismatch vs oracle");
+      if (Run.Members != Catalog.MwisOracleMembers)
+        throw std::runtime_error("mwis members mismatch vs oracle");
       break;
     }
     case JobKind::Spec: {

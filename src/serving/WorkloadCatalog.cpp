@@ -54,7 +54,7 @@ WorkloadCatalog::WorkloadCatalog(int64_t Scale, uint64_t Seed)
           1000)) {
   LexOracleTokens = static_cast<int64_t>(Lex.lexAll(Text).size());
   HuffOracle = Dec.decodeAll(Bits, Enc.NumSymbols);
-  MwisOracleWeight = mwis::solveSequential(Weights, nullptr);
+  MwisOracleWeight = mwis::solveSequential(Weights, &MwisOracleMembers);
 
   // The Speculate-sourced dataset: parse, take the reference
   // interpreter's non-speculative result as the oracle, and compile

@@ -141,8 +141,38 @@ TEST(AppsHuffman, LargeOverlapEliminatesMispredictions) {
 TEST(AppsMwis, SingleTaskIsTheSequentialAlgorithm) {
   std::vector<int64_t> W = generatePathGraph(77, 10000, 50);
   MwisRun Run = speculativeMwis(W, 1, 0);
-  EXPECT_EQ(Run.Weight, mwis::solveSequential(W, nullptr));
+  std::vector<int32_t> SeqMembers;
+  EXPECT_EQ(Run.Weight, mwis::solveSequential(W, &SeqMembers));
+  EXPECT_EQ(Run.Members, SeqMembers);
   EXPECT_EQ(Run.ForwardStats.Mispredictions, 0);
+}
+
+/// Zero overlap predicts d = 0 and "not taken" at every boundary, so both
+/// phases mispredict: rejected chunks' partial sums and member lists must
+/// be discarded, and the re-executions must overwrite their sign bytes.
+TEST(AppsMwis, BothPhasesMispredictAndStayCorrect) {
+  for (int64_t MaxW : {int64_t(50), int64_t(5000)}) {
+    std::vector<int64_t> W = generatePathGraph(41, 50000, MaxW);
+    std::vector<int32_t> SeqMembers;
+    int64_t SeqWeight = mwis::solveSequential(W, &SeqMembers);
+    for (rt::ValidationMode Mode :
+         {rt::ValidationMode::Seq, rt::ValidationMode::Par}) {
+      rt::SpecConfig Cfg = rt::SpecConfig().mode(Mode).threads(3);
+      MwisRun Run = speculativeMwis(W, 16, /*Overlap=*/0, Cfg);
+      EXPECT_GT(Run.ForwardStats.Mispredictions, 0) << "maxW=" << MaxW;
+      EXPECT_GT(Run.BackwardStats.Mispredictions, 0) << "maxW=" << MaxW;
+      EXPECT_EQ(Run.Weight, SeqWeight) << "maxW=" << MaxW;
+      EXPECT_EQ(Run.Members, SeqMembers) << "maxW=" << MaxW;
+    }
+  }
+}
+
+/// With fewer nodes than prediction points, early boundaries fall on node
+/// 0, where the true carried value is the initial d = 0. An overlap that
+/// covers every boundary's prefix predicts exactly.
+TEST(AppsMwis, PredictionAccuracyWithFewerNodesThanPoints) {
+  std::vector<int64_t> W = {4, 9, 2, 7, 5};
+  EXPECT_EQ(mwisPredictionAccuracy(W, /*Overlap=*/8, /*NumPoints=*/32), 100.0);
 }
 
 TEST(AppsMwis, EmptyGraph) {

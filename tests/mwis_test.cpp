@@ -105,46 +105,95 @@ TEST_P(MwisRandom, TwoPhaseMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MwisRandom,
                          ::testing::Values(11, 22, 33, 44, 55));
 
+/// One forward pass over [0, W.size()) split into \p NumSegs segments with
+/// true carried values: the sign bytes and the positive-part sum.
+struct ForwardOut {
+  std::vector<uint8_t> Positive;
+  int64_t Sum = 0;
+};
+ForwardOut forwardInSegments(const std::vector<int64_t> &W, int NumSegs) {
+  const int64_t N = static_cast<int64_t>(W.size());
+  ForwardOut Out;
+  Out.Positive.assign(W.size(), 0xAA); // every slot must be overwritten
+  int64_t Carried = 0;
+  for (int S = 0; S < NumSegs; ++S)
+    Carried = forwardSegment(W, N * S / NumSegs, N * (S + 1) / NumSegs,
+                             Carried, Out.Positive.data(), Out.Sum);
+  return Out;
+}
+
 /// Segmenting the forward pass with true carried values reproduces the
-/// single-segment d array, for every segmentation.
+/// single-segment sign bytes and positive-part sum, for every
+/// segmentation, and the sum is the optimum.
 TEST(Mwis, ForwardSegmentComposition) {
   std::vector<int64_t> W = generatePathGraph(3, 500, 50);
-  std::vector<int64_t> Whole(W.size());
-  forwardSegment(W, 0, 500, 0, Whole);
-  for (int NumSegs : {2, 3, 7, 10}) {
-    std::vector<int64_t> D(W.size());
-    int64_t Carried = 0;
-    for (int S = 0; S < NumSegs; ++S) {
-      int64_t From = 500 * S / NumSegs, To = 500 * (S + 1) / NumSegs;
-      Carried = forwardSegment(W, From, To, Carried, D);
-    }
-    EXPECT_EQ(D, Whole) << NumSegs << " segments";
+  ForwardOut Whole = forwardInSegments(W, 1);
+  EXPECT_EQ(Whole.Sum, solveSequential(W, nullptr));
+  for (uint8_t B : Whole.Positive)
+    EXPECT_LE(B, 1);
+  for (int NumSegs : {2, 3, 7, 10, 600}) {
+    ForwardOut Split = forwardInSegments(W, NumSegs);
+    EXPECT_EQ(Split.Positive, Whole.Positive) << NumSegs << " segments";
+    EXPECT_EQ(Split.Sum, Whole.Sum) << NumSegs << " segments";
   }
 }
 
+/// Segmenting the backward pass with true carried values reproduces the
+/// single-segment member list (descending), for every segmentation.
 TEST(Mwis, BackwardSegmentComposition) {
   std::vector<int64_t> W = generatePathGraph(4, 400, 5000);
-  std::vector<int64_t> D(W.size());
-  forwardSegment(W, 0, 400, 0, D);
-  std::vector<uint8_t> Whole(W.size());
-  backwardSegment(D, 0, 400, false, Whole);
-  for (int NumSegs : {2, 5, 8}) {
-    std::vector<uint8_t> Taken(W.size());
+  ForwardOut F = forwardInSegments(W, 1);
+  std::vector<int32_t> Whole;
+  backwardSegment(F.Positive.data(), 0, 400, false, Whole);
+  std::vector<int32_t> Seq;
+  solveSequential(W, &Seq);
+  EXPECT_EQ(std::vector<int32_t>(Whole.rbegin(), Whole.rend()), Seq);
+  for (int NumSegs : {2, 5, 8, 500}) {
+    std::vector<int32_t> Members;
     bool Carried = false;
     for (int S = NumSegs - 1; S >= 0; --S) {
       int64_t From = 400 * S / NumSegs, To = 400 * (S + 1) / NumSegs;
-      Carried = backwardSegment(D, From, To, Carried, Taken);
+      Carried = backwardSegment(F.Positive.data(), From, To, Carried, Members);
     }
-    EXPECT_EQ(Taken, Whole) << NumSegs << " segments";
+    EXPECT_EQ(Members, Whole) << NumSegs << " segments";
   }
 }
 
 TEST(Mwis, EmptySegmentsPassCarriedValueThrough) {
   std::vector<int64_t> W = {3, 1, 4};
-  std::vector<int64_t> D(3);
-  EXPECT_EQ(forwardSegment(W, 1, 1, 42, D), 42);
-  std::vector<uint8_t> T(3);
-  EXPECT_TRUE(backwardSegment(D, 2, 2, true, T));
+  std::vector<uint8_t> Positive(3, 0xAA);
+  int64_t Sum = 5;
+  EXPECT_EQ(forwardSegment(W, 1, 1, 42, Positive.data(), Sum), 42);
+  EXPECT_EQ(Sum, 5);
+  EXPECT_EQ(Positive, std::vector<uint8_t>(3, 0xAA)) << "no slot written";
+  std::vector<int32_t> Members = {7};
+  EXPECT_TRUE(backwardSegment(Positive.data(), 2, 2, true, Members));
+  EXPECT_FALSE(backwardSegment(Positive.data(), 2, 2, false, Members));
+  EXPECT_EQ(Members, std::vector<int32_t>{7}) << "nothing appended";
+}
+
+/// The append stays inside its L/2 + 1 slots whatever the sign bytes
+/// hold: only the low bit decides, and no two adjacent nodes are taken.
+TEST(Mwis, BackwardSegmentIsBoundedForAnySignBytes) {
+  Rng R(99);
+  std::vector<uint8_t> Bytes(64);
+  for (uint8_t &B : Bytes)
+    B = static_cast<uint8_t>(R.nextBelow(256));
+  for (uint8_t Fill : {uint8_t(1), uint8_t(0xFF)}) {
+    std::vector<uint8_t> All(64, Fill);
+    for (int64_t L = 0; L <= 9; ++L) {
+      std::vector<int32_t> Members;
+      backwardSegment(All.data(), 0, L, false, Members);
+      EXPECT_EQ(static_cast<int64_t>(Members.size()), (L + 1) / 2);
+    }
+  }
+  for (bool NextTaken : {false, true}) {
+    std::vector<int32_t> Members;
+    backwardSegment(Bytes.data(), 0, 64, NextTaken, Members);
+    EXPECT_LE(Members.size(), 32u);
+    for (size_t I = 1; I < Members.size(); ++I)
+      EXPECT_LT(Members[I], Members[I - 1] - 1) << "descending, independent";
+  }
 }
 
 /// Prediction-accuracy behaviour of the d-recurrence predictor. Unlike the
@@ -156,12 +205,14 @@ TEST(Mwis, EmptySegmentsPassCarriedValueThrough) {
 TEST(Mwis, PredictionAccuracyRisesWithOverlapForBothWeightRanges) {
   auto AccuracyAt = [](int64_t MaxW, int64_t Overlap) {
     std::vector<int64_t> W = generatePathGraph(1234, 200000, MaxW);
-    std::vector<int64_t> D(W.size());
-    forwardSegment(W, 0, static_cast<int64_t>(W.size()), 0, D);
+    const int64_t N = static_cast<int64_t>(W.size());
+    std::vector<uint8_t> Positive(W.size());
     int NumPoints = 32, Correct = 0;
+    int64_t Truth = 0, Done = 0, Sum = 0;
     for (int I = 1; I < NumPoints; ++I) {
-      int64_t Boundary = static_cast<int64_t>(W.size()) * I / NumPoints;
-      int64_t Truth = D[Boundary - 1];
+      int64_t Boundary = N * I / NumPoints;
+      Truth = forwardSegment(W, Done, Boundary, Truth, Positive.data(), Sum);
+      Done = Boundary;
       if (predictForward(W, Boundary, Overlap) == Truth)
         ++Correct;
     }
