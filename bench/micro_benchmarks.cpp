@@ -18,14 +18,12 @@
 #include "apps/SpeculativeMwis.h"
 #include "interp/NonSpecEval.h"
 #include "lang/Parser.h"
-#include "runtime/ChaseLevDeque.h"
 #include "workloads/Datasets.h"
 #include "workloads/SourceGen.h"
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <thread>
 
 using namespace specpar;
 using namespace specpar::lexgen;
@@ -151,8 +149,8 @@ BENCHMARK(BM_ApplyLatency)->ArgName("miss")->Arg(0)->Arg(1)->UseRealTime();
 
 /// Round-trip latency of one externally-submitted task: submit from a
 /// non-worker thread, have a worker run it, observe completion. This is
-/// the injection-ring + eventcount wakeup path that every speculative
-/// wave's dispatch rides on.
+/// the task-queue + eventcount wakeup path that every speculative wave's
+/// dispatch rides on.
 void BM_TaskDispatchLatency(benchmark::State &State) {
   rt::SpecExecutor Ex(unsigned(State.range(0)));
   // Warm the pool: make sure every worker has spun up and parked once.
@@ -169,44 +167,6 @@ void BM_TaskDispatchLatency(benchmark::State &State) {
   State.SetItemsProcessed(int64_t(State.iterations()));
 }
 BENCHMARK(BM_TaskDispatchLatency)->Arg(1)->Arg(2)->Arg(4);
-
-/// Raw Chase–Lev steal throughput: one owner pushing into a deque while
-/// thieves drain it. Items/sec is successful steals per second — the
-/// ceiling on how fast idle workers can pick up speculative attempts.
-void BM_StealThroughput(benchmark::State &State) {
-  const int NumThieves = int(State.range(0));
-  rt::ChaseLevDeque<int64_t> D;
-  std::atomic<bool> Stop{false};
-  std::atomic<int64_t> Stolen{0};
-  std::vector<std::thread> Thieves;
-  for (int T = 0; T < NumThieves; ++T)
-    Thieves.emplace_back([&] {
-      int64_t V = 0;
-      while (!Stop.load(std::memory_order_acquire)) {
-        if (D.steal(V))
-          Stolen.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  int64_t Pushed = 0;
-  for (auto _ : State) {
-    // Keep the deque shallow so thieves contend on a hot Top, as they do
-    // when chasing a producing worker.
-    D.push(Pushed++);
-    D.push(Pushed++);
-    int64_t V = 0;
-    if (D.pop(V))
-      benchmark::DoNotOptimize(V);
-  }
-  Stop.store(true, std::memory_order_release);
-  for (auto &T : Thieves)
-    T.join();
-  int64_t V = 0;
-  while (D.pop(V))
-    ;
-  State.SetItemsProcessed(Stolen.load(std::memory_order_relaxed));
-  State.counters["steals"] = double(Stolen.load(std::memory_order_relaxed));
-}
-BENCHMARK(BM_StealThroughput)->Arg(1)->Arg(2)->UseRealTime();
 
 void BM_DfaConstruction(benchmark::State &State) {
   Language L = static_cast<Language>(State.range(0));

@@ -17,7 +17,7 @@
 /// (default 11) after a warm-up run:
 ///  * per_attempt_ns — iterateChunked with an empty body over NumChunks
 ///    chunks, perfect predictor, divided by NumChunks. Includes submit,
-///    wakeup, steal/pop, attempt state publication, validator quiesce,
+///    wakeup, pop, attempt state publication, validator quiesce,
 ///    and recycling. Reported as the median and the p10/p90 of the
 ///    repeats (bench/RealCores.h's `quantile`), so one lucky or unlucky
 ///    run moves neither.

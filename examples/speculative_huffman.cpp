@@ -56,7 +56,7 @@ int main(int Argc, char **Argv) {
 
   const int NumTasks = 8;
   // Name the default shard explicitly: the run's executor activity
-  // (steals, help-runs, queue pressure) lands in Run.Stats.Exec.
+  // (submits, parks, queue pressure) lands in Run.Stats.Exec.
   std::shared_ptr<rt::SpecExecutor> Shard = rt::SpecExecutor::defaultShard();
   for (int64_t OverlapBytes : {2, 4, 8, 16, 64, 512}) {
     rt::SpecConfig Cfg = rt::SpecConfig().executor(Shard);

@@ -53,7 +53,7 @@ int main(int Argc, char **Argv) {
 
   const int NumTasks = 8;
   // Hold the default shard's handle and name it explicitly: the run's
-  // executor activity (steals, help-runs, queue pressure) lands in
+  // executor activity (submits, parks, queue pressure) lands in
   // Run.Stats.Exec, and the ownership is visible at the call site.
   std::shared_ptr<rt::SpecExecutor> Shard = rt::SpecExecutor::defaultShard();
   for (int64_t Overlap : {0, 16, 64, 256, 1024}) {

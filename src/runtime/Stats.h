@@ -12,7 +12,7 @@
 ///    predictions, mispredictions, re-executions, degraded chunks), at
 ///    iteration or chunk granularity depending on the entry point;
 ///  * `ExecutorStats` (runtime/SpecExecutor.h) — the executor substrate's
-///    activity counters (submits, pops, steals, help-runs, parks);
+///    activity counters (submits, peak queue depth, parks);
 ///  * `stats::Snapshot` — the two paired for one span of work.
 ///
 /// `SpecConfig::statsOut(stats::Snapshot *)` fills one snapshot per run:

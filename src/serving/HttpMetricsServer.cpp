@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <netinet/in.h>
 #include <poll.h>
@@ -42,14 +43,31 @@ void writeAll(int Fd, const std::string &Data) {
   }
 }
 
+/// How long one connection may take to deliver its request headers. The
+/// accept loop serves connections one at a time, so without a bound one
+/// client that connects and sends nothing wedges every later scrape and
+/// `stop()`.
+constexpr auto kRequestDeadline = std::chrono::seconds(1);
+
 /// Reads until the header terminator (one request per connection, no
-/// body expected on GET). Retries EINTR; bounded to keep a misbehaving
-/// client cheap.
-std::string readRequest(int Fd) {
-  std::string Req;
+/// body expected on GET). Retries EINTR; bounded in size to keep a
+/// misbehaving client cheap and in time by kRequestDeadline. Returns
+/// false when the deadline passes before the headers are complete.
+bool readRequest(int Fd, std::string &Req) {
+  const auto Deadline = std::chrono::steady_clock::now() + kRequestDeadline;
   char Buf[2048];
   while (Req.size() < 16 * 1024 &&
          Req.find("\r\n\r\n") == std::string::npos) {
+    const auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Deadline - std::chrono::steady_clock::now());
+    if (Left.count() <= 0)
+      return false;
+    pollfd P{Fd, POLLIN, 0};
+    int Ready = ::poll(&P, 1, static_cast<int>(Left.count()));
+    if (Ready < 0 && errno == EINTR)
+      continue;
+    if (Ready <= 0)
+      return false;
     ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
     if (N < 0 && errno == EINTR)
       continue;
@@ -57,7 +75,7 @@ std::string readRequest(int Fd) {
       break;
     Req.append(Buf, static_cast<size_t>(N));
   }
-  return Req;
+  return true;
 }
 
 /// Pulls the decimal `id` query parameter out of a
@@ -142,7 +160,11 @@ void HttpMetricsServer::acceptLoop() {
     int Client = ::accept(Fd, nullptr, nullptr);
     if (Client < 0)
       continue;
-    std::string Req = readRequest(Client);
+    std::string Req;
+    if (!readRequest(Client, Req)) {
+      ::close(Client);
+      continue;
+    }
     std::string Body, Status = "200 OK",
                        ContentType = "text/plain; version=0.0.4";
     if (Req.rfind("GET /metrics", 0) == 0) {

@@ -461,20 +461,8 @@ std::string ServerContext::metricsText() const {
   static const ExecField ExecFields[] = {
       {"specd_executor_submits_total", "Tasks submitted to the executor.",
        &rt::ExecutorStats::Submits},
-      {"specd_executor_own_pops_total", "LIFO own-deque pops.",
-       &rt::ExecutorStats::OwnPops},
-      {"specd_executor_injection_pops_total", "Injection-ring pops.",
-       &rt::ExecutorStats::InjectionPops},
-      {"specd_executor_steals_total", "Tasks stolen between workers.",
-       &rt::ExecutorStats::Steals},
-      {"specd_executor_help_runs_total",
-       "Tasks run inline by waitIdle() or tryRunOneTask() callers.",
-       &rt::ExecutorStats::HelpRuns},
       {"specd_executor_eventcount_parks_total", "Worker park operations.",
        &rt::ExecutorStats::EventcountParks},
-      {"specd_executor_slot_pool_refills_total",
-       "Task-slot cache refills from the global pool.",
-       &rt::ExecutorStats::SlotPoolRefills},
   };
   for (const ExecField &F : ExecFields) {
     W.family(F.Name, F.Help, "counter");

@@ -5,20 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Stress and contract tests for the lock-free hot path: the Chase–Lev
-// stealing deque (growth and index wraparound under concurrent thieves),
-// the executor's steal storm with concurrent helping re-entry, TaskRef's
-// small-buffer allocation contract, the adaptive chunk autotuner, and —
-// the headline perf contract — zero steady-state heap allocations per
-// chunk in a speculative run (global operator new/delete counting hooks).
+// Stress and contract tests for the hot path: the executor's one task
+// queue under a burst past its ring capacity from workers and external
+// threads at once, TaskRef's small-buffer allocation contract, the
+// adaptive chunk autotuner, and — the headline perf contract — zero
+// steady-state heap allocations per chunk in a speculative run (global
+// operator new/delete counting hooks).
 //
 // Runs under -DSPECPAR_SANITIZE=thread and address (the sanitize-smoke
-// CTest label): the deque and eventcount memory orders are chosen to be
+// CTest label): the queue and eventcount memory orders are chosen to be
 // TSan-provable, and this binary is the proof obligation.
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/ChaseLevDeque.h"
 #include "runtime/EventCount.h"
 #include "runtime/SpecExecutor.h"
 #include "runtime/Speculation.h"
@@ -71,98 +70,6 @@ int64_t allocsSinceMark(int64_t Mark) {
 }
 
 //===----------------------------------------------------------------------===//
-// ChaseLevDeque
-//===----------------------------------------------------------------------===//
-
-TEST(ChaseLevDeque, OwnerLifoOrderAndGrowth) {
-  ChaseLevDeque<int64_t> D(/*InitialCapacity=*/2);
-  const int64_t N = 1000;
-  for (int64_t I = 0; I < N; ++I)
-    D.push(I);
-  EXPECT_GE(D.grows(), 1u);
-  EXPECT_GE(D.capacity(), static_cast<size_t>(N));
-  // Owner pops are LIFO.
-  for (int64_t I = N - 1; I >= 0; --I) {
-    int64_t V = -1;
-    ASSERT_TRUE(D.pop(V));
-    EXPECT_EQ(V, I);
-  }
-  int64_t V = -1;
-  EXPECT_FALSE(D.pop(V));
-}
-
-TEST(ChaseLevDeque, StealIsFifoFromTheTop) {
-  ChaseLevDeque<int64_t> D;
-  for (int64_t I = 0; I < 10; ++I)
-    D.push(I);
-  for (int64_t I = 0; I < 10; ++I) {
-    int64_t V = -1;
-    ASSERT_TRUE(D.steal(V));
-    EXPECT_EQ(V, I);
-  }
-  int64_t V = -1;
-  EXPECT_FALSE(D.steal(V));
-}
-
-// The ABA/wraparound test: a tiny ring forced through many index
-// wraparounds and several growths while two thieves race the owner. Every
-// pushed value must be consumed exactly once — a stale ring read whose
-// CAS wrongly succeeded, or a lost element across grow(), shows up as a
-// duplicate or a hole.
-TEST(ChaseLevDeque, WraparoundUnderConcurrentStealsLosesNothing) {
-  ChaseLevDeque<int64_t> D(/*InitialCapacity=*/2);
-  const int64_t N = 60000;
-  std::vector<std::atomic<int>> Seen(static_cast<size_t>(N));
-  for (auto &S : Seen)
-    S.store(0, std::memory_order_relaxed);
-  std::atomic<int64_t> Consumed{0};
-  std::atomic<bool> Done{false};
-
-  auto Consume = [&](int64_t V) {
-    Seen[static_cast<size_t>(V)].fetch_add(1, std::memory_order_relaxed);
-    Consumed.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> Thieves;
-  for (int TIdx = 0; TIdx < 2; ++TIdx)
-    Thieves.emplace_back([&] {
-      int64_t V = -1;
-      while (!Done.load(std::memory_order_acquire)) {
-        if (D.steal(V))
-          Consume(V);
-        else
-          std::this_thread::yield();
-      }
-      // Final sweep after the owner stopped.
-      while (D.steal(V))
-        Consume(V);
-    });
-
-  // Owner: push two, pop one — Bottom/Top advance monotonically, so the
-  // small ring wraps thousands of times while thieves chase Top.
-  int64_t Next = 0;
-  while (Next < N) {
-    D.push(Next++);
-    if (Next < N)
-      D.push(Next++);
-    int64_t V = -1;
-    if (D.pop(V))
-      Consume(V);
-  }
-  Done.store(true, std::memory_order_release);
-  for (auto &Th : Thieves)
-    Th.join();
-  // Owner drains what the thieves left.
-  int64_t V = -1;
-  while (D.pop(V))
-    Consume(V);
-
-  EXPECT_EQ(Consumed.load(), N);
-  for (int64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Seen[static_cast<size_t>(I)].load(), 1) << "value " << I;
-}
-
-//===----------------------------------------------------------------------===//
 // TaskRef
 //===----------------------------------------------------------------------===//
 
@@ -204,73 +111,57 @@ TEST(TaskRef, OversizedCapturesFallBackToOneHeapAllocation) {
 }
 
 //===----------------------------------------------------------------------===//
-// Executor steal storm
+// Executor queue
 //===----------------------------------------------------------------------===//
 
-// One worker's deque is loaded with a burst of tasks while the producing
-// task busy-waits (without helping), so every task must be *stolen* — by
-// the other workers and by the main thread's concurrent tryRunOneTask()
-// helping re-entry. Checks full conservation (every task runs exactly
-// once) and that the pop-path accounting adds up.
-TEST(ExecutorStealStorm, BurstFromOneWorkerIsFullyStolen) {
+// One task submits a burst from a worker while two external threads
+// submit theirs, and every burst task holds its worker until all 8000
+// are queued, so the 1024-task ring overflows into its deque from both
+// sides. Checks full conservation (every task runs exactly once) and
+// that every submit is counted.
+TEST(ExecutorQueue, BurstPastRingCapacityRunsEveryTaskOnce) {
   SpecExecutor Ex(4);
   const ExecutorStats Before = Ex.stats();
-  const int N = 4000;
-  std::atomic<int> Ran{0};
-  std::atomic<bool> ProducerStarted{false};
-  std::atomic<bool> ProducerDone{false};
+  const int FromWorker = 4000, PerThread = 2000, Threads = 2;
+  const int N = FromWorker + Threads * PerThread;
+  std::vector<std::atomic<int>> Seen(static_cast<size_t>(N));
+  for (auto &S : Seen)
+    S.store(0, std::memory_order_relaxed);
+  std::atomic<int> Queued{0};
 
-  Ex.submit([&Ex, &Ran, &ProducerStarted, &ProducerDone, N] {
-    ProducerStarted.store(true, std::memory_order_release);
-    for (int I = 0; I < N; ++I)
-      Ex.submit([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
-    // Busy-wait without helping: this worker never pops its own deque, so
-    // thieves drain all N tasks.
-    const auto Deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (Ran.load(std::memory_order_relaxed) < N &&
-           std::chrono::steady_clock::now() < Deadline)
-      std::this_thread::yield();
-    ProducerDone.store(true, std::memory_order_release);
-  });
-
-  // Wait (without helping) until a *worker* has claimed the producer —
-  // helping too early would run the producer on this non-worker thread,
-  // routing the burst through the injection ring instead of a deque.
-  while (!ProducerStarted.load(std::memory_order_acquire))
-    std::this_thread::yield();
-  // Main thread helps concurrently — non-worker helping steals.
-  while (!ProducerDone.load(std::memory_order_acquire)) {
-    if (!Ex.tryRunOneTask())
-      std::this_thread::yield();
-  }
-  Ex.waitIdle();
-  EXPECT_EQ(Ran.load(), N);
-
-  const ExecutorStats D = Ex.stats() - Before;
-  // N burst tasks + the producer task itself.
-  EXPECT_EQ(D.Submits, static_cast<uint64_t>(N) + 1);
-  // Every executed task was popped exactly once, via exactly one path.
-  EXPECT_EQ(D.OwnPops + D.InjectionPops + D.Steals,
-            static_cast<uint64_t>(N) + 1);
-  // The producer never popped: all N burst tasks were stolen.
-  EXPECT_GE(D.Steals, static_cast<uint64_t>(N));
-}
-
-// Nested help() re-entry under the storm: tasks themselves call
-// tryRunOneTask() while the queues churn.
-TEST(ExecutorStealStorm, HelpingReentryInsideTasksIsSafe) {
-  SpecExecutor Ex(3);
-  const int N = 2000;
-  std::atomic<int> Ran{0};
-  for (int I = 0; I < N; ++I)
-    Ex.submit([&Ex, &Ran] {
-      Ran.fetch_add(1, std::memory_order_relaxed);
-      // Re-entrant helping from inside a task.
-      Ex.tryRunOneTask();
+  auto Submit = [&](int I) {
+    Ex.submit([&Seen, &Queued, I, N] {
+      while (Queued.load(std::memory_order_acquire) < N)
+        std::this_thread::yield();
+      Seen[static_cast<size_t>(I)].fetch_add(1, std::memory_order_relaxed);
     });
+    Queued.fetch_add(1, std::memory_order_release);
+  };
+
+  Ex.submit([&Submit, FromWorker] {
+    for (int I = 0; I < FromWorker; ++I)
+      Submit(I);
+  });
+  std::vector<std::thread> Submitters;
+  for (int T = 0; T < Threads; ++T)
+    Submitters.emplace_back([&Submit, T, FromWorker, PerThread] {
+      for (int I = 0; I < PerThread; ++I)
+        Submit(FromWorker + T * PerThread + I);
+    });
+  for (std::thread &T : Submitters)
+    T.join();
   Ex.waitIdle();
-  EXPECT_EQ(Ran.load(), N);
+
+  for (int I = 0; I < N; ++I)
+    ASSERT_EQ(Seen[static_cast<size_t>(I)].load(), 1) << "task " << I;
+  const ExecutorStats D = Ex.stats() - Before;
+  // N burst tasks + the task that submitted the worker-side burst.
+  EXPECT_EQ(D.Submits, static_cast<uint64_t>(N) + 1);
+  // The burst tasks cannot finish before all N are queued, so the queue
+  // held far more than the ring's 1024.
+  EXPECT_GT(D.PeakQueueDepth, 1024u);
+  EXPECT_EQ(D.Steals, 0u);
+  EXPECT_EQ(D.HelpRuns, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -281,7 +172,7 @@ TEST(ExecutorStealStorm, HelpingReentryInsideTasksIsSafe) {
 // steady state (pools warmed, executor rings allocated), iterating 10^4+
 // chunks performs zero heap allocations — attempts recycle through the
 // per-run pool, thunks fit TaskRef's inline storage, and the executor's
-// injection ring and task slots recirculate.
+// preallocated task ring recirculates.
 TEST(ZeroAlloc, SteadyStateChunkIterationDoesNotTouchTheHeap) {
   SpecExecutor Ex(2);
   const int64_t N = 20000;

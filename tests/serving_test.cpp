@@ -18,6 +18,11 @@
 
 #include "gtest/gtest.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <chrono>
@@ -865,6 +870,40 @@ TEST(Health, HealthzReportsOkDegradedAndDraining) {
   EXPECT_TRUE(Resp.rfind("HTTP/1.1 200", 0) == 0) << Resp.substr(0, 80);
   EXPECT_NE(Resp.find("draining\n"), std::string::npos);
   Http.stop();
+}
+
+TEST(Health, SilentClientDoesNotWedgeTheEndpoint) {
+  // A client that connects and never sends a request must not hold the
+  // single accept thread: /healthz still answers and stop() returns.
+  // Both run on std::async so a wedged server fails the test instead of
+  // hanging it; closing the silent client afterwards releases either.
+  ServerContext Ctx(testOptions(1));
+  HttpMetricsServer Http(Ctx, /*Port=*/0);
+  int Silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(Silent, 0);
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(Http.port());
+  ASSERT_EQ(::connect(Silent, reinterpret_cast<sockaddr *>(&Addr),
+                      sizeof(Addr)),
+            0);
+
+  const auto Limit = std::chrono::seconds(5);
+  auto Health = std::async(std::launch::async, [&Http] {
+    return HttpMetricsServer::get(Http.port(), "/healthz");
+  });
+  const bool Answered = Health.wait_for(Limit) == std::future_status::ready;
+  auto Stopped = std::async(std::launch::async, [&Http] { Http.stop(); });
+  const bool StopReturned =
+      Stopped.wait_for(Limit) == std::future_status::ready;
+  ::close(Silent);
+  const std::string Resp = Health.get();
+  Stopped.get();
+
+  EXPECT_TRUE(Answered) << "/healthz blocked behind a silent client";
+  EXPECT_TRUE(Resp.rfind("HTTP/1.1 200", 0) == 0) << Resp.substr(0, 80);
+  EXPECT_TRUE(StopReturned) << "stop() blocked behind a silent client";
 }
 
 //===----------------------------------------------------------------------===//
