@@ -50,8 +50,8 @@ int main(int Argc, char **Argv) {
 
   // All speculative runs share one persistent single-worker executor on
   // the one CPU the caller is pinned to, so the measured overhead
-  // excludes transient pool spawns — the deployment mode a long-lived
-  // runtime would use — and no run gains from a second core. With no
+  // excludes pool spawns — the deployment mode a long-lived runtime
+  // would use — and no run gains from a second core. With no
   // --trace-out the trace sink stays null and the runtime's tracing
   // hooks cost one pointer test per event site.
   rt::Tracer Tr;

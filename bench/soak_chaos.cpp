@@ -23,7 +23,7 @@
 ///                like sequential code would"; acceptable.
 ///  * timeout   — the armed deadline expired (SpecTimeoutError);
 ///                acceptable, but the executor must still be drained
-///                (the transient executor's destructor enforces this).
+///                (the per-plan executor's destructor enforces this).
 /// Anything else that escapes — or a completed run whose output differs
 /// from the oracle — fails the soak.
 ///
@@ -33,6 +33,7 @@
 #include "apps/SpeculativeLexing.h"
 #include "apps/SpeculativeMwis.h"
 #include "runtime/FaultPlan.h"
+#include "runtime/SpecExecutor.h"
 #include "runtime/Speculation.h"
 #include "support/CommandLine.h"
 #include "support/Rng.h"
@@ -140,13 +141,7 @@ int main(int Argc, char **Argv) {
     const rt::ValidationMode Mode =
         R.nextBool(0.5) ? rt::ValidationMode::Seq : rt::ValidationMode::Par;
 
-    // SpecConfig().threads() makes resolveExecutor() build a transient
-    // executor per run; Cfg.faults() is auto-installed on it, so the
-    // executor timing sites fire too and its destructor proves drain.
-    rt::SpecConfig Cfg = rt::SpecConfig()
-                             .mode(Mode)
-                             .threads(Threads)
-                             .faults(&Plan);
+    rt::SpecConfig Cfg = rt::SpecConfig().mode(Mode).faults(&Plan);
     // Half the plans run shielded, and only then arm the hardware-fault
     // and runaway sites: a crash with no shield kills the process — by
     // design — so unshielded plans must not probe them.
@@ -164,6 +159,12 @@ int main(int Argc, char **Argv) {
     if (Degrading)
       Cfg.degrade(0.3 + R.nextDouble() * 0.4,
                   static_cast<int>(R.nextInRange(4, 8)));
+    // One executor per plan, declared after it: the plan also drives the
+    // executor's timing sites, and the executor's destructor proves the
+    // drain before the plan dies.
+    rt::SpecExecutor Ex(static_cast<unsigned>(Threads));
+    Ex.injectFaults(&Plan);
+    Cfg.executor(Ex);
 
     if (*Verbose)
       std::printf("plan %3lld: tasks=%d threads=%d mode=%s %s\n",
@@ -212,11 +213,9 @@ int main(int Argc, char **Argv) {
     rt::FaultPlan Plan(R.next());
     Plan.arm(rt::FaultSite::CrashInBody, 0.05);
     const int NumTasks = static_cast<int>(R.nextInRange(2, 8));
-    rt::SpecConfig Cfg =
-        rt::SpecConfig()
-            .threads(static_cast<int>(R.nextInRange(1, 4)))
-            .faults(&Plan)
-            .shield();
+    rt::SpecExecutor Ex(static_cast<unsigned>(R.nextInRange(1, 4)));
+    Ex.injectFaults(&Plan);
+    rt::SpecConfig Cfg = rt::SpecConfig().executor(Ex).faults(&Plan).shield();
     Tally CT; // crash-section runs land in their own tally
     runOne(-1 - P, "lex(crash)", CT, Failures, [&] {
       LexRun Run = speculativeLex(LX, Text, NumTasks, /*Overlap=*/64, Cfg);

@@ -69,9 +69,9 @@ int main() {
   // Because the sum of i*i over a prefix has a closed form, the
   // prediction function can compute the exact carried value entering any
   // iteration — so every iteration runs in parallel and validation never
-  // re-executes anything. SpecConfig() picks the run's mode, thread
-  // count, or executor; threads(0) — the default — means "one worker per
-  // hardware thread" via the process's default shard.
+  // re-executes anything. SpecConfig() picks the run's mode or executor;
+  // with no executor named, the run uses the process's default shard,
+  // one worker per hardware thread.
   // ------------------------------------------------------------------
   auto SumOfSquaresBelow = [](int64_t I) {
     // sum_{k=1}^{I-1} k^2

@@ -16,7 +16,8 @@
 /// equivalence. With --compile it additionally runs the program through
 /// the native compiler's admission gate (src/compile/), prints the full
 /// per-node lowering report, and times the compiled execution against
-/// the interpreted one.
+/// the interpreted one, on a `--threads N` executor (0: the default
+/// shard).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include "interp/SpecMachine.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
+#include "runtime/SpecExecutor.h"
 #include "support/CommandLine.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
@@ -56,7 +58,9 @@ int main(int Argc, char **Argv) {
       "compile", "run the native compiler's admission gate, print the "
                  "lowering report, and time compiled vs interpreted");
   int64_t *Threads =
-      Args.intOption("threads", 4, "compiled-path executor threads");
+      Args.intOption("threads", 4,
+                     "compiled-path executor threads (0: default shard)", 0,
+                     256);
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 2;
   bool ShowTrace = *ShowTracePtr;
@@ -131,7 +135,9 @@ int main(int Argc, char **Argv) {
       double InterpMs = InterpTimer.elapsedMillis();
       // Compiled timing: same program on the native runtime.
       compile::CompiledProgram::RunOptions RO;
-      RO.Config.threads(static_cast<unsigned>(*Threads));
+      if (*Threads > 0)
+        RO.Config.executor(
+            rt::SpecExecutor::create(static_cast<unsigned>(*Threads)));
       Timer RunTimer;
       compile::CompiledProgram::Outcome O = (*Compiled)->run(RO);
       double CompiledMs = RunTimer.elapsedMillis();

@@ -28,8 +28,8 @@ namespace apps {
 struct HuffmanRun {
   std::vector<uint8_t> Decoded;
   /// The run's unified statistics: `Stats.Spec` is the speculation
-  /// counters, `Stats.Exec` the executor activity attributed to exactly
-  /// this run (a delta even for transient executors).
+  /// counters, `Stats.Exec` the executor activity across exactly this
+  /// run (a delta of the resolved executor's counters).
   rt::stats::Snapshot Stats;
 };
 

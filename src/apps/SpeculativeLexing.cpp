@@ -36,8 +36,7 @@ LexRun specpar::apps::speculativeLex(const Lexer &L, std::string_view Text,
   auto Bound = [&](int64_t I) { return N * I / NumSub; };
 
   // The snapshot sink fills Run.Stats.Spec and attributes the resolved
-  // executor's activity delta to Run.Stats.Exec — including transient
-  // executors the old sharedExecutor() snapshotting could not observe.
+  // executor's activity delta to Run.Stats.Exec.
   rt::SpecConfig RunCfg = Cfg;
   RunCfg.statsOut(&Run.Stats);
 

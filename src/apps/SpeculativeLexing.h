@@ -30,8 +30,8 @@ namespace apps {
 struct LexRun {
   std::vector<lexgen::Token> Tokens;
   /// The run's unified statistics: `Stats.Spec` is the speculation
-  /// counters, `Stats.Exec` the executor activity attributed to exactly
-  /// this run (a delta even for transient executors).
+  /// counters, `Stats.Exec` the executor activity across exactly this
+  /// run (a delta of the resolved executor's counters).
   rt::stats::Snapshot Stats;
 };
 

@@ -36,8 +36,8 @@ struct MwisRun {
   rt::SpeculationStats BackwardStats;
   /// The whole two-phase run's unified statistics: `Stats.Spec` is the
   /// two phases' counters summed, `Stats.Exec` the executor activity
-  /// attributed to exactly this run (a delta even for transient
-  /// executors).
+  /// across exactly this run (a delta of the resolved executor's
+  /// counters).
   rt::stats::Snapshot Stats;
 };
 

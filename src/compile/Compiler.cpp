@@ -93,7 +93,6 @@ struct RunState {
   std::atomic<int64_t> Fuel{0};
   int64_t FuelBudget = 0;
   rt::SpecConfig BaseCfg;
-  std::shared_ptr<rt::SpecExecutor> OwnedEx;
   bool HasDeadline = false;
   std::chrono::steady_clock::time_point AbsDeadline{};
   std::chrono::nanoseconds DeadlineBudget{0};
@@ -1226,12 +1225,6 @@ CompiledProgram::run(const RunOptions &Opts) const {
   // buys anything here.
   RS.BaseCfg.shield(false);
   RS.BaseCfg.attemptBudget(std::chrono::nanoseconds(0));
-  if (!RS.BaseCfg.executor() && RS.BaseCfg.threads() > 0) {
-    // One executor for the whole run rather than one transient pool per
-    // site execution.
-    RS.OwnedEx = rt::SpecExecutor::create(RS.BaseCfg.threads());
-    RS.BaseCfg.executor(RS.OwnedEx);
-  }
   if (Opts.Config.deadline() > std::chrono::nanoseconds::zero()) {
     RS.HasDeadline = true;
     RS.DeadlineBudget = Opts.Config.deadline();
@@ -1253,12 +1246,10 @@ CompiledProgram::run(const RunOptions &Opts) const {
       if (!Snap)
         return;
       Snap->Spec = RS.Stats;
-      if (StatEx)
-        Snap->Exec = StatEx->stats() - Before;
+      Snap->Exec = StatEx->stats() - Before;
     }
   } Guard{Opts.Config.statsSnapshotOut(), RS, RS.BaseCfg.resolvedExecutor()};
-  if (Guard.StatEx)
-    Guard.Before = Guard.StatEx->stats();
+  Guard.Before = Guard.StatEx->stats();
 
   Outcome Out;
   EvalCtx C;

@@ -114,7 +114,7 @@ class CompiledProgram {
 public:
   struct RunOptions {
     /// Base configuration for every spec site of the run: executor,
-    /// threads, validation mode, tracer, faults, deadline, degrade,
+    /// validation mode, tracer, faults, deadline, degrade,
     /// autotune, profile store/site (suffixed "#<site>" per static
     /// site). shield()/attemptBudget() are stripped — see file comment.
     /// The deadline, when set, is a whole-run budget: each site runs

@@ -33,8 +33,10 @@
 /// Wiring mirrors the tracer: `SpecConfig::faults(&Plan)` installs the
 /// plan for one run's Speculation-level sites, and
 /// `SpecExecutor::injectFaults(&Plan)` installs it for an executor's
-/// task-timing sites. With no plan installed every site is a single
-/// pointer test — nothing is allocated, hashed, or synchronized.
+/// task-timing sites. The two are independent: a run's plan never arms
+/// its executor, which other runs may share. With no plan installed every
+/// site is a single pointer test — nothing is allocated, hashed, or
+/// synchronized.
 ///
 //===----------------------------------------------------------------------===//
 

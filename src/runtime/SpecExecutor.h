@@ -162,12 +162,11 @@ public:
 
   /// The process's default shard: a lazily created, reference-counted
   /// executor with `defaultThreads()` workers. `SpecConfig` resolves to
-  /// it when neither an explicit executor nor `threads(N > 0)` is set,
-  /// so one-off runs still share a single hardware-wide pool — but the
-  /// ownership is now nameable: callers that care hold the handle.
-  /// Because nested speculative runs on one executor are deadlock-free,
-  /// a long-lived process can route every speculative run through this
-  /// one shard instead of spawning transient pools.
+  /// it when no explicit executor is set, so one-off runs share a single
+  /// hardware-wide pool — but the ownership is nameable: callers that
+  /// care hold the handle. Nested speculative runs on one executor are
+  /// deadlock-free, so every speculative run of a process can go through
+  /// this one shard.
   static const std::shared_ptr<SpecExecutor> &defaultShard();
 
 private:

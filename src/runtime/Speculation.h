@@ -31,17 +31,16 @@
 /// `SpecResult<T>` carrying the value and the run's `SpeculationStats`:
 ///
 ///   auto R = Speculation::iterate<int64_t>(0, N, Body, Predictor,
-///                SpecConfig().threads(8).mode(ValidationMode::Par));
+///                SpecConfig().executor(Ex).mode(ValidationMode::Par));
 ///   use(R.Value, R.Stats);
 ///
 /// By default runs execute on the process's default executor shard
 /// (`SpecExecutor::defaultShard()`). A thread waiting on an attempt runs
 /// it itself if no worker has claimed it yet, which makes *nested*
-/// speculation on one shared executor deadlock-free, so a long-lived
-/// process needs no transient per-run pools. Callers
-/// that care about placement or lifetime name their executor explicitly
-/// — `SpecConfig::executor(SpecExecutor::create(N))` — and the config
-/// shares ownership of the handle.
+/// speculation on one shared executor deadlock-free. Callers that care
+/// about placement, worker count or lifetime name their executor
+/// explicitly — `SpecConfig::executor(SpecExecutor::create(N))` — and the
+/// config shares ownership of the handle.
 ///
 /// Semantics mirror the paper:
 ///  * the prediction function g is indexed by the iteration and g(Low) is
@@ -128,11 +127,11 @@
 /// Executor ownership is explicit: `SpecConfig::executor()` takes a
 /// reference-counted `std::shared_ptr<SpecExecutor>` (or a borrowed
 /// reference the caller guarantees outlives the run); with none set, the
-/// run resolves to a transient executor (`threads(N > 0)`) or the
-/// process's default shard, `SpecExecutor::defaultShard()`. The
-/// pre-redesign `Options` overloads and the one-release deprecated
-/// forwards (`sharedExecutor()`, the `SpeculationStats*` stats sink) are
-/// gone — see docs/runtime-api.md for the migration table.
+/// run resolves to the process's default shard,
+/// `SpecExecutor::defaultShard()`. The pre-redesign `Options` overloads
+/// and the one-release deprecated forwards (`sharedExecutor()`, the
+/// `SpeculationStats*` stats sink) are gone — see docs/runtime-api.md for
+/// the migration table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -205,36 +204,26 @@ template <> struct SpecResult<void> { SpeculationStats Stats; };
 
 /// Fluent configuration for a speculative run.
 ///
-///   SpecConfig().threads(8).mode(ValidationMode::Par).executor(Shard)
+///   SpecConfig().mode(ValidationMode::Par).executor(Shard)
 ///
-/// Executor resolution order:
+/// Executor resolution:
 ///  1. an explicit `executor(...)` wins — either an owning
 ///     `std::shared_ptr<SpecExecutor>` handle (the config shares
 ///     ownership, so the executor outlives every run configured with it)
 ///     or a borrowed `SpecExecutor &` the caller keeps alive;
-///  2. otherwise `threads(N)` with N > 0 creates a transient N-worker
-///     executor for this one run;
-///  3. otherwise (the default, equivalently `threads(0)` = "one worker
-///     per hardware thread") the run uses the process's default shard,
+///  2. otherwise the run uses the process's default shard,
 ///     `SpecExecutor::defaultShard()`, which has exactly
 ///     `std::thread::hardware_concurrency()` workers.
 class SpecConfig {
 public:
   SpecConfig() = default;
 
-  /// Worker threads for a transient executor; `0` (the default) means
-  /// "use std::thread::hardware_concurrency()" via the process's default
-  /// shard. Ignored when an explicit executor is set.
-  SpecConfig &threads(unsigned N) {
-    NumThreads = N;
-    return *this;
-  }
   /// Validation mode for iterate()/iterateChunked().
   SpecConfig &mode(ValidationMode M) {
     Mode = M;
     return *this;
   }
-  /// Runs on \p E instead of a transient or the default-shard executor.
+  /// Runs on \p E instead of the default-shard executor.
   /// The config shares ownership of the handle: the executor cannot be
   /// destroyed out from under a run (or a queued job holding a copy of
   /// this config). Sharing one executor between concurrent and *nested*
@@ -274,10 +263,8 @@ public:
   /// Installs \p P as the run's fault-injection plan for the
   /// Speculation-level sites (throws, forced mispredictions, spurious
   /// cancellations — see runtime/FaultPlan.h). The plan must outlive the
-  /// run. When the run creates a *transient* executor (`threads(N > 0)`
-  /// without `executor()`), the plan is also installed on it, arming the
-  /// executor timing sites for exactly this run; a shared or explicit
-  /// executor is left alone — arm it yourself with
+  /// run. The executor's timing sites are never armed from here: other
+  /// runs may share the executor, so arm it yourself with
   /// `SpecExecutor::injectFaults()` if desired. With no plan (the
   /// default) every site is a single pointer test.
   SpecConfig &faults(FaultPlan *P) {
@@ -400,7 +387,6 @@ public:
     return *this;
   }
 
-  unsigned threads() const { return NumThreads; }
   ValidationMode mode() const { return Mode; }
   /// The explicitly configured executor (nullptr when none was set).
   SpecExecutor *executor() const { return Ex.get(); }
@@ -422,19 +408,15 @@ public:
   }
   TraceContext traceContext() const { return TraceCtx; }
 
-  /// The persistent executor this config resolves to — the explicit one,
-  /// or the process's default shard — or an empty handle when the run
-  /// will create a transient executor (`threads(N > 0)` without
-  /// `executor()`). The returned handle shares ownership, so it stays
+  /// The executor this config resolves to — the explicit one, or the
+  /// process's default shard; never empty. The returned handle shares
+  /// ownership (a borrowed executor's handle shares none), so it stays
   /// valid for as long as the caller holds it.
   std::shared_ptr<SpecExecutor> resolvedExecutor() const {
-    if (Ex)
-      return Ex;
-    return NumThreads == 0 ? SpecExecutor::defaultShard() : nullptr;
+    return Ex ? Ex : SpecExecutor::defaultShard();
   }
 
 private:
-  unsigned NumThreads = 0;
   ValidationMode Mode = ValidationMode::Seq;
   std::shared_ptr<SpecExecutor> Ex;
   bool EagerAbort = false;
@@ -832,10 +814,9 @@ inline int candidateId(const std::string &Name) {
 
 /// Fills a `stats::Snapshot` sink's `Exec` half with the resolved
 /// executor's activity delta across the run. Constructed immediately
-/// after executor resolution — and therefore destroyed *before* a
-/// transient executor is, so the final read never touches a dead
-/// executor. By then every attempt of the run is Done, so the delta
-/// covers the run's work.
+/// after executor resolution and destroyed when the run ends, by which
+/// time every attempt of the run is Done, so the delta covers the run's
+/// work.
 struct ExecDeltaGuard {
   stats::Snapshot *Snap;
   SpecExecutor *Ex;
@@ -895,8 +876,7 @@ private:
     // is authoritative, so a crash here must not be contained (it would
     // longjmp past a live run other threads still reference).
     ShieldPause PauseOuter;
-    std::optional<SpecExecutor> Transient;
-    SpecExecutor &Ex = resolveExecutor(Cfg, Transient);
+    SpecExecutor &Ex = resolveExecutor(Cfg);
     detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
     Tracer *const Tr = Cfg.trace();
     FaultPlan *const FP = Cfg.faults();
@@ -1116,8 +1096,7 @@ public:
       Result.Value = Predictor(Low);
       return Result;
     }
-    std::optional<SpecExecutor> Transient;
-    SpecExecutor &Ex = resolveExecutor(Cfg, Transient);
+    SpecExecutor &Ex = resolveExecutor(Cfg);
     detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
     // Plain iteration is chunk-size-1 segmented iteration with per-
     // iteration indices; the init/finalize-per-iteration contract pins
@@ -1187,8 +1166,7 @@ public:
       Result.Value = Predictor(Low);
       return Result;
     }
-    std::optional<SpecExecutor> Transient;
-    SpecExecutor &Ex = resolveExecutor(Cfg, Transient);
+    SpecExecutor &Ex = resolveExecutor(Cfg);
     detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
     // The engine segments [Low, High) itself: with the autotuner off the
     // segment grid is exactly the fixed [Low + c*ChunkSize, ...) chunks;
@@ -2317,20 +2295,9 @@ private:
     std::exception_ptr FirstValidErr;
   };
 
-  static SpecExecutor &resolveExecutor(const SpecConfig &Cfg,
-                                       std::optional<SpecExecutor> &Transient) {
-    if (Cfg.executor())
-      return *Cfg.executor();
-    if (Cfg.threads() != 0) {
-      Transient.emplace(Cfg.threads());
-      // A transient executor lives exactly as long as the run, so the
-      // run's fault plan can drive its task-timing sites too. The shared
-      // process-wide executor is never armed implicitly: other runs use
-      // it concurrently.
-      if (Cfg.faults())
-        Transient->injectFaults(Cfg.faults());
-      return *Transient;
-    }
+  static SpecExecutor &resolveExecutor(const SpecConfig &Cfg) {
+    if (SpecExecutor *E = Cfg.executor())
+      return *E;
     return *SpecExecutor::defaultShard();
   }
 

@@ -321,12 +321,14 @@ int runChaosSmoke(ServerContext &Ctx, HttpMetricsServer &Http,
 int main(int Argc, char **Argv) {
   ArgParser Args("specd",
                  "Multi-tenant speculation server over sharded executors");
-  int64_t *Shards = Args.intOption("shards", 2, "executor shards");
+  int64_t *Shards = Args.intOption("shards", 2, "executor shards", 0, 64);
   int64_t *Threads =
       Args.intOption("threads-per-shard", 0,
-                     "workers per shard (0: divide hardware evenly)");
-  int64_t *Port = Args.intOption("port", 0, "metrics port (0: ephemeral)");
-  int64_t *Queue = Args.intOption("queue", 256, "per-shard queue capacity");
+                     "workers per shard (0: divide hardware evenly)", 0, 256);
+  int64_t *Port =
+      Args.intOption("port", 0, "metrics port (0: ephemeral)", 0, 65535);
+  int64_t *Queue =
+      Args.intOption("queue", 256, "per-shard queue capacity", 1, 1 << 20);
   int64_t *Scale =
       Args.intOption("scale", 1 << 16, "workload catalog scale (bytes)");
   bool *RoundRobin =

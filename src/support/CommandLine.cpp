@@ -9,6 +9,7 @@
 
 #include "support/StringUtils.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -25,12 +26,14 @@ bool *ArgParser::flag(std::string Name, std::string Help) {
 }
 
 int64_t *ArgParser::intOption(std::string Name, int64_t Default,
-                              std::string Help) {
+                              std::string Help, int64_t Min, int64_t Max) {
   IntStore.push_back(std::make_unique<IntOpt>());
   IntOpt *O = IntStore.back().get();
   O->Name = std::move(Name);
   O->Help = std::move(Help);
   O->Value = Default;
+  O->Min = Min;
+  O->Max = Max;
   IntOpts.push_back(O);
   return &O->Value;
 }
@@ -150,9 +153,17 @@ bool ArgParser::parse(int Argc, char **Argv) {
           if (!TakeValue(V))
             return Fail("--" + Name + " needs a value");
           char *End = nullptr;
-          O->Value = std::strtoll(V.c_str(), &End, 10);
-          if (!End || *End != '\0')
+          errno = 0;
+          const long long Parsed = std::strtoll(V.c_str(), &End, 10);
+          if (V.empty() || !End || *End != '\0' || errno == ERANGE)
             return Fail("--" + Name + " needs an integer, got '" + V + "'");
+          if (Parsed < O->Min || Parsed > O->Max)
+            return Fail(formatString("--%s must be in [%lld, %lld], got %lld",
+                                     Name.c_str(),
+                                     static_cast<long long>(O->Min),
+                                     static_cast<long long>(O->Max),
+                                     Parsed));
+          O->Value = Parsed;
           Matched = true;
           break;
         }

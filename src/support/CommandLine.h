@@ -16,6 +16,7 @@
 #define SPECPAR_SUPPORT_COMMANDLINE_H
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,8 +41,12 @@ public:
   /// Declares `--NAME`; returns storage that becomes true when present.
   bool *flag(std::string Name, std::string Help);
 
-  /// Declares `--NAME <int>` (or `--NAME=<int>`) with a default.
-  int64_t *intOption(std::string Name, int64_t Default, std::string Help);
+  /// Declares `--NAME <int>` (or `--NAME=<int>`) with a default. parse()
+  /// rejects a value outside the inclusive range [\p Min, \p Max]; the
+  /// default range is all of int64_t.
+  int64_t *intOption(std::string Name, int64_t Default, std::string Help,
+                     int64_t Min = std::numeric_limits<int64_t>::min(),
+                     int64_t Max = std::numeric_limits<int64_t>::max());
 
   /// Declares `--NAME <str>` with a default.
   std::string *strOption(std::string Name, std::string Default,
@@ -72,6 +77,7 @@ private:
   struct IntOpt {
     std::string Name, Help;
     int64_t Value = 0;
+    int64_t Min = 0, Max = 0;
   };
   struct StrOpt {
     std::string Name, Help;

@@ -42,7 +42,8 @@ TEST_P(AppSweep, SpeculativeLexingMatchesSequential) {
     Lexer LX = makeLexer(L);
     std::string Text = generateSource(L, 11, 20000);
     std::vector<Token> Seq = sequentialLex(LX, Text);
-    rt::SpecConfig Cfg = rt::SpecConfig().mode(C.Mode).threads(3);
+    rt::SpecExecutor Ex(3);
+    rt::SpecConfig Cfg = rt::SpecConfig().mode(C.Mode).executor(Ex);
     LexRun Run = speculativeLex(LX, Text, C.NumTasks, C.Overlap, Cfg);
     EXPECT_EQ(Run.Tokens, Seq)
         << languageName(L) << " tasks=" << C.NumTasks
@@ -58,7 +59,8 @@ TEST_P(AppSweep, SpeculativeHuffmanMatchesSequential) {
     Encoded E = encode(Data);
     Decoder D(E.Code);
     BitReader In(E.Bytes, E.NumBits);
-    rt::SpecConfig Cfg = rt::SpecConfig().mode(C.Mode).threads(3);
+    rt::SpecExecutor Ex(3);
+    rt::SpecConfig Cfg = rt::SpecConfig().mode(C.Mode).executor(Ex);
     HuffmanRun Run =
         speculativeDecode(D, In, C.NumTasks, C.Overlap * 8, Cfg);
     EXPECT_EQ(Run.Decoded, Data)
@@ -73,7 +75,8 @@ TEST_P(AppSweep, SpeculativeMwisMatchesSequential) {
     std::vector<int64_t> W = generatePathGraph(31, 50000, MaxW);
     std::vector<int32_t> SeqMembers;
     int64_t SeqWeight = mwis::solveSequential(W, &SeqMembers);
-    rt::SpecConfig Cfg = rt::SpecConfig().mode(C.Mode).threads(3);
+    rt::SpecExecutor Ex(3);
+    rt::SpecConfig Cfg = rt::SpecConfig().mode(C.Mode).executor(Ex);
     MwisRun Run = speculativeMwis(W, C.NumTasks, C.Overlap, Cfg);
     EXPECT_EQ(Run.Weight, SeqWeight) << "maxW=" << MaxW;
     EXPECT_EQ(Run.Members, SeqMembers) << "maxW=" << MaxW;
@@ -157,7 +160,8 @@ TEST(AppsMwis, BothPhasesMispredictAndStayCorrect) {
     int64_t SeqWeight = mwis::solveSequential(W, &SeqMembers);
     for (rt::ValidationMode Mode :
          {rt::ValidationMode::Seq, rt::ValidationMode::Par}) {
-      rt::SpecConfig Cfg = rt::SpecConfig().mode(Mode).threads(3);
+      rt::SpecExecutor Ex(3);
+      rt::SpecConfig Cfg = rt::SpecConfig().mode(Mode).executor(Ex);
       MwisRun Run = speculativeMwis(W, 16, /*Overlap=*/0, Cfg);
       EXPECT_GT(Run.ForwardStats.Mispredictions, 0) << "maxW=" << MaxW;
       EXPECT_GT(Run.BackwardStats.Mispredictions, 0) << "maxW=" << MaxW;

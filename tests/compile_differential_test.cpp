@@ -103,8 +103,9 @@ TEST_P(CompiledCorpus, AllEnginesAgree) {
   // change the result, only the counters).
   for (unsigned Threads : {1u, 4u}) {
     for (int64_t Chunk : {1, 8}) {
+      rt::SpecExecutor Ex(Threads);
       CompiledProgram::RunOptions RO;
-      RO.Config.threads(Threads);
+      RO.Config.executor(Ex);
       RO.ChunkSize = Chunk;
       CompiledProgram::Outcome O = (*Compiled)->run(RO);
       ASSERT_TRUE(O.Run.ok())
@@ -119,7 +120,8 @@ TEST_P(CompiledCorpus, AllEnginesAgree) {
 
   // The facade picks the compiled path and maps the native counters.
   compile::SpeculatePlan Plan;
-  Plan.Run.Config.threads(4);
+  rt::SpecExecutor Ex(4);
+  Plan.Run.Config.executor(Ex);
   Plan.Run.ChunkSize = 4;
   compile::SpeculateRun R = compile::runSpeculate(*P, Plan);
   EXPECT_EQ(R.PathTaken, compile::SpeculateRun::Path::Compiled) << C.File;

@@ -209,8 +209,9 @@ TEST(CompileSpec, SpecfoldMatchesReferenceAndCountsPredictions) {
   auto P = parse("main = specfold(\\i acc. acc + i, "
                  "\\i. (i * (i - 1)) / 2, 1, 100)");
   ASSERT_NE(P, nullptr);
+  rt::SpecExecutor Ex(4);
   CompiledProgram::RunOptions RO;
-  RO.Config.threads(4);
+  RO.Config.executor(Ex);
   RO.ChunkSize = 8;
   CompiledProgram::Outcome C = runCompiled(*P, RO);
   ASSERT_TRUE(C.Run.ok()) << C.Run.Error.Message;
@@ -224,8 +225,9 @@ TEST(CompileSpec, SpecfoldMispredictionsStillCorrect) {
   auto P = parse("main = specfold(\\i acc. acc * 2 + i, "
                  "\\i. if i == 1 then 1 else 0 - 1, 1, 10)");
   ASSERT_NE(P, nullptr);
+  rt::SpecExecutor Ex(4);
   CompiledProgram::RunOptions RO;
-  RO.Config.threads(4);
+  RO.Config.executor(Ex);
   RO.ChunkSize = 2;
   CompiledProgram::Outcome C = runCompiled(*P, RO);
   ASSERT_TRUE(C.Run.ok()) << C.Run.Error.Message;
@@ -240,8 +242,9 @@ TEST(CompileSpec, SpecAppliesProducerPredictorConsumer) {
   // Mispredicted guess: the consumer re-executes with the real value.
   auto P = parse("main = spec(41, 0, \\v. v + 1)");
   ASSERT_NE(P, nullptr);
+  rt::SpecExecutor Ex(2);
   CompiledProgram::RunOptions RO;
-  RO.Config.threads(2);
+  RO.Config.executor(Ex);
   CompiledProgram::Outcome C = runCompiled(*P, RO);
   ASSERT_TRUE(C.Run.ok()) << C.Run.Error.Message;
   EXPECT_EQ(C.Run.Result.asInt(), 42);
@@ -264,8 +267,9 @@ TEST(CompileSpec, ShieldAndAttemptBudgetAreStripped) {
   auto P = parse("main = specfold(\\i acc. acc + i, "
                  "\\i. (i * (i - 1)) / 2, 1, 64)");
   ASSERT_NE(P, nullptr);
+  rt::SpecExecutor Ex(2);
   CompiledProgram::RunOptions RO;
-  RO.Config.threads(2).shield(true).attemptBudget(
+  RO.Config.executor(Ex).shield(true).attemptBudget(
       std::chrono::milliseconds(1));
   CompiledProgram::Outcome C = runCompiled(*P, RO);
   ASSERT_TRUE(C.Run.ok()) << C.Run.Error.Message;
@@ -277,8 +281,9 @@ TEST(CompileSpec, StatsSnapshotSinkIsFilled) {
                  "\\i. (i * (i - 1)) / 2, 1, 100)");
   ASSERT_NE(P, nullptr);
   rt::stats::Snapshot Snap;
+  rt::SpecExecutor Ex(2);
   CompiledProgram::RunOptions RO;
-  RO.Config.threads(2).statsOut(&Snap);
+  RO.Config.executor(Ex).statsOut(&Snap);
   CompiledProgram::Outcome C = runCompiled(*P, RO);
   ASSERT_TRUE(C.Run.ok());
   EXPECT_GT(Snap.Spec.Tasks, 0);
@@ -289,8 +294,9 @@ TEST(CompileSpec, DeadlineThrowsSpecTimeout) {
   ASSERT_NE(P, nullptr);
   auto C = compileOk(*P);
   ASSERT_NE(C, nullptr);
+  rt::SpecExecutor Ex(2);
   CompiledProgram::RunOptions RO;
-  RO.Config.threads(2).deadline(std::chrono::nanoseconds(1));
+  RO.Config.executor(Ex).deadline(std::chrono::nanoseconds(1));
   EXPECT_THROW(C->run(RO), rt::SpecTimeoutError);
 }
 
@@ -404,7 +410,8 @@ TEST(CompileFacade, SafeProgramTakesCompiledPath) {
                  "\\i. (i * (i - 1)) / 2, 1, 100)");
   ASSERT_NE(P, nullptr);
   compile::SpeculatePlan Plan;
-  Plan.Run.Config.threads(4);
+  rt::SpecExecutor Ex(4);
+  Plan.Run.Config.executor(Ex);
   compile::SpeculateRun R = compile::runSpeculate(*P, Plan);
   EXPECT_EQ(R.PathTaken, compile::SpeculateRun::Path::Compiled);
   EXPECT_TRUE(R.WhyNotCompiled.empty()) << R.WhyNotCompiled;

@@ -219,11 +219,12 @@ TEST(Autotune, GrowsChunksWhenBodiesUndershootTheTarget) {
   // Trivial bodies against a 10ms target: every wave undershoots, so the
   // controller doubles the chunk until its ceiling; the result must stay
   // exact and at least one Autotune event must fire.
+  SpecExecutor Ex(2);
   auto R = Speculation::iterateChunked<int64_t>(
       0, N, /*ChunkSize=*/1,
       [](int64_t I, int64_t Acc) { return Acc + I; },
       [](int64_t I) { return I * (I - 1) / 2; },
-      SpecConfig().threads(2).autotune(/*TargetChunkMicros=*/10000).trace(
+      SpecConfig().executor(Ex).autotune(/*TargetChunkMicros=*/10000).trace(
           &Tr));
   EXPECT_EQ(R.Value, N * (N - 1) / 2);
   int64_t AutotuneEvents = 0;
@@ -242,9 +243,10 @@ TEST(Autotune, GrowsChunksWhenBodiesUndershootTheTarget) {
 
 TEST(Autotune, OffByDefaultKeepsTheFixedChunkGrid) {
   const int64_t N = 640;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterateChunked<int64_t>(
       0, N, /*ChunkSize=*/8, [](int64_t I, int64_t Acc) { return Acc + I; },
-      [](int64_t I) { return I * (I - 1) / 2; }, SpecConfig().threads(2));
+      [](int64_t I) { return I * (I - 1) / 2; }, SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, N * (N - 1) / 2);
   // Exactly one task per fixed chunk and one prediction per boundary.
   EXPECT_EQ(R.Stats.Tasks, N / 8);
@@ -255,10 +257,11 @@ TEST(Autotune, OffByDefaultKeepsTheFixedChunkGrid) {
 TEST(Autotune, NeverAppliesToPlainIterate) {
   Tracer Tr;
   const int64_t N = 200;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t Acc) { return Acc + I; },
       [](int64_t I) { return I * (I - 1) / 2; },
-      SpecConfig().threads(2).autotune(10000).trace(&Tr));
+      SpecConfig().executor(Ex).autotune(10000).trace(&Tr));
   EXPECT_EQ(R.Value, N * (N - 1) / 2);
   for (const SpecEvent &E : Tr.snapshot())
     EXPECT_NE(E.Kind, SpecEventKind::Autotune);
@@ -275,12 +278,13 @@ TEST(Autotune, ShrinksChunksUnderSustainedMisprediction) {
   // A predictor that is wrong at every boundary: bad-rate 100% per wave,
   // so the controller halves (already at the floor of 1 here — use a
   // larger initial chunk to observe shrinking).
+  SpecExecutor Ex(2);
   auto R = Speculation::iterateChunked<int64_t>(
       0, N, /*ChunkSize=*/64,
       [](int64_t, int64_t Acc) { return Acc + 1; }, [](int64_t) {
         return static_cast<int64_t>(-1); // always wrong (true acc is >= 0)
       },
-      SpecConfig().threads(2).autotune(/*TargetChunkMicros=*/1).trace(&Tr));
+      SpecConfig().executor(Ex).autotune(/*TargetChunkMicros=*/1).trace(&Tr));
   EXPECT_EQ(R.Value, -1 + N); // Predictor(0) = -1 seeds the fold
   bool SawShrink = false;
   int64_t Prev = 64;

@@ -300,8 +300,9 @@ TEST(ProfileGuided, ColdRunRecordsWarmRunSeeds) {
     (void)Spin;
     return In + I;
   };
+  SpecExecutor Ex(2);
   SpecConfig Cfg = SpecConfig()
-                       .threads(2)
+                       .executor(Ex)
                        .autotune(/*TargetMicros=*/100)
                        .profile(&Store)
                        .profileSite("sum.loop");
@@ -344,8 +345,9 @@ TEST(ProfileGuided, WarmRunAdoptsLastValuePredictorAndStopsMispredicting) {
   // the initial value but guesses wrong everywhere else.
   auto Body = [](int64_t, int64_t In) { return In; };
   auto BadPredict = [](int64_t I) -> int64_t { return I == 0 ? 7 : -1; };
+  SpecExecutor Ex(2);
   SpecConfig Cfg =
-      SpecConfig().threads(2).profile(&Store).profileSite("const.loop");
+      SpecConfig().executor(Ex).profile(&Store).profileSite("const.loop");
 
   auto Cold = Speculation::iterateChunked<int64_t>(0, N, Chunk, Body,
                                                    BadPredict, Cfg);
@@ -374,8 +376,9 @@ TEST(ProfileGuided, DegradeTripSwitchesPredictorInsteadOfGoingSequential) {
   auto Body = [](int64_t, int64_t In) { return In; };
   auto BadPredict = [](int64_t I) -> int64_t { return I == 0 ? 7 : -1; };
   Tracer Tr;
+  SpecExecutor Ex(2);
   SpecConfig Cfg = SpecConfig()
-                       .threads(2)
+                       .executor(Ex)
                        .degrade(/*MaxBadRate=*/0.5, /*Window=*/8)
                        .profile(&Store)
                        .profileSite("switchy")
@@ -407,8 +410,9 @@ TEST(ProfileGuided, UnpredictableSiteStillDegradesAfterSwitchesExhaust) {
   };
   auto BadPredict = [](int64_t I) -> uint64_t { return I == 0 ? 1 : 0; };
   Tracer Tr;
+  SpecExecutor Ex(2);
   SpecConfig Cfg = SpecConfig()
-                       .threads(2)
+                       .executor(Ex)
                        .degrade(/*MaxBadRate=*/0.5, /*Window=*/8)
                        .profile(&Store)
                        .profileSite("hopeless")
@@ -434,8 +438,9 @@ TEST(ProfileGuided, PlainIterateSeedsPredictorOnly) {
   const int64_t N = 60;
   auto Body = [](int64_t, int64_t In) { return In; };
   auto BadPredict = [](int64_t I) -> int64_t { return I == 0 ? 3 : -1; };
+  SpecExecutor Ex(2);
   SpecConfig Cfg =
-      SpecConfig().threads(2).profile(&Store).profileSite("plain");
+      SpecConfig().executor(Ex).profile(&Store).profileSite("plain");
 
   auto Cold = Speculation::iterate<int64_t>(0, N, Body, BadPredict, Cfg);
   EXPECT_EQ(Cold.Value, 3);

@@ -139,9 +139,10 @@ TEST(Iterate, ThrowingUserComparatorIsFailedPredictionNotError) {
   SpeculationStats Stats;
   int64_t Value = 0;
   ASSERT_NO_THROW({
+    SpecExecutor Ex(2);
     auto R = Speculation::iterate<int64_t>(
         0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-        SpecConfig().threads(2), ThrowingEq{});
+        SpecConfig().executor(Ex), ThrowingEq{});
     Value = R.Value;
     Stats = R.Stats;
   });
@@ -159,9 +160,10 @@ TEST(Iterate, InjectedComparatorThrowNeverPropagates) {
   const int64_t N = 16;
   FaultPlan Plan(2024);
   Plan.arm(FaultSite::ComparatorThrow, 1.0);
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan));
+      SpecConfig().executor(Ex).faults(&Plan));
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_EQ(R.Stats.FailedPredictions, N - 1);
   EXPECT_EQ(R.Stats.Mispredictions, 0);
@@ -175,11 +177,12 @@ TEST(Apply, ThrowingUserComparatorIsFailedPredictionNotError) {
   std::atomic<int> Consumed{-1};
   SpecResult<void> R;
   ASSERT_NO_THROW({
+    SpecExecutor Ex(2);
     R = Speculation::apply<int>(
         /*Producer=*/[] { return 41; },
         /*Predictor=*/[] { return 41; },
         /*Consumer=*/[&Consumed](int V) { Consumed = V; },
-        SpecConfig().threads(2), ThrowingEq{});
+        SpecConfig().executor(Ex), ThrowingEq{});
   });
   // The re-execution delivered the *produced* value.
   EXPECT_EQ(Consumed.load(), 41);
@@ -196,9 +199,10 @@ TEST(Iterate, InjectedPredictorThrowIsFailedPrediction) {
   const int64_t N = 10;
   FaultPlan Plan(31);
   Plan.arm(FaultSite::PredictorThrow, 1.0);
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan));
+      SpecConfig().executor(Ex).faults(&Plan));
   EXPECT_EQ(R.Value, sumOracle(N));
   // Every speculative prediction failed, so only iteration 0 (whose
   // initial value is non-speculative) dispatched an attempt.
@@ -212,10 +216,11 @@ TEST(Iterate, InjectedBodyThrowPropagatesWithStatsOut) {
   FaultPlan Plan(7);
   Plan.arm(FaultSite::BodyThrow, 1.0);
   stats::Snapshot Snap;
+  SpecExecutor Ex(2);
   EXPECT_THROW(
       Speculation::iterate<int64_t>(
           0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-          SpecConfig().threads(2).faults(&Plan).statsOut(&Snap)),
+          SpecConfig().executor(Ex).faults(&Plan).statsOut(&Snap)),
       SpecFaultError);
   // statsOut() published the partial statistics despite the throw.
   EXPECT_GE(Snap.Spec.Tasks, 1);
@@ -230,6 +235,7 @@ TEST(Iterate, SpuriousCancellationNeverCorruptsTheResult) {
   for (uint64_t Seed : {1u, 2u, 3u}) {
     FaultPlan Plan(Seed);
     Plan.arm(FaultSite::SpuriousCancel, 0.5);
+    SpecExecutor Ex(4);
     auto R = Speculation::iterate<int64_t>(
         0, N,
         [](int64_t I, int64_t A) {
@@ -239,7 +245,7 @@ TEST(Iterate, SpuriousCancellationNeverCorruptsTheResult) {
             return int64_t(-999999);
           return A + I;
         },
-        sumPredict, SpecConfig().threads(4).faults(&Plan));
+        sumPredict, SpecConfig().executor(Ex).faults(&Plan));
     EXPECT_EQ(R.Value, sumOracle(N)) << "seed " << Seed;
   }
 }
@@ -249,6 +255,7 @@ TEST(Apply, SpuriousCancellationReexecutesWithProducedValue) {
   Plan.arm(FaultSite::SpuriousCancel, 1.0);
   std::atomic<int> Sum{0};
   std::atomic<int> Runs{0};
+  SpecExecutor Ex(2);
   auto R = Speculation::apply<int>(
       /*Producer=*/[] { return 10; },
       /*Predictor=*/[] { return 10; },
@@ -257,7 +264,7 @@ TEST(Apply, SpuriousCancellationReexecutesWithProducedValue) {
         ++Runs;
         Sum += V;
       },
-      SpecConfig().threads(2).faults(&Plan));
+      SpecConfig().executor(Ex).faults(&Plan));
   // The speculative consumer was cancelled before it ran; the validated
   // path re-executed exactly once with the real value.
   EXPECT_EQ(Runs.load(), 1);
@@ -310,9 +317,10 @@ TEST(Iterate, DeadlineThrowsSpecTimeoutErrorAndLeaksNoTask) {
 }
 
 TEST(Iterate, NoDeadlineByDefault) {
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, 16, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2));
+      SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, sumOracle(16));
 }
 
@@ -385,9 +393,10 @@ TEST(Iterate, ForcedMispredictionStormDegradesWithCorrectResult) {
   FaultPlan Plan(555);
   Plan.arm(FaultSite::ForceMispredict, 1.0);
   Tracer Tr;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan).degrade(0.5, 4).trace(&Tr));
+      SpecConfig().executor(Ex).faults(&Plan).degrade(0.5, 4).trace(&Tr));
   EXPECT_EQ(R.Value, sumOracle(N));
   // Every boundary before the trip was a forced misprediction; once the
   // window (4) saturated past rate 0.5 the run degraded and executed the
@@ -408,9 +417,10 @@ TEST(Iterate, ForcedMispredictionsWithoutDegradeStayCorrect) {
   const int64_t N = 16;
   FaultPlan Plan(9);
   Plan.arm(FaultSite::ForceMispredict, 1.0);
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan));
+      SpecConfig().executor(Ex).faults(&Plan));
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_EQ(R.Stats.Mispredictions, N - 1);
   EXPECT_EQ(R.Stats.Reexecutions, N - 1);
@@ -420,10 +430,11 @@ TEST(Iterate, ForcedMispredictionsWithoutDegradeStayCorrect) {
 TEST(Iterate, DegradeIsOffByDefault) {
   // A maximally mispredicting run without degrade() never degrades.
   const int64_t N = 24;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I == 0 ? int64_t(0) : int64_t(-1); },
-      SpecConfig().threads(2));
+      SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_EQ(R.Stats.DegradedChunks, 0);
   EXPECT_EQ(R.Stats.Mispredictions, N - 1);
@@ -439,11 +450,12 @@ TEST(IterateChunked, DegradeAfterAutotuneResizeReconcilesWithTrace) {
   // (the last Autotune event's size — resizes stop at the trip).
   const int64_t N = 600, Chunk = 16;
   Tracer Tr;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterateChunked<int64_t>(
       0, N, Chunk, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I == 0 ? int64_t(0) : int64_t(-7); },
       SpecConfig()
-          .threads(2)
+          .executor(Ex)
           .autotune(/*TargetMicros=*/1000)
           .degrade(/*MaxBadRate=*/0.5, /*Window=*/24)
           .trace(&Tr));
@@ -469,10 +481,11 @@ TEST(Iterate, DegradeTripsOnRealMispredictionsToo) {
   // trips the monitor the same way.
   const int64_t N = 20;
   Tracer Tr;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I == 0 ? int64_t(0) : int64_t(-7); },
-      SpecConfig().threads(2).degrade(0.0, 2).trace(&Tr));
+      SpecConfig().executor(Ex).degrade(0.0, 2).trace(&Tr));
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_GT(R.Stats.DegradedChunks, 0);
   EXPECT_GE(countEvents(Tr.snapshot(), SpecEventKind::Degrade), 1);
@@ -515,12 +528,13 @@ TEST(Iterate, ThrowingFinalizerSkipsLaterFinalizersAndDrains) {
 }
 
 TEST(Iterate, ThrowingFinalizerStillFillsSnapshotSink) {
-  // Throw-safe stats publication on a transient executor (the deprecated
+  // Throw-safe stats publication on an explicit executor (the deprecated
   // SpeculationStats* sink is gone; the Snapshot sink owns this
   // contract on every executor-resolution path).
   const int64_t N = 6;
   stats::Snapshot Snap;
-  SpecConfig Cfg = SpecConfig().threads(2).statsOut(&Snap);
+  SpecExecutor Ex(2);
+  SpecConfig Cfg = SpecConfig().executor(Ex).statsOut(&Snap);
   EXPECT_THROW(
       (Speculation::iterateLocal<int64_t, int64_t>(
           0, N, [] { return int64_t(0); },
@@ -569,12 +583,26 @@ TEST(Iterate, RunsCorrectlyUnderExecutorTimingFaults) {
   Plan.arm(FaultSite::JitterWakeup, 0.5);
   Plan.delayRange(std::chrono::microseconds(50),
                   std::chrono::microseconds(500));
-  // threads(2) creates a transient executor; faults() arms its timing
-  // sites for exactly this run.
-  auto R = Speculation::iterate<int64_t>(
-      0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan).mode(ValidationMode::Par));
+  auto ExecutorSitesFired = [&Plan] {
+    return Plan.fired(FaultSite::DelayTaskStart) +
+           Plan.fired(FaultSite::JitterWakeup);
+  };
+  SpecExecutor Ex(2);
+  const SpecConfig Cfg =
+      SpecConfig().executor(Ex).faults(&Plan).mode(ValidationMode::Par);
+  auto Run = [&Cfg] {
+    return Speculation::iterate<int64_t>(
+        0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict, Cfg);
+  };
+  // faults() arms only the Speculation-level sites: the executor's
+  // timing sites stay quiet until the executor itself is armed.
+  EXPECT_EQ(Run().Value, sumOracle(N));
+  EXPECT_EQ(Ex.injectedFaults(), nullptr);
+  EXPECT_EQ(ExecutorSitesFired(), 0u);
+  Ex.injectFaults(&Plan);
+  auto R = Run();
   EXPECT_EQ(R.Value, sumOracle(N));
+  EXPECT_GT(ExecutorSitesFired(), 0u);
   EXPECT_GT(Plan.totalFired(), 0u);
 }
 
@@ -591,9 +619,10 @@ TEST(Shield, InjectedCrashIsContainedAndReexecuted) {
   FaultPlan Plan(404);
   Plan.arm(FaultSite::CrashInBody, 1.0);
   Tracer Tr;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterateChunked<int64_t>(
       0, N, Chunk, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan).shield().trace(&Tr));
+      SpecConfig().executor(Ex).faults(&Plan).shield().trace(&Tr));
   // Every speculative attempt crashed; every chunk was re-executed
   // authoritatively and the result is still exact.
   EXPECT_EQ(R.Value, sumOracle(N));
@@ -618,6 +647,7 @@ TEST(Shield, RealNullDereferenceIsContained) {
   const int64_t N = 24;
   std::atomic<int64_t> Sink{0};
   std::atomic<bool> GarbageStarted{false};
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N,
       [&Sink, &GarbageStarted](int64_t I, int64_t A) {
@@ -637,7 +667,7 @@ TEST(Shield, RealNullDereferenceIsContained) {
       // Mispredict everywhere (except the non-speculative start) with a
       // value that sends the body through the null pointer.
       [](int64_t I) { return I == 0 ? int64_t(0) : int64_t(-1); },
-      SpecConfig().threads(2).shield());
+      SpecConfig().executor(Ex).shield());
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_GT(R.Stats.ContainedCrashes, 0);
 }
@@ -648,9 +678,10 @@ TEST(Shield, OffByDefaultNeverProbesCrashSites) {
   FaultPlan Plan(7);
   Plan.arm(FaultSite::CrashInBody, 1.0);
   Plan.arm(FaultSite::RunawayBody, 1.0);
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).faults(&Plan));
+      SpecConfig().executor(Ex).faults(&Plan));
   // Without shield()/attemptBudget() the crash sites are never even
   // probed: unshielded code must not raise signals at itself.
   EXPECT_EQ(R.Value, sumOracle(N));
@@ -661,9 +692,10 @@ TEST(Shield, OffByDefaultNeverProbesCrashSites) {
 
 TEST(Shield, ArmedButIdleShieldChangesNothing) {
   const int64_t N = 48;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).shield());
+      SpecConfig().executor(Ex).shield());
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_EQ(R.Stats.ContainedCrashes, 0);
   EXPECT_EQ(R.Stats.RunawayCancels, 0);
@@ -680,10 +712,11 @@ TEST(Shield, RunawayBodyIsForciblyAbandoned) {
   Plan.arm(FaultSite::RunawayBody, 1.0);
   Plan.runawayCap(std::chrono::milliseconds(500));
   Tracer Tr;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
       SpecConfig()
-          .threads(2)
+          .executor(Ex)
           .faults(&Plan)
           .attemptBudget(std::chrono::milliseconds(10))
           .trace(&Tr));
@@ -702,6 +735,7 @@ TEST(Shield, PollingBodyOverBudgetBailsCooperatively) {
   // discarded attempt and an authoritative re-execution.
   const int64_t N = 4;
   std::atomic<int> Bailed{0};
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, N,
       [&Bailed](int64_t I, int64_t A) {
@@ -715,7 +749,7 @@ TEST(Shield, PollingBodyOverBudgetBailsCooperatively) {
         return A + I;
       },
       sumPredict,
-      SpecConfig().threads(2).attemptBudget(std::chrono::milliseconds(10)));
+      SpecConfig().executor(Ex).attemptBudget(std::chrono::milliseconds(10)));
   EXPECT_EQ(R.Value, sumOracle(N));
   EXPECT_GT(Bailed.load(), 0);
   EXPECT_GT(R.Stats.RunawayCancels, 0);
@@ -727,6 +761,7 @@ TEST(Shield, ApplyContainsConsumerCrash) {
   Plan.arm(FaultSite::CrashInBody, 1.0);
   std::atomic<int> Runs{0};
   std::atomic<int> Sum{0};
+  SpecExecutor Ex(2);
   auto R = Speculation::apply<int>(
       /*Producer=*/[] { return 5; },
       /*Predictor=*/[] { return 5; },
@@ -735,7 +770,7 @@ TEST(Shield, ApplyContainsConsumerCrash) {
         ++Runs;
         Sum += V;
       },
-      SpecConfig().threads(2).faults(&Plan).shield());
+      SpecConfig().executor(Ex).faults(&Plan).shield());
   // The injected crash fired before the speculative consumer's body, so
   // only the validated re-execution's side effects landed.
   EXPECT_EQ(Runs.load(), 1);
@@ -751,6 +786,7 @@ TEST(Shield, ApplyRunawayConsumerIsAbandoned) {
   // (not under any budget) delivers the produced value.
   std::atomic<int> Bailed{0};
   std::atomic<int> Completed{-1};
+  SpecExecutor Ex(2);
   auto R = Speculation::apply<int>(
       /*Producer=*/[] { return 5; },
       /*Predictor=*/[] { return 5; },
@@ -765,7 +801,7 @@ TEST(Shield, ApplyRunawayConsumerIsAbandoned) {
         }
         Completed = V;
       },
-      SpecConfig().threads(2).attemptBudget(std::chrono::milliseconds(10)));
+      SpecConfig().executor(Ex).attemptBudget(std::chrono::milliseconds(10)));
   EXPECT_EQ(Completed.load(), 5);
   EXPECT_EQ(Bailed.load(), 1);
   EXPECT_GE(R.Stats.RunawayCancels, 1);
@@ -783,6 +819,7 @@ TEST(Shield, ContainedCrashesSurviveMixedChaos) {
     Plan.arm(FaultSite::ForceMispredict, 0.3);
     Plan.arm(FaultSite::SpuriousCancel, 0.3);
     Plan.arm(FaultSite::ComparatorThrow, 0.1);
+    SpecExecutor Ex(4);
     auto R = Speculation::iterateChunked<int64_t>(
         0, N, Chunk,
         [](int64_t I, int64_t A) {
@@ -791,7 +828,7 @@ TEST(Shield, ContainedCrashesSurviveMixedChaos) {
           return A + I;
         },
         sumPredict,
-        SpecConfig().threads(4).faults(&Plan).shield().degrade(0.9, 6));
+        SpecConfig().executor(Ex).faults(&Plan).shield().degrade(0.9, 6));
     EXPECT_EQ(R.Value, sumOracle(N)) << "seed " << Seed * 77;
   }
 }
@@ -848,7 +885,8 @@ TEST(Shield, UserBodyThrowUnderShieldAndBudgetStaysSafe) {
   // shielded, budgeted attempt must surface normally at the join, and
   // the unwound worker slot must not stay armed for the watchdog — the
   // process has to survive well past budget + grace and later shielded
-  // runs must still work.
+  // runs on the same workers must still work.
+  SpecExecutor Ex(2);
   EXPECT_THROW(
       Speculation::iterateChunked<int64_t>(
           0, 16, 8,
@@ -856,13 +894,13 @@ TEST(Shield, UserBodyThrowUnderShieldAndBudgetStaysSafe) {
             throw std::runtime_error("user body failure");
           },
           sumPredict,
-          SpecConfig().threads(2).shield().attemptBudget(
+          SpecConfig().executor(Ex).shield().attemptBudget(
               std::chrono::milliseconds(5))),
       std::runtime_error);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   auto R = Speculation::iterateChunked<int64_t>(
       0, 64, 8, [](int64_t I, int64_t A) { return A + I; }, sumPredict,
-      SpecConfig().threads(2).shield());
+      SpecConfig().executor(Ex).shield());
   EXPECT_EQ(R.Value, sumOracle(64));
 }
 
@@ -877,6 +915,8 @@ TEST(Iterate, ChunkedRunSurvivesMixedScheduleFaults) {
     Plan.arm(FaultSite::JitterWakeup, 0.2);
     Plan.delayRange(std::chrono::microseconds(20),
                     std::chrono::microseconds(200));
+    SpecExecutor Ex(4);
+    Ex.injectFaults(&Plan);
     auto R = Speculation::iterateChunked<int64_t>(
         0, N, Chunk,
         [](int64_t I, int64_t A) {
@@ -884,7 +924,7 @@ TEST(Iterate, ChunkedRunSurvivesMixedScheduleFaults) {
             return int64_t(-1);
           return A + I;
         },
-        sumPredict, SpecConfig().threads(4).faults(&Plan).degrade(0.9, 6));
+        sumPredict, SpecConfig().executor(Ex).faults(&Plan).degrade(0.9, 6));
     EXPECT_EQ(R.Value, sumOracle(N)) << "seed " << Seed * 1000;
   }
 }

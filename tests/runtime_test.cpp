@@ -84,10 +84,6 @@ TEST(Executor, CreateReturnsOwningHandle) {
   EXPECT_TRUE(Watch.expired());
 }
 
-TEST(Executor, TransientConfigResolvesToNoPersistentExecutor) {
-  EXPECT_EQ(SpecConfig().threads(3).resolvedExecutor(), nullptr);
-}
-
 TEST(Executor, TasksSubmittedFromWorkersRun) {
   SpecExecutor Ex(2);
   std::atomic<int> Count{0};
@@ -166,13 +162,13 @@ TEST(ExecutorIsolation, FaultPlansStayOnTheirShard) {
   A->injectFaults(nullptr);
 }
 
-TEST(ExecutorIsolation, SnapshotSinkAttributesTransientExecutorActivity) {
-  // threads(N > 0) without executor(): the run creates a transient
-  // executor; the snapshot's Exec half still reports its activity.
+TEST(ExecutorIsolation, SnapshotSinkAttributesRunExecutorActivity) {
+  // The snapshot's Exec half reports the run's executor activity.
   stats::Snapshot Snap;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, 16, [](int64_t, int64_t Acc) { return Acc + 1; },
-      [](int64_t I) { return I; }, SpecConfig().threads(2).statsOut(&Snap));
+      [](int64_t I) { return I; }, SpecConfig().executor(Ex).statsOut(&Snap));
   EXPECT_EQ(R.Value, 16);
   EXPECT_EQ(Snap.Spec.Tasks, 16);
   EXPECT_EQ(Snap.Exec.Submits, static_cast<uint64_t>(Snap.Spec.Tasks));
@@ -279,10 +275,11 @@ TEST(Apply, ProducerExceptionCountsNoPredictionPoint) {
   // The check step never ran, so no prediction point was resolved; the
   // snapshot sink still publishes what was gathered before the throw.
   stats::Snapshot Snap;
+  SpecExecutor Ex(2);
   EXPECT_THROW(Speculation::apply<int>(
                    []() -> int { throw std::runtime_error("producer"); },
                    [] { return 0; }, [](int) {},
-                   SpecConfig().threads(2).statsOut(&Snap)),
+                   SpecConfig().executor(Ex).statsOut(&Snap)),
                std::runtime_error);
   EXPECT_EQ(Snap.Spec.Tasks, 1);
   EXPECT_EQ(Snap.Spec.Predictions, 0);
@@ -321,8 +318,8 @@ TEST(Apply, EagerProducerAbortGoesNonSpeculative) {
 }
 
 TEST(Apply, EagerProducerAbortOnSharedExecutor) {
-  // The same Section 3.3 semantics must hold when the run shares a
-  // persistent executor instead of spawning a transient one.
+  // The same Section 3.3 semantics must hold across several runs
+  // sharing one persistent executor.
   SpecExecutor Ex(2);
   SpecConfig Cfg = SpecConfig().executor(Ex).eagerProducerAbort();
   for (int Round = 0; Round < 3; ++Round) {
@@ -430,10 +427,11 @@ TEST_P(IterateModes, MatchesSequentialFoldUnderAnyPredictor) {
               ? TruthAt[static_cast<size_t>(I)]
               : PredRng.nextInRange(0, 100002);
 
+    SpecExecutor Ex(C.Threads);
     auto Got = Speculation::iterate<int64_t>(
         0, N, Body,
         [&Predicted](int64_t I) { return Predicted[static_cast<size_t>(I)]; },
-        SpecConfig().mode(C.Mode).threads(C.Threads));
+        SpecConfig().mode(C.Mode).executor(Ex));
     EXPECT_EQ(Got.Value, Truth) << "N=" << N;
     EXPECT_EQ(Got.Stats.Predictions, N - 1);
   }
@@ -453,9 +451,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Iterate, PerfectPredictionReportsNoMispredictions) {
   // Truth: acc_i = i(i+1)/2 starting at 0.
   auto Pred = [](int64_t I) { return I * (I - 1) / 2; };
+  SpecExecutor Ex(4);
   auto R = Speculation::iterate<int64_t>(
       1, 20, [](int64_t I, int64_t A) { return A + I; }, Pred,
-      SpecConfig().threads(4));
+      SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, 190);
   EXPECT_EQ(R.Stats.Mispredictions, 0);
   EXPECT_EQ(R.Stats.Reexecutions, 0);
@@ -476,6 +475,7 @@ TEST(Iterate, SequentialExceptionSemantics) {
   // later iterations were speculatively executed.
   std::atomic<int> BodiesRun{0};
   try {
+    SpecExecutor Ex(4);
     Speculation::iterate<int64_t>(
         0, 10,
         [&BodiesRun](int64_t I, int64_t A) {
@@ -484,7 +484,7 @@ TEST(Iterate, SequentialExceptionSemantics) {
             throw std::runtime_error("iteration 3");
           return A + 1;
         },
-        [](int64_t I) { return I; }, SpecConfig().threads(4));
+        [](int64_t I) { return I; }, SpecConfig().executor(Ex));
     FAIL() << "expected an exception";
   } catch (const std::runtime_error &E) {
     EXPECT_STREQ(E.what(), "iteration 3");
@@ -494,6 +494,7 @@ TEST(Iterate, SequentialExceptionSemantics) {
 TEST(Iterate, MispredictedIterationExceptionSuppressed) {
   // Iteration 2's *speculative* run (wrong input 777) throws; the valid
   // re-execution succeeds, so no exception escapes.
+  SpecExecutor Ex(4);
   auto R = Speculation::iterate<int64_t>(
       0, 5,
       [](int64_t, int64_t A) {
@@ -502,7 +503,7 @@ TEST(Iterate, MispredictedIterationExceptionSuppressed) {
         return A + 1;
       },
       [](int64_t I) { return I == 2 ? int64_t(777) : I; },
-      SpecConfig().threads(4));
+      SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, 5);
 }
 
@@ -526,6 +527,7 @@ TEST(Iterate, CooperativeCancellationIsVisibleToBodies) {
   // reaches iteration 2 only after iteration 1 is done.
   std::atomic<bool> SawCancel{false};
   std::atomic<bool> WrongStarted{false};
+  SpecExecutor Ex(2);
   Speculation::iterate<int64_t>(
       0, 3,
       [&SawCancel, &WrongStarted](int64_t I, int64_t A) {
@@ -550,7 +552,7 @@ TEST(Iterate, CooperativeCancellationIsVisibleToBodies) {
         return A + 1;
       },
       [](int64_t I) { return I == 2 ? int64_t(555) : I; },
-      SpecConfig().threads(2));
+      SpecConfig().executor(Ex));
   EXPECT_TRUE(SawCancel.load());
 }
 
@@ -565,7 +567,7 @@ TEST(Iterate, SharedExecutorCanBeReused) {
   }
 }
 
-TEST(Iterate, OwnedExecutorHandleCanBeReused) {
+TEST(Iterate, CreatedExecutorHandleCanBeReused) {
   // An owned shard handle serves any number of runs without rebuilding
   // workers between them.
   std::shared_ptr<SpecExecutor> Ex = SpecExecutor::create(3);
@@ -597,10 +599,11 @@ TEST(Iterate, SharedSlotWritesFinalValuesAreValidOnesUnderParMode) {
     for (int64_t I = 0; I < N; ++I)
       Pred[static_cast<size_t>(I)] =
           I == 0 ? 1 : PredRng.nextInRange(0, 10006);
+    SpecExecutor Ex(4);
     auto Got = Speculation::iterate<int64_t>(
         0, N, Body,
         [&Pred](int64_t I) { return Pred[static_cast<size_t>(I)]; },
-        SpecConfig().mode(ValidationMode::Par).threads(4));
+        SpecConfig().mode(ValidationMode::Par).executor(Ex));
     // Sequential reference.
     std::vector<int64_t> Ref(static_cast<size_t>(N));
     int64_t A = 1;
@@ -842,8 +845,9 @@ TEST(IterateChunked, MatchesSequentialFoldWithPerfectChunkPredictions) {
   // acc' = acc + i starting at 0: truth entering i is i(i-1)/2.
   auto Body = [](int64_t I, int64_t A) { return A + I; };
   auto Pred = [](int64_t I) { return I * (I - 1) / 2; };
+  SpecExecutor Ex(4);
   auto R = Speculation::iterateChunked<int64_t>(0, 40, 8, Body, Pred,
-                                                SpecConfig().threads(4));
+                                                SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, 40 * 39 / 2);
   // Chunk-granular stats: 5 chunks, one prediction per boundary.
   EXPECT_EQ(R.Stats.Tasks, 5);
@@ -859,8 +863,9 @@ TEST(IterateChunked, ForcedMispredictionsStillCorrect) {
   auto Pred = [](int64_t I) { return I == 0 ? int64_t(1) : int64_t(-7); };
   int64_t Truth = sequentialFold(0, 37, Body, Pred);
   for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par}) {
+    SpecExecutor Ex(4);
     auto R = Speculation::iterateChunked<int64_t>(
-        0, 37, 5, Body, Pred, SpecConfig().threads(4).mode(Mode));
+        0, 37, 5, Body, Pred, SpecConfig().executor(Ex).mode(Mode));
     EXPECT_EQ(R.Value, Truth);
     EXPECT_GE(R.Stats.Tasks, 8); // ceil(37/5) = 8 chunks (Par may chain more)
     EXPECT_EQ(R.Stats.Predictions, 7);
@@ -901,10 +906,11 @@ TEST(IterateChunked, RandomizedAgainstSequentialFold) {
       return I == 0 ? int64_t(7) : static_cast<int64_t>((I * Salt) % 1000003);
     };
     int64_t Truth = sequentialFold(0, N, Body, Pred);
+    SpecExecutor Ex(1 + static_cast<unsigned>(R.nextBelow(4)));
     auto Got = Speculation::iterateChunked<int64_t>(
         0, N, ChunkSize, Body, Pred,
         SpecConfig()
-            .threads(1 + static_cast<unsigned>(R.nextBelow(4)))
+            .executor(Ex)
             .mode(R.nextBool(0.5) ? ValidationMode::Seq
                                   : ValidationMode::Par));
     EXPECT_EQ(Got.Value, Truth) << "N=" << N << " ChunkSize=" << ChunkSize;
@@ -916,6 +922,7 @@ TEST(IterateChunkedLocal, FinalizersRunPerChunkInOrder) {
   // once per chunk, in chunk order, with the validated local state.
   std::vector<int64_t> PublishedChunks;
   std::vector<int64_t> Published;
+  SpecExecutor Ex(3);
   auto R = Speculation::iterateChunkedLocal<int64_t, std::vector<int64_t>>(
       0, 10, 4, [] { return std::vector<int64_t>(); },
       [](int64_t I, std::vector<int64_t> &Local, int64_t In) {
@@ -928,7 +935,7 @@ TEST(IterateChunkedLocal, FinalizersRunPerChunkInOrder) {
         for (int64_t V : Local)
           Published.push_back(V);
       },
-      SpecConfig().threads(3));
+      SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, 10);
   EXPECT_EQ(PublishedChunks, (std::vector<int64_t>{0, 1, 2}));
   ASSERT_EQ(Published.size(), 10u);
@@ -945,6 +952,7 @@ TEST(IterateLocal, FinalizersRunInOrderExactlyOncePerIteration) {
   std::vector<int64_t> Published;
   // Each iteration computes locally; only validated locals get published.
   // Predictions for odd iterations are wrong, forcing re-executions.
+  SpecExecutor Ex(4);
   auto R = Speculation::iterateLocal<int64_t, std::vector<int64_t>>(
       0, 12, [] { return std::vector<int64_t>(); },
       [](int64_t I, std::vector<int64_t> &Local, int64_t In) {
@@ -956,7 +964,7 @@ TEST(IterateLocal, FinalizersRunInOrderExactlyOncePerIteration) {
         for (int64_t V : Local)
           Published.push_back(V);
       },
-      SpecConfig().threads(4));
+      SpecConfig().executor(Ex));
   EXPECT_EQ(R.Value, 12);
   ASSERT_EQ(Published.size(), 12u);
   for (int64_t I = 0; I < 12; ++I)
@@ -964,23 +972,25 @@ TEST(IterateLocal, FinalizersRunInOrderExactlyOncePerIteration) {
         << "finalized local state must come from the validated execution";
 }
 
-TEST(Iterate, NestedSpeculationWithTransientPools) {
-  // Nested iterate with each level on its own transient executor (the
-  // pre-SpecExecutor workaround) must keep working.
+TEST(Iterate, NestedSpeculationWithAnExecutorPerLevel) {
+  // Nested iterate with each level on its own executor: the inner runs
+  // of concurrent outer attempts share the inner level's executor.
+  SpecExecutor OuterEx(2);
+  SpecExecutor InnerEx(2);
   auto R = Speculation::iterate<int64_t>(
       0, 6,
-      [](int64_t I, int64_t Acc) {
+      [&InnerEx](int64_t I, int64_t Acc) {
         auto Inner = Speculation::iterate<int64_t>(
             0, 5, [I](int64_t J, int64_t A) { return A + I * J; },
             [I](int64_t J) { return I * J * (J - 1) / 2; },
-            SpecConfig().threads(2));
+            SpecConfig().executor(InnerEx));
         return Acc + Inner.Value;
       },
       [](int64_t I) {
         // Closed form of the outer accumulator: sum_{k<I} 10k.
         return 10 * I * (I - 1) / 2;
       },
-      SpecConfig().threads(2));
+      SpecConfig().executor(OuterEx));
   EXPECT_EQ(R.Value, 150);
 }
 
@@ -1009,7 +1019,9 @@ TEST(RemovedForwards, ResolvedExecutorConveysOwnership) {
   // resolvedExecutor() replaced sharedExecutor(): same resolution order,
   // but the handle names the ownership a raw pointer could not.
   EXPECT_EQ(SpecConfig().resolvedExecutor(), SpecExecutor::defaultShard());
-  EXPECT_EQ(SpecConfig().threads(3).resolvedExecutor(), nullptr);
+  SpecExecutor Borrowed(3);
+  EXPECT_EQ(SpecConfig().executor(Borrowed).resolvedExecutor().get(),
+            &Borrowed);
   std::shared_ptr<SpecExecutor> Ex = SpecExecutor::create(2);
   EXPECT_EQ(SpecConfig().executor(Ex).resolvedExecutor(), Ex);
   // The returned handle keeps the executor alive on its own.
@@ -1021,10 +1033,11 @@ TEST(RemovedForwards, ResolvedExecutorConveysOwnership) {
 
 TEST(RemovedForwards, SnapshotSinkFillsOnSuccess) {
   stats::Snapshot Snap;
+  SpecExecutor Ex(2);
   auto R = Speculation::iterate<int64_t>(
       0, 8, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I * (I - 1) / 2; },
-      SpecConfig().threads(2).statsOut(&Snap));
+      SpecConfig().executor(Ex).statsOut(&Snap));
   EXPECT_EQ(R.Value, 28);
   EXPECT_EQ(Snap.Spec.Tasks, 8);
   EXPECT_EQ(Snap.Spec.Predictions, 7);
@@ -1145,9 +1158,10 @@ TEST(Telemetry, EventsOrderDispatchStartFinishPerAttempt) {
   auto Pred = [](int64_t I) { return I == 0 ? int64_t(0) : int64_t(-1); };
   for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par}) {
     Tracer Tr;
+    SpecExecutor Ex(3);
     auto R = Speculation::iterateChunked<int64_t>(
         0, N, ChunkSize, Body, Pred,
-        SpecConfig().threads(3).mode(Mode).trace(&Tr));
+        SpecConfig().executor(Ex).mode(Mode).trace(&Tr));
     EXPECT_EQ(R.Value, N * (N - 1) / 2);
     std::vector<SpecEvent> Ev = Tr.snapshot();
     EXPECT_EQ(Tr.droppedEvents(), 0u);
@@ -1206,10 +1220,11 @@ TEST(Telemetry, EventsOrderDispatchStartFinishPerAttempt) {
 
 TEST(Telemetry, PerfectPredictionsAcceptEveryChunk) {
   Tracer Tr;
+  SpecExecutor Ex(4);
   auto R = Speculation::iterateChunked<int64_t>(
       0, 40, 8, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I * (I - 1) / 2; },
-      SpecConfig().threads(4).trace(&Tr));
+      SpecConfig().executor(Ex).trace(&Tr));
   EXPECT_EQ(R.Value, 40 * 39 / 2);
   std::vector<SpecEvent> Ev = Tr.snapshot();
   for (int64_t C = 0; C < 5; ++C) {
@@ -1221,10 +1236,11 @@ TEST(Telemetry, PerfectPredictionsAcceptEveryChunk) {
 
 TEST(Telemetry, SnapshotIsTotallyOrderedBySeq) {
   Tracer Tr;
+  SpecExecutor Ex(4);
   Speculation::iterate<int64_t>(
       0, 24, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I % 3 == 0 ? int64_t(-1) : I * (I - 1) / 2; },
-      SpecConfig().threads(4).trace(&Tr));
+      SpecConfig().executor(Ex).trace(&Tr));
   std::vector<SpecEvent> Ev = Tr.snapshot();
   ASSERT_FALSE(Ev.empty());
   for (size_t I = 1; I < Ev.size(); ++I)
@@ -1251,10 +1267,11 @@ TEST(Telemetry, TinyRingOverwritesAndReportsDrops) {
 
 TEST(Telemetry, ChromeTraceIsWellFormed) {
   Tracer Tr;
+  SpecExecutor Ex(2);
   Speculation::iterateChunked<int64_t>(
       0, 32, 8, [](int64_t I, int64_t A) { return A + I; },
       [](int64_t I) { return I == 0 ? int64_t(0) : int64_t(-1); },
-      SpecConfig().threads(2).trace(&Tr));
+      SpecConfig().executor(Ex).trace(&Tr));
   std::ostringstream OS;
   Tr.writeChromeTrace(OS);
   std::string Json = OS.str();
@@ -1304,10 +1321,11 @@ TEST_P(IterateFuzz, AgreesWithSequentialFold) {
       return I == 0 ? int64_t(7) : static_cast<int64_t>((I * Salt) % 1000003);
     };
     int64_t Truth = sequentialFold(0, N, Body, Pred);
-    SpecConfig Cfg =
-        SpecConfig()
-            .mode(R.nextBool(0.5) ? ValidationMode::Seq : ValidationMode::Par)
-            .threads(1 + static_cast<unsigned>(R.nextBelow(6)));
+    // The mode is drawn before the worker count, as the seeds expect.
+    const ValidationMode Mode =
+        R.nextBool(0.5) ? ValidationMode::Seq : ValidationMode::Par;
+    SpecExecutor Ex(1 + static_cast<unsigned>(R.nextBelow(6)));
+    SpecConfig Cfg = SpecConfig().mode(Mode).executor(Ex);
     EXPECT_EQ(Speculation::iterate<int64_t>(0, N, Body, Pred, Cfg).Value,
               Truth);
   }

@@ -267,6 +267,58 @@ TEST(ArgParser, Failures) {
   }
 }
 
+TEST(ArgParser, IntOptionRangeIsInclusive) {
+  // The ranges the speculate_repl and specd binaries declare.
+  struct Bound {
+    const char *Name;
+    int64_t Min, Max;
+  };
+  const Bound Bounds[] = {{"threads", 0, 256},
+                          {"shards", 0, 64},
+                          {"threads-per-shard", 0, 256},
+                          {"queue", 1, 1048576},
+                          {"port", 0, 65535}};
+  for (const Bound &B : Bounds) {
+    auto Parses = [&B](int64_t V, int64_t *Out) {
+      ArgParser Args("tool", "t");
+      int64_t *Opt = Args.intOption(B.Name, B.Min, "o", B.Min, B.Max);
+      const std::string Flag = std::string("--") + B.Name;
+      const std::string Val = std::to_string(V);
+      const char *Argv[] = {"tool", Flag.c_str(), Val.c_str()};
+      const bool Ok = Args.parse(3, const_cast<char **>(Argv));
+      EXPECT_FALSE(Args.helpRequested());
+      *Out = *Opt;
+      return Ok;
+    };
+    int64_t Got = 0;
+    EXPECT_FALSE(Parses(B.Min - 1, &Got)) << B.Name;
+    EXPECT_EQ(Got, B.Min) << "a rejected value leaves the default";
+    EXPECT_TRUE(Parses(B.Min, &Got)) << B.Name;
+    EXPECT_EQ(Got, B.Min);
+    EXPECT_TRUE(Parses(B.Max, &Got)) << B.Name;
+    EXPECT_EQ(Got, B.Max);
+    EXPECT_FALSE(Parses(B.Max + 1, &Got)) << B.Name;
+    EXPECT_EQ(Got, B.Min);
+  }
+}
+
+TEST(ArgParser, IntOptionDefaultRangeIsAllOfInt64) {
+  for (const char *V : {"-9223372036854775808", "9223372036854775807"}) {
+    ArgParser Args("tool", "t");
+    int64_t *Seed = Args.intOption("seed", 0, "s");
+    const char *Argv[] = {"tool", "--seed", V};
+    ASSERT_TRUE(Args.parse(3, const_cast<char **>(Argv))) << V;
+    EXPECT_EQ(std::to_string(*Seed), V);
+  }
+  // Values past int64 and empty values are not integers.
+  for (const char *V : {"9223372036854775808", ""}) {
+    ArgParser Args("tool", "t");
+    Args.intOption("seed", 0, "s");
+    const char *Argv[] = {"tool", "--seed", V};
+    EXPECT_FALSE(Args.parse(3, const_cast<char **>(Argv))) << V;
+  }
+}
+
 TEST(ArgParser, HelpTextMentionsEverything) {
   ArgParser Args("tool", "does things");
   Args.flag("trace", "show trace");
