@@ -13,10 +13,11 @@ using namespace specpar;
 using namespace specpar::analysis;
 
 std::string AbsNode::str() const {
-  return formatString("%s@%d:%d%s%s", IsArray ? "arr" : "cell",
+  if (!Name.empty())
+    return Name;
+  return formatString("%s@%d:%d%s", IsArray ? "arr" : "cell",
                       Site ? Site->loc().Line : 0,
-                      Site ? Site->loc().Col : 0, Single ? "" : "*",
-                      "");
+                      Site ? Site->loc().Col : 0, Single ? "" : "*");
 }
 
 AbsValue AbsValue::join(const AbsValue &A, const AbsValue &B) {

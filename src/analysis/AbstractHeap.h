@@ -37,6 +37,9 @@ namespace analysis {
 /// An abstract heap object: all cells/arrays allocated at one site.
 struct AbsNode {
   const lang::Expr *Site = nullptr; // NewCell or NewArray
+  /// A declared region's name (analysis/Summaries.h); empty for the
+  /// allocation sites of a Speculate program.
+  std::string Name;
   bool IsArray = false;
   /// Single concrete object (allocated at most once in the analyzed
   /// execution) — required for strong updates and must-writes.

@@ -94,37 +94,8 @@ void AbstractInterpreter::checkConditions(const Expr *Site,
   // Stash the effect sets on whatever verdict this site gets.
   PendingProducerEffects = Producer.str();
   PendingConsumerEffects = SpecConsumer.str();
-  std::string Why;
-  if (!provablyDisjoint(Producer.MayWrite, SpecConsumer.MayRead, &Why)) {
-    reportSite(Site, false, "(a)",
-               "producer writes race with speculative-consumer reads: " +
-                   Why);
-    return;
-  }
-  if (!provablyDisjoint(Producer.MayRead, SpecConsumer.MayWrite, &Why)) {
-    reportSite(Site, false, "(b)",
-               "producer reads race with speculative-consumer writes: " +
-                   Why);
-    return;
-  }
-  if (!provablyDisjoint(Producer.MayWrite, SpecConsumer.MayWrite, &Why)) {
-    reportSite(Site, false, "(c)",
-               "producer and speculative consumer write the same state: " +
-                   Why);
-    return;
-  }
-  if (!provablyDisjoint(Reexec.MayRead, SpecConsumer.MayWrite, &Why)) {
-    reportSite(Site, false, "(d)",
-               "the consumer re-execution may read state the speculative "
-               "consumer wrote: " +
-                   Why);
-    return;
-  }
-  if (!provablyCovers(Reexec.MustWrite, SpecConsumer.MayWrite, &Why)) {
-    reportSite(Site, false, "(e)", Why);
-    return;
-  }
-  reportSite(Site, true, "", "");
+  ConditionVerdict V = checkRollbackConditions(Producer, SpecConsumer, Reexec);
+  reportSite(Site, V.safe(), V.FailedCondition, V.Explanation);
 }
 
 //===----------------------------------------------------------------------===//

@@ -73,8 +73,9 @@ private:
   void reportSite(const lang::Expr *Site, bool Safe, std::string Condition,
                   std::string Explanation);
 
-  /// Runs the five conditions given producer/speculative-consumer/
-  /// re-execution effect sets (already restricted to pre-existing nodes).
+  /// Reports checkRollbackConditions' verdict on the producer/
+  /// speculative-consumer/re-execution effect sets (already restricted to
+  /// pre-existing nodes).
   void checkConditions(const lang::Expr *Site, const Effects &Producer,
                        const Effects &SpecConsumer, const Effects &Reexec);
 

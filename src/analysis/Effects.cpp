@@ -201,3 +201,25 @@ bool specpar::analysis::provablyCovers(const MustSet &Must,
   }
   return true;
 }
+
+ConditionVerdict specpar::analysis::checkRollbackConditions(
+    const Effects &Producer, const Effects &SpecConsumer,
+    const Effects &Reexec) {
+  std::string Why;
+  if (!provablyDisjoint(Producer.MayWrite, SpecConsumer.MayRead, &Why))
+    return {"(a)",
+            "producer writes race with speculative-consumer reads: " + Why};
+  if (!provablyDisjoint(Producer.MayRead, SpecConsumer.MayWrite, &Why))
+    return {"(b)",
+            "producer reads race with speculative-consumer writes: " + Why};
+  if (!provablyDisjoint(Producer.MayWrite, SpecConsumer.MayWrite, &Why))
+    return {"(c)",
+            "producer and speculative consumer write the same state: " + Why};
+  if (!provablyDisjoint(Reexec.MayRead, SpecConsumer.MayWrite, &Why))
+    return {"(d)", "the consumer re-execution may read state the speculative "
+                   "consumer wrote: " +
+                       Why};
+  if (!provablyCovers(Reexec.MustWrite, SpecConsumer.MayWrite, &Why))
+    return {"(e)", Why};
+  return {};
+}

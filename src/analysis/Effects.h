@@ -144,6 +144,23 @@ bool provablyDisjoint(const AccessSet &A, const AccessSet &B,
 bool provablyCovers(const MustSet &Must, const AccessSet &May,
                     std::string *Why);
 
+/// The verdict of conditions (a)-(e) at one speculation site.
+struct ConditionVerdict {
+  std::string FailedCondition; // (a)..(e); empty when all five hold
+  std::string Explanation;
+
+  bool safe() const { return FailedCondition.empty(); }
+};
+
+/// Decides conditions (a)-(e) of paper Section 3.2 over the effects of
+/// the producer, of the speculative consumer (predictor then consumer)
+/// and of the consumer's re-execution, all restricted to pre-existing
+/// locations. The Speculate checker and the declared C++ summaries
+/// (analysis/Summaries.h) both lower into this one decision.
+ConditionVerdict checkRollbackConditions(const Effects &Producer,
+                                         const Effects &SpecConsumer,
+                                         const Effects &Reexec);
+
 } // namespace analysis
 } // namespace specpar
 

@@ -43,8 +43,8 @@ namespace analysis {
 struct SiteReport {
   const lang::Expr *Site = nullptr; // Spec or SpecFold node
   bool Safe = false;
-  /// Which condition failed ("(a)".."(e)"), or "imprecision" when the
-  /// abstraction could not analyze the site.
+  /// Which condition failed, (a)..(e) as ConditionVerdict names it, or
+  /// "imprecision" when the abstraction could not analyze the site.
   std::string FailedCondition;
   std::string Explanation;
   /// Stringified effect sets used by the condition checks (diagnostics):

@@ -7,6 +7,8 @@
 
 #include "apps/SpeculativeHuffman.h"
 
+#include "analysis/Summaries.h"
+
 using namespace specpar;
 using namespace specpar::apps;
 using namespace specpar::huffman;
@@ -61,6 +63,24 @@ HuffmanRun specpar::apps::speculativeDecode(const Decoder &D,
           RunCfg);
 
   return Run;
+}
+
+analysis::IterateSummary specpar::apps::decodeSummary() {
+  // Bit sub-segment i reads the stream and the decoder's tables, neither
+  // written during a run, and appends its bytes to the chunk-local
+  // buffer U: a fresh one per attempt (Init), so sub-segment i's part is
+  // a slot U[i] written on every path, published by the finalizer. The
+  // sync-point predictor reads only the stream and the tables.
+  analysis::IterateSummary S;
+  analysis::AbsNode *Bits = S.Regions.array("bits");
+  analysis::AbsNode *Tables = S.Regions.array("decoder tables");
+  analysis::AbsNode *U = S.Regions.array("U");
+  for (analysis::Effects *E : {&S.Body, &S.Predictor}) {
+    E->read(Bits, analysis::SymInterval::full());
+    E->read(Tables, analysis::SymInterval::full());
+  }
+  S.Body.write(U, S.Regions.slot(1, 0), /*Certain=*/true);
+  return S;
 }
 
 double specpar::apps::huffmanPredictionAccuracy(const Decoder &D,

@@ -22,6 +22,9 @@
 #include <vector>
 
 namespace specpar {
+namespace analysis {
+struct IterateSummary; // analysis/Summaries.h
+} // namespace analysis
 namespace apps {
 
 /// Output of a (speculative) decode run.
@@ -46,6 +49,11 @@ HuffmanRun speculativeDecode(const huffman::Decoder &D,
 /// granularity. With `SpecConfig::autotune()` armed the runtime re-sizes
 /// chunks between scheduling waves; without it this is the fixed grid.
 inline constexpr int64_t kHuffChunkSize = 8;
+
+/// The declared effects of speculativeDecode's iterate site, for
+/// analysis::checkIterateSummaries. Built only on request: a run never
+/// builds or checks them.
+analysis::IterateSummary decodeSummary();
 
 /// Prediction accuracy of the sync-point predictor at \p NumPoints
 /// boundaries, in percent (Figure 7 methodology).

@@ -7,6 +7,8 @@
 
 #include "apps/SpeculativeLexing.h"
 
+#include "analysis/Summaries.h"
+
 using namespace specpar;
 using namespace specpar::apps;
 using namespace specpar::lexgen;
@@ -68,6 +70,25 @@ LexRun specpar::apps::speculativeLex(const Lexer &L, std::string_view Text,
   // Flush the trailing in-flight token of the final segment.
   L.finishLex(Text, R.Value, &Run.Tokens);
   return Run;
+}
+
+analysis::IterateSummary specpar::apps::lexSummary() {
+  // Sub-fragment i reads the text and the lexer's tables, neither written
+  // during a run, and appends its tokens to the chunk-local list U. Init
+  // gives every attempt a fresh U, so sub-fragment i's part of it is a
+  // slot U[i] that no other attempt sees, written on every path; the
+  // finalizer publishes it non-speculatively. The overlap predictor
+  // reads only the text and the tables.
+  analysis::IterateSummary S;
+  analysis::AbsNode *Text = S.Regions.array("text");
+  analysis::AbsNode *Tables = S.Regions.array("lexer tables");
+  analysis::AbsNode *U = S.Regions.array("U");
+  for (analysis::Effects *E : {&S.Body, &S.Predictor}) {
+    E->read(Text, analysis::SymInterval::full());
+    E->read(Tables, analysis::SymInterval::full());
+  }
+  S.Body.write(U, S.Regions.slot(1, 0), /*Certain=*/true);
+  return S;
 }
 
 double specpar::apps::lexPredictionAccuracy(const Lexer &L,

@@ -24,6 +24,9 @@
 #include <vector>
 
 namespace specpar {
+namespace analysis {
+struct IterateSummary; // analysis/Summaries.h
+} // namespace analysis
 namespace apps {
 
 /// Output of a (speculative) lexing run.
@@ -53,6 +56,11 @@ LexRun speculativeLex(const lexgen::Lexer &L, std::string_view Text,
 /// granularity. With `SpecConfig::autotune()` armed the runtime re-sizes
 /// chunks between scheduling waves; without it this is the fixed grid.
 inline constexpr int64_t kLexChunkSize = 8;
+
+/// The declared effects of speculativeLex's iterate site, for
+/// analysis::checkIterateSummaries. Built only on request: a run never
+/// builds or checks them.
+analysis::IterateSummary lexSummary();
 
 /// Prediction accuracy of the overlap predictor at \p NumPoints equally
 /// spaced boundaries (the paper's Figure 7 methodology), in percent.

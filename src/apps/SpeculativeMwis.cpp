@@ -7,6 +7,8 @@
 
 #include "apps/SpeculativeMwis.h"
 
+#include "analysis/Summaries.h"
+
 #include <memory>
 
 using namespace specpar;
@@ -122,6 +124,40 @@ MwisRun specpar::apps::speculativeMwis(const std::vector<int64_t> &Weights,
   Run.Stats = FwdSnap;
   Run.Stats += BwdSnap;
   return Run;
+}
+
+analysis::IterateSummary specpar::apps::mwisForwardSummary() {
+  // Sub-segment i reads the weights, never written during a run, writes
+  // the sign bytes of its own nodes on every path, and adds to the
+  // chunk-local sum U (fresh per attempt, so its part is a slot U[i];
+  // the finalizer adds U to Run.Weight). Its bytes are
+  // Positive[Bound(i) .. Bound(i+1) - 1], and Bound(i) = N*i/NumSub is
+  // not affine in i; but the sub-segments partition the nodes, so
+  // Positive is declared with one slot per sub-segment, and slot(i) is
+  // exact for every N. The predictor reads only the weights.
+  analysis::IterateSummary S;
+  analysis::AbsNode *Weights = S.Regions.array("weights");
+  analysis::AbsNode *Positive = S.Regions.array("Positive");
+  analysis::AbsNode *U = S.Regions.array("U");
+  S.Body.read(Weights, analysis::SymInterval::full());
+  S.Body.write(Positive, S.Regions.slot(1, 0), /*Certain=*/true);
+  S.Body.write(U, S.Regions.slot(1, 0), /*Certain=*/true);
+  S.Predictor.read(Weights, analysis::SymInterval::full());
+  return S;
+}
+
+analysis::IterateSummary specpar::apps::mwisBackwardSummary() {
+  // Phase 2 reads the sign bytes phase 1 wrote, which nothing writes
+  // once phase 1 has returned, and collects its members in the
+  // chunk-local list U: a slot U[i] per sub-segment, published by the
+  // finalizer. The predictor reads only the sign bytes.
+  analysis::IterateSummary S;
+  analysis::AbsNode *Positive = S.Regions.array("Positive");
+  analysis::AbsNode *U = S.Regions.array("U");
+  S.Body.read(Positive, analysis::SymInterval::full());
+  S.Body.write(U, S.Regions.slot(1, 0), /*Certain=*/true);
+  S.Predictor.read(Positive, analysis::SymInterval::full());
+  return S;
 }
 
 double specpar::apps::mwisPredictionAccuracy(

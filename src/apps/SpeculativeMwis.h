@@ -25,6 +25,9 @@
 #include <vector>
 
 namespace specpar {
+namespace analysis {
+struct IterateSummary; // analysis/Summaries.h
+} // namespace analysis
 namespace apps {
 
 /// Output of a (speculative) MWIS run.
@@ -53,6 +56,13 @@ MwisRun speculativeMwis(const std::vector<int64_t> &Weights, int NumTasks,
 /// granularity. With `SpecConfig::autotune()` armed the runtime re-sizes
 /// chunks between scheduling waves; without it this is the fixed grid.
 inline constexpr int64_t kMwisChunkSize = 8;
+
+/// The declared effects of speculativeMwis's two iterate sites (phase 1,
+/// the forward pass, and phase 2, the backward pass), for
+/// analysis::checkIterateSummaries. Built only on request: a run never
+/// builds or checks them.
+analysis::IterateSummary mwisForwardSummary();
+analysis::IterateSummary mwisBackwardSummary();
 
 /// Phase-1 prediction accuracy at \p NumPoints boundaries, in percent.
 double mwisPredictionAccuracy(const std::vector<int64_t> &Weights,

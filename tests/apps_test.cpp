@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Summaries.h"
 #include "apps/SpeculativeHuffman.h"
 #include "apps/SpeculativeLexing.h"
 #include "apps/SpeculativeMwis.h"
@@ -177,6 +178,33 @@ TEST(AppsMwis, BothPhasesMispredictAndStayCorrect) {
 TEST(AppsMwis, PredictionAccuracyWithFewerNodesThanPoints) {
   std::vector<int64_t> W = {4, 9, 2, 7, 5};
   EXPECT_EQ(mwisPredictionAccuracy(W, /*Overlap=*/8, /*NumPoints=*/32), 100.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Declared effect summaries
+//===----------------------------------------------------------------------===//
+
+TEST(AppSummaries, AllFourIterateSitesAreRollbackFree) {
+  using Builder = analysis::IterateSummary (*)();
+  for (Builder B : {lexSummary, decodeSummary, mwisForwardSummary,
+                    mwisBackwardSummary}) {
+    analysis::ConditionVerdict V = analysis::checkIterateSummaries(B());
+    EXPECT_TRUE(V.safe()) << V.Explanation;
+  }
+}
+
+TEST(AppSummaries, SharedAccumulatorInMwisForwardBodyViolatesA) {
+  // Phase 1 with `Run.Weight += Sum` moved from the finalizer into the
+  // body: iteration i's write of the shared total races with iteration
+  // i+1's speculative read of it.
+  analysis::IterateSummary S = mwisForwardSummary();
+  analysis::AbsNode *Weight = S.Regions.scalar("Run.Weight");
+  S.Body.read(Weight, analysis::SummaryRegions::cell());
+  S.Body.write(Weight, analysis::SummaryRegions::cell(), /*Certain=*/true);
+  analysis::ConditionVerdict V = analysis::checkIterateSummaries(S);
+  EXPECT_EQ(V.FailedCondition, "(a)") << V.Explanation;
+  EXPECT_NE(V.Explanation.find("Run.Weight"), std::string::npos)
+      << V.Explanation;
 }
 
 TEST(AppsMwis, EmptyGraph) {

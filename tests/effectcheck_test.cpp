@@ -5,224 +5,226 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/EffectCheck.h"
+#include "analysis/Summaries.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace specpar;
-using namespace specpar::rt;
+using namespace specpar::analysis;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Range algebra
-//===----------------------------------------------------------------------===//
-
-TEST(RangeRef, ScalarOverlap) {
-  EffectRegions R;
-  RegionId A = R.intern("a"), B = R.intern("b");
-  EXPECT_TRUE(RangeRef::scalar(A).mayOverlap(RangeRef::scalar(A)));
-  EXPECT_FALSE(RangeRef::scalar(A).mayOverlap(RangeRef::scalar(B)));
-}
-
-TEST(RangeRef, AdjacentIterationSlotsDisjoint) {
-  EffectRegions R;
-  RegionId Out = R.intern("out");
-  RangeRef At = RangeRef::slot(Out, LinIndex::affine(1, 0));   // out[i]
-  RangeRef Next = At.shifted(1);                               // out[i+1]
-  EXPECT_FALSE(At.mayOverlap(Next));
-  EXPECT_TRUE(At.mayOverlap(At));
-}
-
-TEST(RangeRef, SegmentRangesShiftAndStayDisjoint) {
-  EffectRegions R;
-  RegionId Out = R.intern("out");
-  // out[32i .. 32i+31] vs the next iteration's segment.
-  RangeRef Seg = RangeRef::range(Out, LinIndex::affine(32, 0),
-                                 LinIndex::affine(32, 31));
-  EXPECT_FALSE(Seg.mayOverlap(Seg.shifted(1)));
-  // A one-slot bleed into the neighbour overlaps.
-  RangeRef Bleed = RangeRef::range(Out, LinIndex::affine(32, 0),
-                                   LinIndex::affine(32, 32));
-  EXPECT_TRUE(Bleed.mayOverlap(Bleed.shifted(1)));
-}
-
-TEST(RangeRef, DifferentCoefficientsAreConservative) {
-  EffectRegions R;
-  RegionId A = R.intern("a");
-  RangeRef X = RangeRef::slot(A, LinIndex::affine(2, 0)); // a[2i]
-  RangeRef Y = RangeRef::slot(A, LinIndex::affine(3, 1)); // a[3i+1]
-  EXPECT_TRUE(X.mayOverlap(Y)) << "incomparable bounds must be conservative";
-}
-
-TEST(RangeRef, MustContain) {
-  EffectRegions R;
-  RegionId A = R.intern("a");
-  RangeRef Big = RangeRef::range(A, LinIndex::affine(8, 0),
-                                 LinIndex::affine(8, 7));
-  RangeRef Small = RangeRef::range(A, LinIndex::affine(8, 2),
-                                   LinIndex::affine(8, 5));
-  EXPECT_TRUE(Big.mustContain(Small));
-  EXPECT_FALSE(Small.mustContain(Big));
-  EXPECT_TRUE(RangeRef::whole(A).mustContain(Small));
-  EXPECT_FALSE(Big.mustContain(RangeRef::slot(A, LinIndex::affine(1, 0))))
-      << "different coefficients cannot prove containment";
-}
 
 //===----------------------------------------------------------------------===//
 // Apply-site checks
 //===----------------------------------------------------------------------===//
 
 TEST(ApplySummaries, DisjointStateIsSafe) {
-  EffectRegions R;
-  RegionId In = R.intern("input"), Out = R.intern("output");
-  EffectSummary Producer;
-  Producer.Reads = {RangeRef::whole(In)};
-  EffectSummary Predictor; // pure
-  EffectSummary Consumer;
-  Consumer.Writes = {RangeRef::scalar(Out)};
-  Consumer.MustWrites = {RangeRef::scalar(Out)};
-  SummaryCheckResult V =
-      checkApplySummaries(Producer, Predictor, Consumer, R);
-  EXPECT_TRUE(V.Safe) << V.str();
+  SummaryRegions R;
+  AbsNode *In = R.array("input"), *Out = R.scalar("output");
+  Effects Producer, Predictor, Consumer; // a pure predictor
+  Producer.read(In, SymInterval::full());
+  Consumer.write(Out, SummaryRegions::cell(), /*Certain=*/true);
+  ConditionVerdict V = checkApplySummaries(Producer, Predictor, Consumer);
+  EXPECT_TRUE(V.safe()) << V.Explanation;
 }
 
 TEST(ApplySummaries, ProducerWritesConsumerReadsViolatesA) {
-  EffectRegions R;
-  RegionId C = R.intern("cell");
-  EffectSummary Producer;
-  Producer.Writes = {RangeRef::scalar(C)};
-  EffectSummary Consumer;
-  Consumer.Reads = {RangeRef::scalar(C)};
-  SummaryCheckResult V =
-      checkApplySummaries(Producer, EffectSummary(), Consumer, R);
-  EXPECT_FALSE(V.Safe);
+  SummaryRegions R;
+  AbsNode *C = R.scalar("cell");
+  Effects Producer, Consumer;
+  Producer.write(C, SummaryRegions::cell(), /*Certain=*/false);
+  Consumer.read(C, SummaryRegions::cell());
+  ConditionVerdict V = checkApplySummaries(Producer, Effects(), Consumer);
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(a)");
   EXPECT_NE(V.Explanation.find("cell"), std::string::npos);
 }
 
+TEST(ApplySummaries, DistinctScalarsAreDisjoint) {
+  // Two scalar regions never overlap; one overlaps itself.
+  SummaryRegions R;
+  AbsNode *A = R.scalar("a"), *B = R.scalar("b");
+  Effects Producer, Consumer;
+  Producer.write(A, SummaryRegions::cell(), /*Certain=*/true);
+  Consumer.read(B, SummaryRegions::cell());
+  ConditionVerdict V = checkApplySummaries(Producer, Effects(), Consumer);
+  EXPECT_TRUE(V.safe()) << V.Explanation;
+  Consumer.read(A, SummaryRegions::cell());
+  V = checkApplySummaries(Producer, Effects(), Consumer);
+  EXPECT_EQ(V.FailedCondition, "(a)") << V.Explanation;
+  EXPECT_NE(V.Explanation.find("a overlaps a"), std::string::npos)
+      << V.Explanation;
+}
+
 TEST(ApplySummaries, PredictorWritesViolate) {
-  EffectRegions R;
-  RegionId C = R.intern("cache");
-  EffectSummary Producer;
-  Producer.Reads = {RangeRef::scalar(C)};
-  EffectSummary Predictor;
-  Predictor.Writes = {RangeRef::scalar(C)};
-  SummaryCheckResult V =
-      checkApplySummaries(Producer, Predictor, EffectSummary(), R);
-  EXPECT_FALSE(V.Safe);
+  SummaryRegions R;
+  AbsNode *C = R.scalar("cache");
+  Effects Producer, Predictor;
+  Producer.read(C, SummaryRegions::cell());
+  Predictor.write(C, SummaryRegions::cell(), /*Certain=*/false);
+  ConditionVerdict V = checkApplySummaries(Producer, Predictor, Effects());
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(b)");
 }
 
 TEST(ApplySummaries, UncoveredSpeculativeWriteViolatesE) {
-  EffectRegions R;
-  RegionId Out = R.intern("out");
-  EffectSummary Consumer;
-  Consumer.Writes = {RangeRef::scalar(Out)};
-  // No MustWrites: a conditional write.
-  SummaryCheckResult V = checkApplySummaries(EffectSummary(),
-                                             EffectSummary(), Consumer, R);
-  EXPECT_FALSE(V.Safe);
+  SummaryRegions R;
+  AbsNode *Out = R.scalar("out");
+  Effects Consumer;
+  // Not certain: a conditional write.
+  Consumer.write(Out, SummaryRegions::cell(), /*Certain=*/false);
+  ConditionVerdict V = checkApplySummaries(Effects(), Effects(), Consumer);
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(e)");
 }
 
 //===----------------------------------------------------------------------===//
-// Iterate-site checks: the three benchmarks' real summaries
+// Iterate-site checks
 //===----------------------------------------------------------------------===//
 
 TEST(IterateSummaries, LexerShapeIsSafe) {
   // Segment i reads input[Ki-Overlap .. Ki+K-1] (backtracking may re-read
   // before the segment) and writes tokens[Ki .. Ki+K-1] unconditionally.
   constexpr int64_t K = 4096, Overlap = 64;
-  EffectRegions R;
-  RegionId In = R.intern("input"), Toks = R.intern("tokens");
-  EffectSummary Body;
-  Body.Reads = {RangeRef::range(In, LinIndex::affine(K, -Overlap),
-                                LinIndex::affine(K, K - 1))};
-  Body.Writes = {RangeRef::range(Toks, LinIndex::affine(K, 0),
-                                 LinIndex::affine(K, K - 1))};
-  Body.MustWrites = Body.Writes;
-  EffectSummary Guess;
-  Guess.Reads = {RangeRef::range(In, LinIndex::affine(K, -Overlap),
-                                 LinIndex::affine(K, -1))};
-  SummaryCheckResult V = checkIterateSummaries(Body, Guess, R);
-  EXPECT_TRUE(V.Safe) << V.str();
+  IterateSummary S;
+  AbsNode *In = S.Regions.array("input"), *Toks = S.Regions.array("tokens");
+  S.Body.read(In, S.Regions.range(K, -Overlap, K, K - 1));
+  S.Body.write(Toks, S.Regions.range(K, 0, K, K - 1), /*Certain=*/true);
+  S.Predictor.read(In, S.Regions.range(K, -Overlap, K, -1));
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_TRUE(V.safe()) << V.Explanation;
 }
 
 TEST(IterateSummaries, MwisForwardShapeIsSafe) {
   constexpr int64_t K = 1024;
-  EffectRegions R;
-  RegionId W = R.intern("weights"), D = R.intern("d");
-  EffectSummary Body;
-  Body.Reads = {RangeRef::range(W, LinIndex::affine(K, 0),
-                                LinIndex::affine(K, K - 1))};
-  Body.Writes = {RangeRef::range(D, LinIndex::affine(K, 0),
-                                 LinIndex::affine(K, K - 1))};
-  Body.MustWrites = Body.Writes;
-  EffectSummary Guess;
-  Guess.Reads = {RangeRef::range(W, LinIndex::affine(K, -32),
-                                 LinIndex::affine(K, -1))};
-  SummaryCheckResult V = checkIterateSummaries(Body, Guess, R);
-  EXPECT_TRUE(V.Safe) << V.str();
+  IterateSummary S;
+  AbsNode *W = S.Regions.array("weights"), *D = S.Regions.array("d");
+  S.Body.read(W, S.Regions.range(K, 0, K, K - 1));
+  S.Body.write(D, S.Regions.range(K, 0, K, K - 1), /*Certain=*/true);
+  S.Predictor.read(W, S.Regions.range(K, -32, K, -1));
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_TRUE(V.safe()) << V.Explanation;
 }
 
 TEST(IterateSummaries, SharedAccumulatorViolates) {
-  EffectRegions R;
-  RegionId Acc = R.intern("total");
-  EffectSummary Body;
-  Body.Reads = {RangeRef::scalar(Acc)};
-  Body.Writes = {RangeRef::scalar(Acc)};
-  Body.MustWrites = Body.Writes;
-  SummaryCheckResult V = checkIterateSummaries(Body, EffectSummary(), R);
-  EXPECT_FALSE(V.Safe);
+  IterateSummary S;
+  AbsNode *Acc = S.Regions.scalar("total");
+  S.Body.read(Acc, SummaryRegions::cell());
+  S.Body.write(Acc, SummaryRegions::cell(), /*Certain=*/true);
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(a)");
 }
 
 TEST(IterateSummaries, NeighbourWriteViolatesC) {
-  EffectRegions R;
-  RegionId Out = R.intern("out");
-  EffectSummary Body;
+  IterateSummary S;
+  AbsNode *Out = S.Regions.array("out");
   // Writes out[i] and out[i+1].
-  Body.Writes = {RangeRef::range(Out, LinIndex::affine(1, 0),
-                                 LinIndex::affine(1, 1))};
-  Body.MustWrites = Body.Writes;
-  SummaryCheckResult V = checkIterateSummaries(Body, EffectSummary(), R);
-  EXPECT_FALSE(V.Safe);
+  S.Body.write(Out, S.Regions.range(1, 0, 1, 1), /*Certain=*/true);
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(c)");
+  EXPECT_NE(V.Explanation.find("out[i, i + 1] overlaps out[i + 1, i + 2]"),
+            std::string::npos)
+      << V.Explanation;
 }
 
 TEST(IterateSummaries, ConditionalSlotWriteViolatesE) {
-  EffectRegions R;
-  RegionId Out = R.intern("out");
-  EffectSummary Body;
-  Body.Writes = {RangeRef::slot(Out, LinIndex::affine(1, 0))};
-  // MustWrites empty: the write is conditional on the (possibly wrong)
+  IterateSummary S;
+  AbsNode *Out = S.Regions.array("out");
+  // Not certain: the write is conditional on the (possibly wrong)
   // accumulator.
-  SummaryCheckResult V = checkIterateSummaries(Body, EffectSummary(), R);
-  EXPECT_FALSE(V.Safe);
+  S.Body.write(Out, S.Regions.slot(1, 0), /*Certain=*/false);
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(e)");
 }
 
 TEST(IterateSummaries, ReadModifyWriteOfOwnSlotViolatesD) {
-  EffectRegions R;
-  RegionId A = R.intern("a");
-  EffectSummary Body;
-  Body.Reads = {RangeRef::slot(A, LinIndex::affine(1, 0))};
-  Body.Writes = {RangeRef::slot(A, LinIndex::affine(1, 0))};
-  Body.MustWrites = Body.Writes;
-  SummaryCheckResult V = checkIterateSummaries(Body, EffectSummary(), R);
-  EXPECT_FALSE(V.Safe);
+  IterateSummary S;
+  AbsNode *A = S.Regions.array("a");
+  S.Body.read(A, S.Regions.slot(1, 0));
+  S.Body.write(A, S.Regions.slot(1, 0), /*Certain=*/true);
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_FALSE(V.safe());
   EXPECT_EQ(V.FailedCondition, "(d)");
 }
 
 TEST(IterateSummaries, StridedWritesSafe) {
-  EffectRegions R;
-  RegionId Out = R.intern("out");
-  EffectSummary Body;
-  Body.Writes = {RangeRef::slot(Out, LinIndex::affine(2, 0))}; // out[2i]
-  Body.MustWrites = Body.Writes;
-  SummaryCheckResult V = checkIterateSummaries(Body, EffectSummary(), R);
-  EXPECT_TRUE(V.Safe) << V.str();
+  IterateSummary S;
+  AbsNode *Out = S.Regions.array("out");
+  S.Body.write(Out, S.Regions.slot(2, 0), /*Certain=*/true); // out[2i]
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_TRUE(V.safe()) << V.Explanation;
+}
+
+TEST(IterateSummaries, SegmentWritesSafeButOneSlotBleedViolatesC) {
+  // out[32i .. 32i+31] is disjoint from the next iteration's segment; a
+  // one-slot bleed into the neighbour overlaps it.
+  IterateSummary S;
+  AbsNode *Out = S.Regions.array("out");
+  S.Body.write(Out, S.Regions.range(32, 0, 32, 31), /*Certain=*/true);
+  EXPECT_TRUE(checkIterateSummaries(S).safe());
+
+  IterateSummary Bleed;
+  AbsNode *BOut = Bleed.Regions.array("out");
+  Bleed.Body.write(BOut, Bleed.Regions.range(32, 0, 32, 32), true);
+  EXPECT_EQ(checkIterateSummaries(Bleed).FailedCondition, "(c)");
+}
+
+TEST(IterateSummaries, IncomparableStridesAreConservative) {
+  // a[2i] and a[3i+4] (the read at i+1) have different coefficients, so
+  // their disjointness is not decidable: the check must assume overlap.
+  IterateSummary S;
+  AbsNode *A = S.Regions.array("a");
+  S.Body.read(A, S.Regions.slot(3, 1));
+  S.Body.write(A, S.Regions.slot(2, 0), /*Certain=*/true);
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_EQ(V.FailedCondition, "(a)") << V.Explanation;
+}
+
+TEST(IterateSummaries, MustWritesMustContainEverySpeculativeWrite) {
+  // Maybe-writes inside a certainly-written segment are covered...
+  IterateSummary Inner;
+  AbsNode *A = Inner.Regions.array("a");
+  Inner.Body.write(A, Inner.Regions.range(8, 2, 8, 5), /*Certain=*/false);
+  Inner.Body.write(A, Inner.Regions.range(8, 0, 8, 7), /*Certain=*/true);
+  EXPECT_TRUE(checkIterateSummaries(Inner).safe());
+
+  // ...but a certain sub-range does not cover the whole segment...
+  IterateSummary Outer;
+  AbsNode *B = Outer.Regions.array("a");
+  Outer.Body.write(B, Outer.Regions.range(8, 0, 8, 7), /*Certain=*/false);
+  Outer.Body.write(B, Outer.Regions.range(8, 2, 8, 5), /*Certain=*/true);
+  EXPECT_EQ(checkIterateSummaries(Outer).FailedCondition, "(e)");
+
+  // ...and containment across different coefficients is not provable:
+  // the hull of a[i] and a[8i .. 8i+7] widens, and no must-write covers
+  // the widened write.
+  SummaryRegions R;
+  AbsNode *C = R.array("a");
+  Effects Consumer;
+  Consumer.write(C, R.slot(1, 0), /*Certain=*/false);
+  Consumer.write(C, R.range(8, 0, 8, 7), /*Certain=*/true);
+  EXPECT_EQ(checkApplySummaries(Effects(), Effects(), Consumer)
+                .FailedCondition,
+            "(e)");
+}
+
+TEST(IterateSummaries, OverflowingBoundIsConservative) {
+  // out[2i + (INT64_MAX - 1)] at i+1 leaves int64. The shifted bound
+  // widens to the whole region and the must-write is dropped, so the
+  // verdict is conservative, and no arithmetic wraps (the ASan+UBSan
+  // smoke runs this test).
+  IterateSummary S;
+  AbsNode *Out = S.Regions.array("out");
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  S.Body.write(Out, S.Regions.slot(2, Max - 1), /*Certain=*/true);
+  ConditionVerdict V = checkIterateSummaries(S);
+  EXPECT_FALSE(V.safe());
+  EXPECT_EQ(V.FailedCondition, "(c)") << V.Explanation;
 }
 
 } // namespace
