@@ -15,9 +15,10 @@
 ///    unpinned P-worker executor really uses P+1 cores.
 ///  * `medianSeconds` times a callable as the median of kRepeats runs.
 ///  * `sampleProcesses` repeats a measurement in kProcesses processes, each
-///    fork()ed from a parent that has started no thread, because the
-///    speedup one process sees can differ from the next one's. Each
-///    child generates its own inputs and writes its samples to a pipe.
+///    fork()ed from a parent that has started no thread (`runInChild`),
+///    because the speedup one process sees can differ from the next
+///    one's. Each child generates its own inputs and writes its samples
+///    to a pipe.
 ///
 /// A speedup is the median sequential time over the median speculative
 /// time at P threads, both taken in the same process; the sequential
@@ -41,10 +42,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -273,56 +277,79 @@ struct Row {
   std::function<bool(const Row &, std::vector<Sample> &)> Measure;
 };
 
+/// Runs \p Child in a process fork()ed from this one, which must not
+/// have started a thread, and returns what the child wrote to the
+/// stream it is handed. Returns nothing when the child failed: it
+/// returned false, threw, or did not exit normally.
+inline std::optional<std::string>
+runInChild(const std::function<bool(std::FILE *Out)> &Child) {
+  int Fd[2];
+  if (pipe(Fd) != 0)
+    return std::nullopt;
+  std::fflush(nullptr);
+  const pid_t Pid = fork();
+  if (Pid < 0) {
+    close(Fd[0]);
+    close(Fd[1]);
+    return std::nullopt;
+  }
+  if (Pid == 0) {
+    close(Fd[0]);
+    std::FILE *W = fdopen(Fd[1], "w");
+    if (!W)
+      _exit(1);
+    bool Ok = false;
+    try {
+      Ok = Child(W);
+    } catch (const std::exception &E) {
+      std::fprintf(stderr, "error: %s\n", E.what());
+    }
+    Ok = std::fclose(W) == 0 && Ok;
+    std::fflush(nullptr);
+    _exit(Ok ? 0 : 1);
+  }
+  close(Fd[1]);
+  std::string Out;
+  char Buf[4096];
+  for (ssize_t N; (N = read(Fd[0], Buf, sizeof(Buf))) != 0;) {
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      break;
+    Out.append(Buf, static_cast<size_t>(N));
+  }
+  close(Fd[0]);
+  int Status = 0;
+  waitpid(Pid, &Status, 0);
+  if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0)
+    return std::nullopt;
+  return Out;
+}
+
 /// Measures every row of \p Rows in kProcesses children, one after
-/// another, each fork()ed from this process, which must not have
-/// started a thread. Returns the cells, each with one entry per
-/// process, or nothing when a child failed (a `Measure` returned false,
-/// e.g. on an oracle mismatch).
+/// another, each run with runInChild. Returns the cells, each with one
+/// entry per process, or nothing when a child failed (a `Measure`
+/// returned false, e.g. on an oracle mismatch).
 inline std::vector<Cell> sampleProcesses(const std::vector<Row> &Rows) {
   std::vector<Cell> Cells;
   for (int K = 0; K < kProcesses; ++K) {
-    int Fd[2];
-    if (pipe(Fd) != 0)
-      return {};
-    std::fflush(nullptr);
-    const pid_t Pid = fork();
-    if (Pid < 0)
-      return {};
-    if (Pid == 0) {
-      close(Fd[0]);
+    std::optional<std::string> Out = runInChild([&](std::FILE *W) {
       std::vector<Sample> Samples;
       bool Ok = true;
-      try {
-        for (const Row &R : Rows)
-          Ok = Ok && R.Measure(R, Samples);
-      } catch (const std::exception &E) {
-        std::fprintf(stderr, "error: %s\n", E.what());
-        Ok = false;
-      }
-      std::FILE *W = fdopen(Fd[1], "w");
-      if (!W)
-        _exit(1);
+      for (const Row &R : Rows)
+        Ok = Ok && R.Measure(R, Samples);
       for (const Sample &S : Samples)
         std::fprintf(W, "%s %s %lld %u %d %.17g %.17g %.17g\n",
                      S.Dataset.c_str(), S.Mode.c_str(),
                      static_cast<long long>(S.Overlap), S.Threads, S.Tasks,
                      S.SeqSeconds, S.SpecSeconds, S.Mispredictions);
-      Ok = std::fclose(W) == 0 && Ok;
-      std::fflush(nullptr);
-      _exit(Ok ? 0 : 1);
-    }
-    close(Fd[1]);
-    std::FILE *R = fdopen(Fd[0], "r");
-    char Dataset[256] = {}, Mode[16] = {};
-    long long Overlap = 0;
+      return Ok;
+    });
+    std::istringstream In(Out ? *Out : std::string());
     Sample S;
     size_t I = 0;
-    while (std::fscanf(R, "%255s %15s %lld %u %d %lg %lg %lg", Dataset,
-                       Mode, &Overlap, &S.Threads, &S.Tasks, &S.SeqSeconds,
-                       &S.SpecSeconds, &S.Mispredictions) == 8) {
-      S.Dataset = Dataset;
-      S.Mode = Mode;
-      S.Overlap = Overlap;
+    while (In >> S.Dataset >> S.Mode >> S.Overlap >> S.Threads >> S.Tasks >>
+           S.SeqSeconds >> S.SpecSeconds >> S.Mispredictions) {
       if (K == 0)
         Cells.push_back(Cell{S, {}, {}, {}, {}});
       if (I >= Cells.size() || Cells[I].Key.Dataset != S.Dataset)
@@ -333,11 +360,7 @@ inline std::vector<Cell> sampleProcesses(const std::vector<Row> &Rows) {
       C.SpecSeconds.push_back(S.SpecSeconds);
       C.Mispredictions.push_back(S.Mispredictions);
     }
-    std::fclose(R);
-    int Status = 0;
-    waitpid(Pid, &Status, 0);
-    if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0 ||
-        I != Cells.size()) {
+    if (!Out || I != Cells.size()) {
       std::fprintf(stderr, "error: measuring process %d failed\n", K);
       return {};
     }

@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "apps/ChunkParts.h"
 #include "lexgen/Lexer.h"
 #include "runtime/Speculation.h"
 #include "support/Rng.h"
@@ -113,7 +114,7 @@ int main(int Argc, char **Argv) {
   const int64_t NumSub = NumTasks * ChunkSize;
   auto Bound = [&](int64_t I) { return N * I / NumSub; };
   for (int64_t Overlap : {0, 8, 32, 128}) {
-    std::vector<Token> Tokens;
+    apps::ChunkParts<Token> Parts;
     T.reset();
     rt::SpecResult<LexState> Scan =
         rt::Speculation::iterateChunkedLocal<LexState, std::vector<Token>>(
@@ -130,10 +131,13 @@ int main(int Argc, char **Argv) {
                          ? Matcher.initialState(0)
                          : Matcher.predictStateAt(Traffic, Bound(I), Overlap);
             },
-            [&Tokens](int64_t, std::vector<Token> &Local) {
-              Tokens.insert(Tokens.end(), Local.begin(), Local.end());
+            [&Parts](int64_t, std::vector<Token> &Local) {
+              Parts.take(std::move(Local));
             });
-    Matcher.finishLex(Traffic, Scan.Value, &Tokens);
+    std::vector<Token> Tail;
+    Matcher.finishLex(Traffic, Scan.Value, &Tail);
+    Parts.take(std::move(Tail));
+    std::vector<Token> Tokens = Parts.concat();
     size_t Alerts = countAlerts(Matcher, Tokens);
     bool Match = Tokens == Seq;
     std::printf("overlap %4lld: %zu alerts  %s  %s  (%.3f ms)\n",

@@ -8,6 +8,7 @@
 #include "apps/SpeculativeHuffman.h"
 
 #include "analysis/Summaries.h"
+#include "apps/ChunkParts.h"
 
 using namespace specpar;
 using namespace specpar::apps;
@@ -36,6 +37,7 @@ HuffmanRun specpar::apps::speculativeDecode(const Decoder &D,
   rt::SpecConfig RunCfg = Cfg;
   RunCfg.statsOut(&Run.Stats);
 
+  ChunkParts<uint8_t> Parts;
   rt::Speculation::iterateChunkedLocal<int64_t, std::vector<uint8_t>>(
           0, NumSub, kHuffChunkSize,
           /*Init=*/[] { return std::vector<uint8_t>(); },
@@ -57,10 +59,11 @@ HuffmanRun specpar::apps::speculativeDecode(const Decoder &D,
             return D.predictSyncPoint(In, Bound(I), OverlapBits);
           },
           /*Finalize=*/
-          [&Run](int64_t, std::vector<uint8_t> &Local) {
-            Run.Decoded.insert(Run.Decoded.end(), Local.begin(), Local.end());
+          [&Parts](int64_t, std::vector<uint8_t> &Local) {
+            Parts.take(std::move(Local));
           },
           RunCfg);
+  Run.Decoded = Parts.concat();
 
   return Run;
 }

@@ -8,6 +8,7 @@
 #include "apps/SpeculativeLexing.h"
 
 #include "analysis/Summaries.h"
+#include "apps/ChunkParts.h"
 
 using namespace specpar;
 using namespace specpar::apps;
@@ -21,6 +22,7 @@ std::vector<Token> specpar::apps::sequentialLex(const Lexer &L,
 LexRun specpar::apps::speculativeLex(const Lexer &L, std::string_view Text,
                                      int NumTasks, int64_t Overlap,
                                      const rt::SpecConfig &Cfg) {
+  checkLexInputSize(Text);
   LexRun Run;
   const int64_t N = static_cast<int64_t>(Text.size());
   if (NumTasks <= 0 || N == 0) {
@@ -42,6 +44,7 @@ LexRun specpar::apps::speculativeLex(const Lexer &L, std::string_view Text,
   rt::SpecConfig RunCfg = Cfg;
   RunCfg.statsOut(&Run.Stats);
 
+  ChunkParts<Token> Parts;
   rt::SpecResult<LexState> R =
       rt::Speculation::iterateChunkedLocal<LexState, std::vector<Token>>(
           0, NumSub, kLexChunkSize,
@@ -62,13 +65,16 @@ LexRun specpar::apps::speculativeLex(const Lexer &L, std::string_view Text,
             return L.predictStateAt(Text, Bound(I), Overlap);
           },
           /*Finalize=*/
-          [&Run](int64_t, std::vector<Token> &Local) {
-            Run.Tokens.insert(Run.Tokens.end(), Local.begin(), Local.end());
+          [&Parts](int64_t, std::vector<Token> &Local) {
+            Parts.take(std::move(Local));
           },
           RunCfg);
 
-  // Flush the trailing in-flight token of the final segment.
-  L.finishLex(Text, R.Value, &Run.Tokens);
+  // The trailing in-flight token of the final segment is the last part.
+  std::vector<Token> Tail;
+  L.finishLex(Text, R.Value, &Tail);
+  Parts.take(std::move(Tail));
+  Run.Tokens = Parts.concat();
   return Run;
 }
 

@@ -10,7 +10,10 @@
 /// specpar runtime: the input is split into NumTasks segments, each lexed
 /// speculatively from an overlap-predicted LexState; per-task token
 /// collections are published by validated finalizers, exactly the
-/// initializer/finalizer Iterate variant of the paper's API.
+/// initializer/finalizer Iterate variant of the paper's API. Each
+/// finalizer moves its task's token buffer aside (apps/ChunkParts.h), and
+/// after the run one exact-size concatenation of the 12-byte tokens
+/// builds `LexRun::Tokens`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +50,9 @@ std::vector<lexgen::Token> sequentialLex(const lexgen::Lexer &L,
 /// sub-fragments (`kLexChunkSize` per task) iterated sequentially inside
 /// one speculative attempt — segment-granularity speculation on the
 /// executor \p Cfg resolves to (the process's default shard unless the
-/// caller names one with `SpecConfig::executor()`).
+/// caller names one with `SpecConfig::executor()`). Throws
+/// std::length_error, before lexing, when \p Text is longer than
+/// lexgen::kMaxLexBytes.
 LexRun speculativeLex(const lexgen::Lexer &L, std::string_view Text,
                       int NumTasks, int64_t Overlap,
                       const rt::SpecConfig &Cfg = rt::SpecConfig());

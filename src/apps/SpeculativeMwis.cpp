@@ -8,6 +8,7 @@
 #include "apps/SpeculativeMwis.h"
 
 #include "analysis/Summaries.h"
+#include "apps/ChunkParts.h"
 
 #include <memory>
 
@@ -83,7 +84,7 @@ MwisRun specpar::apps::speculativeMwis(const std::vector<int64_t> &Weights,
   // sub-segment counted from the top so the carried bit flows downwards.
   // A chunk's local is its members in descending order, so the accepted
   // chunks, in the order they are finalized, list the set top-down.
-  std::vector<std::vector<int32_t>> Chunks;
+  ChunkParts<int32_t> Chunks;
   rt::SpecResult<int64_t> Bwd =
       rt::Speculation::iterateChunkedLocal<int64_t, std::vector<int32_t>>(
           0, NumSub, kMwisChunkSize,
@@ -107,19 +108,14 @@ MwisRun specpar::apps::speculativeMwis(const std::vector<int64_t> &Weights,
           },
           /*Finalize=*/
           [&Chunks](int64_t, std::vector<int32_t> &Local) {
-            Chunks.push_back(std::move(Local));
+            Chunks.take(std::move(Local));
           },
           BwdCfg);
   Run.BackwardStats = Bwd.Stats;
 
-  // The one serial pass over the members: concatenate the chunks in
-  // reverse order, each reversed, into ascending node order.
-  size_t NumMembers = 0;
-  for (const std::vector<int32_t> &C : Chunks)
-    NumMembers += C.size();
-  Run.Members.reserve(NumMembers);
-  for (auto C = Chunks.rbegin(); C != Chunks.rend(); ++C)
-    Run.Members.insert(Run.Members.end(), C->rbegin(), C->rend());
+  // The one serial pass over the members: the chunks in reverse order,
+  // each reversed, are the set in ascending node order.
+  Run.Members = Chunks.concatReversed();
 
   Run.Stats = FwdSnap;
   Run.Stats += BwdSnap;

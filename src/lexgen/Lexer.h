@@ -21,6 +21,7 @@
 #include "lexgen/Dfa.h"
 #include "support/Result.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,16 +38,24 @@ struct LexRule {
 };
 
 /// A lexed token: rule index and the [Start, End) byte range. Rule NoRule
-/// marks an error token (a byte no rule matches).
+/// marks an error token (a byte no rule matches). Offsets are 32-bit, so
+/// a lexer input is at most kMaxLexBytes long.
 struct Token {
   int32_t Rule;
-  int64_t Start;
-  int64_t End;
+  uint32_t Start;
+  uint32_t End;
 
   friend bool operator==(const Token &A, const Token &B) {
     return A.Rule == B.Rule && A.Start == B.Start && A.End == B.End;
   }
 };
+static_assert(sizeof(Token) == 12, "Token grew");
+
+/// The longest text a Token's offsets can address.
+inline constexpr int64_t kMaxLexBytes = UINT32_MAX;
+
+/// Throws std::length_error when \p Text is longer than kMaxLexBytes.
+void checkLexInputSize(std::string_view Text);
 
 /// The loop-carried lexer state: everything the scanner needs besides the
 /// current position. This is the value the speculative iteration predicts;
@@ -86,9 +95,10 @@ public:
     return LexState{Machine.startState(), Pos, NoRule, -1};
   }
 
-  /// Lexes positions [From, To) of \p Text starting from \p State.
-  /// Tokens finalized while scanning the range are appended to \p Out
-  /// (skip-rule tokens are dropped). Returns the carried state at \p To.
+  /// Lexes positions [From, To) of \p Text starting from \p State;
+  /// \p To must not exceed kMaxLexBytes. Tokens finalized while scanning
+  /// the range are appended to \p Out (skip-rule tokens are dropped).
+  /// Returns the carried state at \p To.
   ///
   /// Composition law (tested): lexRange(a,b) then lexRange(b,c) from the
   /// returned state produces the same tokens and final state as
@@ -103,7 +113,9 @@ public:
   void finishLex(std::string_view Text, LexState State,
                  std::vector<Token> *Out) const;
 
-  /// Convenience: lexes all of \p Text sequentially.
+  /// Convenience: lexes all of \p Text sequentially. Throws
+  /// std::length_error, before lexing, when \p Text is longer than
+  /// kMaxLexBytes.
   std::vector<Token> lexAll(std::string_view Text) const;
 
   /// The paper's overlap predictor: predicts the carried state at

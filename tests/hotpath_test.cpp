@@ -10,7 +10,7 @@
 // threads at once, TaskRef's small-buffer allocation contract, the
 // adaptive chunk autotuner, and — the headline perf contract — zero
 // steady-state heap allocations per chunk in a speculative run (global
-// operator new/delete counting hooks).
+// operator new counting, support/AllocCounter.h).
 //
 // Runs under -DSPECPAR_SANITIZE=thread and address (the sanitize-smoke
 // CTest label): the queue and eventcount memory orders are chosen to be
@@ -23,51 +23,21 @@
 #include "runtime/Speculation.h"
 #include "runtime/TaskRef.h"
 #include "runtime/Telemetry.h"
+#include "support/AllocCounter.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
+using namespace specpar;
 using namespace specpar::rt;
 
-//===----------------------------------------------------------------------===//
-// Global allocation counting hooks. Counting is off by default (gtest and
-// the runtime may allocate freely); tests turn it on around a window and
-// read the delta. Thread-safe: any thread's allocation counts.
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<bool> GCountAllocs{false};
-std::atomic<int64_t> GAllocCount{0};
-
-void *countedAlloc(std::size_t Size) {
-  if (GCountAllocs.load(std::memory_order_relaxed))
-    GAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (Size == 0)
-    Size = 1;
-  if (void *P = std::malloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-} // namespace
-
-void *operator new(std::size_t Size) { return countedAlloc(Size); }
-void *operator new[](std::size_t Size) { return countedAlloc(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-
 namespace {
 
-int64_t allocsSinceMark(int64_t Mark) {
-  return GAllocCount.load(std::memory_order_relaxed) - Mark;
-}
+int64_t allocsSinceMark(int64_t Mark) { return allocCounts().Calls - Mark; }
 
 //===----------------------------------------------------------------------===//
 // TaskRef
@@ -76,8 +46,8 @@ int64_t allocsSinceMark(int64_t Mark) {
 TEST(TaskRef, SmallCapturesAreInlineAndAllocationFree) {
   int64_t A = 0, B = 0;
   int64_t *PA = &A, *PB = &B;
-  const int64_t Mark = GAllocCount.load();
-  GCountAllocs.store(true);
+  const int64_t Mark = allocCounts().Calls;
+  setAllocCounting(true);
   {
     TaskRef T([PA, PB] {
       *PA = 1;
@@ -86,7 +56,7 @@ TEST(TaskRef, SmallCapturesAreInlineAndAllocationFree) {
     TaskRef T2(std::move(T));
     T2.run();
   }
-  GCountAllocs.store(false);
+  setAllocCounting(false);
   EXPECT_EQ(allocsSinceMark(Mark), 0);
   EXPECT_EQ(A, 1);
   EXPECT_EQ(B, 2);
@@ -99,13 +69,13 @@ TEST(TaskRef, OversizedCapturesFallBackToOneHeapAllocation) {
   Big Payload{};
   Payload.Pad[0] = 7;
   std::atomic<int> Ran{0};
-  const int64_t Mark = GAllocCount.load();
-  GCountAllocs.store(true);
+  const int64_t Mark = allocCounts().Calls;
+  setAllocCounting(true);
   {
     TaskRef T([Payload, &Ran] { Ran += Payload.Pad[0]; });
     T.run();
   }
-  GCountAllocs.store(false);
+  setAllocCounting(false);
   EXPECT_EQ(allocsSinceMark(Mark), 1);
   EXPECT_EQ(Ran.load(), 7);
 }
@@ -191,18 +161,18 @@ TEST(ZeroAlloc, SteadyStateChunkIterationDoesNotTouchTheHeap) {
   // Measured run: count allocations over the middle 60% of the
   // iteration space (the engine's own setup/teardown sits outside the
   // window).
-  const int64_t Mark = GAllocCount.load();
+  const int64_t Mark = allocCounts().Calls;
   auto R = Speculation::iterateChunked<int64_t>(
       0, N, /*ChunkSize=*/4,
       [N](int64_t I, int64_t Acc) {
         if (I == N / 5)
-          GCountAllocs.store(true, std::memory_order_relaxed);
+          setAllocCounting(true);
         if (I == (4 * N) / 5)
-          GCountAllocs.store(false, std::memory_order_relaxed);
+          setAllocCounting(false);
         return Acc + I;
       },
       [](int64_t I) { return I * (I - 1) / 2; }, SpecConfig().executor(Ex));
-  GCountAllocs.store(false, std::memory_order_relaxed);
+  setAllocCounting(false);
   EXPECT_EQ(R.Value, N * (N - 1) / 2);
   EXPECT_EQ(R.Stats.Tasks, N / 4);
   EXPECT_EQ(allocsSinceMark(Mark), 0)

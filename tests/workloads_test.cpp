@@ -115,7 +115,7 @@ TEST(SourceGen, HtmlHasLongTokensJavaShortOnes) {
   auto MaxTokenLen = [](const std::vector<Token> &Toks) {
     int64_t Max = 0;
     for (const Token &T : Toks)
-      Max = std::max(Max, T.End - T.Start);
+      Max = std::max<int64_t>(Max, T.End - T.Start);
     return Max;
   };
   int64_t HtmlMax = MaxTokenLen(HtmlLexer.lexAll(Html));
