@@ -7,6 +7,8 @@
 
 #include "runtime/ProfileStore.h"
 
+#include "support/Json.h"
+
 #include <atomic>
 #include <cctype>
 #include <cstdio>
@@ -93,43 +95,7 @@ void ProfileStore::clear() {
   Sites.clear();
 }
 
-//===----------------------------------------------------------------------===//
-// JSON writer
-//===----------------------------------------------------------------------===//
-
 namespace {
-
-void writeJsonString(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
 
 //===----------------------------------------------------------------------===//
 // JSON reader: a minimal recursive-descent parser for the subset the
@@ -312,6 +278,11 @@ std::atomic<uint64_t> TmpCounter{0};
 //===----------------------------------------------------------------------===//
 
 bool ProfileStore::save(const std::string &Path) const {
+  auto Quoted = [](const std::string &S) {
+    std::string Out;
+    appendJsonString(Out, S);
+    return Out;
+  };
   std::ostringstream OS;
   {
     std::lock_guard<std::mutex> Lock(M);
@@ -321,7 +292,7 @@ bool ProfileStore::save(const std::string &Path) const {
       if (!FirstSite)
         OS << ",";
       FirstSite = false;
-      writeJsonString(OS, SKV.first);
+      OS << Quoted(SKV.first);
       const SiteProfile &P = SKV.second;
       OS << ":{\"runs\":" << P.Runs << ",\"chunk\":" << P.ChunkSize
          << ",\"degrade_trips\":" << P.DegradeTrips
@@ -333,7 +304,7 @@ bool ProfileStore::save(const std::string &Path) const {
         if (!FirstPred)
           OS << ",";
         FirstPred = false;
-        writeJsonString(OS, PKV.first);
+        OS << Quoted(PKV.first);
         OS << ":{\"hits\":" << PKV.second.Hits
            << ",\"misses\":" << PKV.second.Misses << "}";
       }

@@ -20,12 +20,10 @@
 ///    per-task overhead amortizes over the chunk (the way the paper's
 ///    segment experiments assume).
 ///
-/// `apply` and `iterate` share one attempt lifecycle: an attempt is run
-/// by whichever thread claims it first — a worker that pops its task, or
-/// the thread waiting on it — under its cancel scope, fault probes and
-/// optional shield (`detail::runSpeculativeBody`); it publishes with one
-/// seq_cst Done RMW on its claim word in the run's `detail::SegRunSync`,
-/// which also awaits and accounts it.
+/// This header is the API: the configuration and result types and the
+/// five entry points. The engine behind them — the attempt lifecycle
+/// `apply` and `iterate` share, apply's check step and the iterate wave
+/// engine — lives in runtime/SpecEngine.h, which this header includes.
 ///
 /// Calls are configured with a fluent `SpecConfig` and return a
 /// `SpecResult<T>` carrying the value and the run's `SpeculationStats`:
@@ -138,29 +136,19 @@
 #ifndef SPECPAR_RUNTIME_SPECULATION_H
 #define SPECPAR_RUNTIME_SPECULATION_H
 
-#include "runtime/EventCount.h"
 #include "runtime/FaultPlan.h"
 #include "runtime/ProfileStore.h"
-#include "runtime/SignalShield.h"
 #include "runtime/SpecExecutor.h"
 #include "runtime/Stats.h"
 #include "runtime/Telemetry.h"
 
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <type_traits>
-#include <vector>
+#include <utility>
 
 namespace specpar {
 namespace rt {
@@ -434,50 +422,6 @@ private:
   TraceContext TraceCtx;
 };
 
-namespace detail {
-/// The cancellation context of the speculative task running on this
-/// thread: its cancel flag, the enclosing run's cooperative deadline
-/// (time_point::max() = none; nested scopes keep the tighter one), and
-/// where `currentTaskCancelled()` records that the running attempt
-/// *observed* cancellation (and may therefore have bailed with partial
-/// output — the validator refuses to accept such attempts).
-struct CancelContext {
-  const std::atomic<bool> *Flag = nullptr;
-  std::chrono::steady_clock::time_point Deadline =
-      std::chrono::steady_clock::time_point::max();
-  std::atomic<bool> *Observed = nullptr;
-};
-
-/// The calling thread's cancellation context. Out-of-line over a
-/// function-local `thread_local` rather than an extern TLS variable:
-/// GCC's UBSan mis-instruments the cross-TU TLS wrapper of the latter
-/// (bogus null-pointer reports on every access from inlined header
-/// code), and the accessor keeps the hot sites to one call.
-CancelContext &cancelContext();
-
-/// RAII: marks the current thread as running the attempt whose cancel
-/// flag is \p Flag, under \p Deadline, recording observed cancellation
-/// in \p Observed. The flag lives in the attempt, which the run
-/// guarantees outlives the scope.
-class CancelScope {
-public:
-  CancelScope(const std::atomic<bool> *Flag,
-              std::chrono::steady_clock::time_point Deadline,
-              std::atomic<bool> *Observed)
-      : Saved(cancelContext()) {
-    CancelContext &C = cancelContext();
-    C.Flag = Flag;
-    // An enclosing run's deadline stays binding inside a nested run.
-    C.Deadline = std::min(Saved.Deadline, Deadline);
-    C.Observed = Observed;
-  }
-  ~CancelScope() { cancelContext() = Saved; }
-
-private:
-  CancelContext Saved;
-};
-} // namespace detail
-
 /// True if the speculative task running on this thread has been cancelled
 /// (its prediction was invalidated, the run is tearing down, or the run's
 /// cooperative deadline expired). Long-running bodies should poll this —
@@ -487,352 +431,14 @@ private:
 /// partial value is always safe.
 bool currentTaskCancelled();
 
-namespace detail {
+} // namespace rt
+} // namespace specpar
 
-/// The part of a speculative attempt that every run form shares: its
-/// identity, its cancellation state and what its body left behind. The
-/// attempt's claim word (SegRunSync) decides who runs it and carries its
-/// Done bit, the publication point: every plain field is written before
-/// the seq_cst Done RMW and read by the validating thread only after it
-/// loads Done.
-struct AttemptCore {
-  /// Telemetry attempt id (0 when no tracer is installed).
-  uint64_t TraceId = 0;
-  /// The index reported to telemetry (and, for iterate, finalizers): the
-  /// iteration index for plain iterate, the segment ordinal for the
-  /// chunked forms, 0 for apply.
-  int64_t UserIdx = 0;
-  /// The body's exception, if it threw.
-  std::exception_ptr Err;
-  /// The signal shield contained a crash (or forced runaway abandonment)
-  /// in this attempt's body. A crashed attempt is never acceptable, but
-  /// it *does* participate in iterate's last-finisher selection: if it
-  /// finished last, its partial writes landed last, so the validator
-  /// must re-execute the segment to make the authoritative writes final.
-  bool Crashed = false;
-  /// Cooperative cancellation flag.
-  std::atomic<bool> CancelFlag{false};
-  /// Set by `currentTaskCancelled()` when the body observed cancellation
-  /// mid-run: its output may be a partial bail-out value and must never
-  /// be accepted.
-  std::atomic<bool> ObservedCancel{false};
-};
+// The engine behind the entry points below; it needs the types above.
+#include "runtime/SpecEngine.h"
 
-/// One pooled speculative execution of a segment [B, E) with a given
-/// input. Attempts are preallocated per run, reset in place, and
-/// recycled wave after wave — the steady-state attempt lifecycle does
-/// not touch the heap.
-template <typename T, typename U> struct SegAttempt : AttemptCore {
-  std::optional<T> In;
-  std::optional<T> Out;
-  std::optional<U> Local;
-  /// Completion order within the run (0 = not finished). The validator
-  /// only accepts an attempt that finished *last* in its slot, so that
-  /// the accepted execution's writes are the final ones.
-  uint64_t FinishStamp = 0;
-  /// The iteration range this attempt executes.
-  int64_t B = 0, E = 0;
-  /// Wave-local slot this attempt belongs to.
-  int64_t SlotIdx = 0;
-  /// A corrective attempt runs only after its slot's prior attempt is
-  /// Done, so attempts of one segment never run concurrently.
-  SegAttempt *After = nullptr;
-  /// Body wall time in ns, measured only when the autotuner is armed.
-  int64_t BodyNs = 0;
-  /// Which freelist the attempt returns to at wave end.
-  bool FromChainPool = false;
-  /// The attempt's claim word in the run's SegRunSync.
-  uint32_t Idx = 0;
-};
-
-/// apply()'s one speculative attempt: the predictor, then the consumer
-/// on its guess, as one task running concurrently with the producer.
-template <typename T> struct ApplyAttempt : AttemptCore {
-  /// The predictor's guess (disengaged when it threw), published by
-  /// the seq_cst `GuessReady` store before the consumer starts.
-  std::optional<T> Guess;
-  std::atomic<bool> GuessReady{false};
-};
-
-/// A wave slot: the initial attempt plus at most one Par-mode corrective,
-/// appended lock-free. `Count` is reserve-then-publish — a chainer CASes
-/// Count up, then release-stores the item pointer — so readers tolerate a
-/// transiently null cell by re-polling (the publisher is a handful of
-/// instructions away).
-template <typename T, typename U> struct SegSlot {
-  std::atomic<int> Count{0};
-  std::atomic<SegAttempt<T, U> *> Items[2] = {};
-};
-
-/// Synchronisation of one speculative run (an iterate engine run or one
-/// apply()), in one refcounted block: the run holds a reference and so
-/// does every task it submits, so a task popped after its attempt was
-/// claimed, recycled into a later wave, or after its run returned still
-/// finds its claim word here, fails to claim, and returns.
-///
-/// An attempt is run by whichever thread claims it first: a worker that
-/// pops its task, or a thread waiting on it. A waiting thread runs only
-/// the attempts it waits for and otherwise parks on the eventcount, so
-/// no wait depends on the executor draining other work. An attempt's
-/// claim word packs its wave generation (bits 32-63), the index + 1 of a
-/// corrective parked on it (bits 2-31; 0 = none), Done (bit 1) and
-/// Claimed (bit 0).
-struct SegRunSync {
-  explicit SegRunSync(size_t Attempts) : Words(Attempts) {}
-
-  static constexpr uint64_t Claimed = 1, Done = 2;
-
-  /// Arms attempt \p I for wave \p Gen: unclaimed, not Done, nothing
-  /// parked. Published with the attempt (task submission or slot item).
-  void reset(uint32_t I, uint32_t Gen) {
-    Words[I].V.store(uint64_t(Gen) << 32, std::memory_order_relaxed);
-  }
-
-  /// Claims attempt \p I of wave \p Gen for the calling thread.
-  /// Invariant 1: an attempt's body runs at most once, on the thread
-  /// whose claim succeeded — at most one claim per generation succeeds.
-  bool claim(uint32_t I, uint32_t Gen) {
-    uint64_t W = Words[I].V.load(std::memory_order_seq_cst);
-    do {
-      if ((W >> 32) != Gen || (W & Claimed))
-        return false;
-    } while (!Words[I].V.compare_exchange_weak(W, W | Claimed,
-                                               std::memory_order_seq_cst));
-    return true;
-  }
-
-  bool done(uint32_t I) const {
-    return Words[I].V.load(std::memory_order_seq_cst) & Done;
-  }
-
-  /// Publishes attempt \p I, claimed by the caller, as Done and wakes the
-  /// run's waiters. Returns the index + 1 of the corrective parked on it
-  /// (0 = none), which the caller may now claim.
-  uint32_t finish(uint32_t I) {
-    const uint64_t Old = Words[I].V.fetch_or(Done, std::memory_order_seq_cst);
-    EC.notifyAll();
-    return static_cast<uint32_t>(Old) >> 2;
-  }
-
-  /// Parks corrective \p C on its predecessor \p P, whose runner claims it
-  /// right after finish(P). Returns false when P is already Done: C is
-  /// claimable now.
-  bool park(uint32_t P, uint32_t C) {
-    uint64_t W = Words[P].V.load(std::memory_order_seq_cst);
-    do {
-      if (W & Done)
-        return false;
-    } while (!Words[P].V.compare_exchange_weak(
-        W, W | (uint64_t(C) + 1) << 2, std::memory_order_seq_cst));
-    return true;
-  }
-
-  /// Waits until \p Ready() holds, parking on the eventcount between
-  /// checks. \p Ready may claim an attempt for the caller to run
-  /// (returning true). The 500 us park cap bounds every wait, also
-  /// against state changes no notify covers. Returns false once
-  /// \p Deadline passes with \p Ready() still false (time_point::max() =
-  /// no deadline). \p Ready must read state its writer stores seq_cst
-  /// before notifying.
-  template <typename ReadyFn>
-  bool waitUntil(ReadyFn Ready,
-                 std::chrono::steady_clock::time_point Deadline =
-                     std::chrono::steady_clock::time_point::max()) {
-    const bool HasDeadline =
-        Deadline != std::chrono::steady_clock::time_point::max();
-    while (!Ready()) {
-      if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
-        return false;
-      const uint64_t Ticket = EC.prepareWait();
-      if (Ready()) {
-        EC.cancelWait();
-        return true;
-      }
-      EC.waitFor(Ticket, std::chrono::microseconds(500));
-    }
-    return true;
-  }
-
-  /// Merges the counters workers kept here into \p Stats. Called once
-  /// every attempt of the run is Done.
-  void mergeInto(SpeculationStats &Stats) const {
-    Stats.Tasks += ChainedTasks.load(std::memory_order_relaxed);
-    Stats.ContainedCrashes += ContainedCrashes.load(std::memory_order_relaxed);
-    Stats.RunawayCancels += RunawayCancels.load(std::memory_order_relaxed);
-  }
-
-  EventCount EC;
-  /// One claim word per cache line: neighbouring attempts are claimed
-  /// and finished by different threads.
-  struct alignas(64) Word {
-    std::atomic<uint64_t> V{0};
-  };
-  std::vector<Word> Words;
-  /// The run's tasks submitted to the executor and not yet popped.
-  std::atomic<int64_t> Queued{0};
-  /// Orders attempt completions (FinishStamp = fetch_add + 1).
-  std::atomic<uint64_t> FinishCounter{0};
-  /// Tasks dispatched by Par-mode chainers. Workers must not touch the
-  /// run's (non-atomic) SpeculationStats, so they count here and the
-  /// validator merges before the run returns.
-  std::atomic<int64_t> ChainedTasks{0};
-  /// Shield containments and watchdog escalations, counted by workers
-  /// (same rule as ChainedTasks: never the non-atomic stats) and merged
-  /// by the validator before the run returns.
-  std::atomic<int64_t> ContainedCrashes{0};
-  std::atomic<int64_t> RunawayCancels{0};
-};
-
-/// The run-wide settings every speculative body of a run executes under.
-struct BodyEnv {
-  FaultPlan *FP;
-  Tracer *Tr;
-  TraceContext Ctx;
-  /// The run's cooperative deadline (time_point::max() = none).
-  std::chrono::steady_clock::time_point Deadline;
-  /// SpecConfig::shield(): run bodies inside the signal shield.
-  bool Shield;
-  /// The per-attempt budget in ns (0 = none); only used under the shield.
-  int64_t BudgetNs;
-};
-
-/// Runs one speculative body — the step of the attempt lifecycle that
-/// apply() and the iterate engine share. \p RunBody executes under the
-/// attempt's cancel scope, after the BodyThrow probe; its exception
-/// lands in A.Err. With the shield armed it runs inside shieldedCall,
-/// after the CrashInBody and RunawayBody probes, with the budget folded
-/// into the cooperative deadline so polling bodies bail on their own
-/// (the watchdog only ever force-abandons bodies that never poll). A
-/// contained fault sets A.Crashed and cancels the attempt — the caller
-/// must drop whatever partial output escaped — and counts in
-/// Run.ContainedCrashes; a body that ran past its budget, abandoned or
-/// bailing, counts in Run.RunawayCancels.
-template <typename RunFn>
-void runSpeculativeBody(AttemptCore &A, SegRunSync &Run, const BodyEnv &Env,
-                        RunFn &&RunBody) {
-  using Clock = std::chrono::steady_clock;
-  CancelScope Scope(&A.CancelFlag, Env.Deadline, &A.ObservedCancel);
-  try {
-    if (Env.FP)
-      Env.FP->maybeThrow(FaultSite::BodyThrow);
-    if (!Env.Shield) {
-      RunBody();
-      return;
-    }
-    Clock::time_point BudgetDeadline = Clock::time_point::max();
-    if (Env.BudgetNs > 0)
-      BudgetDeadline = Clock::now() + std::chrono::nanoseconds(Env.BudgetNs);
-    CancelScope BudgetScope(&A.CancelFlag, BudgetDeadline, &A.ObservedCancel);
-    CancelContext SavedCC = cancelContext();
-    // Crash/runaway probes fire only here — inside the shield, before the
-    // body constructs anything, so an injected fault's longjmp skips no
-    // constructed locals.
-    ShieldOutcome SO = shieldedCall(Env.BudgetNs, [&] {
-      if (Env.FP) {
-        Env.FP->maybeCrash(FaultSite::CrashInBody);
-        Env.FP->maybeRunaway(FaultSite::RunawayBody);
-      }
-      RunBody();
-    });
-    if (SO.Fault != ContainedFault::None) {
-      // The longjmp skipped every frame between the fault and the shield
-      // (no destructors ran there), including any nested CancelScope:
-      // restore the thread's cancel context by hand.
-      cancelContext() = SavedCC;
-      A.Crashed = true;
-      A.CancelFlag.store(true, std::memory_order_seq_cst);
-      Run.ContainedCrashes.fetch_add(1, std::memory_order_relaxed);
-      if (Env.Tr)
-        Env.Tr->record(SpecEventKind::CrashContained, A.UserIdx, A.TraceId,
-                       Env.Ctx);
-    }
-    const bool BudgetExpired =
-        Env.BudgetNs > 0 && Clock::now() >= BudgetDeadline;
-    if (SO.Fault == ContainedFault::Runaway ||
-        (BudgetExpired && (SO.WatchdogCancelled ||
-                           A.ObservedCancel.load(std::memory_order_relaxed)))) {
-      Run.RunawayCancels.fetch_add(1, std::memory_order_relaxed);
-      if (Env.Tr)
-        Env.Tr->record(SpecEventKind::RunawayCancel, A.UserIdx, A.TraceId,
-                       Env.Ctx);
-    }
-  } catch (...) {
-    A.Err = std::current_exception();
-  }
-}
-
-/// Copies the run's accumulated statistics into the config's
-/// `stats::Snapshot` sink (when set) on every exit path, including
-/// throws: the sink gets them as its `Spec` half (its `Exec` half is
-/// filled by ExecDeltaGuard, which lives closer to the resolved
-/// executor).
-struct StatsOutGuard {
-  const SpeculationStats &Local;
-  stats::Snapshot *Snap = nullptr;
-  ~StatsOutGuard() {
-    if (Snap)
-      Snap->Spec = Local;
-  }
-};
-
-/// Predictor candidate ids for profile-guided prediction. `User` is the
-/// caller's own predictor; `Last` predicts the most recently validated
-/// loop-carried value; `Stride` linearly extrapolates the last two
-/// validated values (arithmetic T only). The ids are what ProfileSeed /
-/// PredictorSwitch trace events and the ProfileStore's candidate names
-/// refer to.
-enum PredictorCandidate : int {
-  CandUser = 0,
-  CandLast = 1,
-  CandStride = 2,
-  NumCandidates = 3,
-};
-
-/// The stable ProfileStore key of candidate \p C.
-inline const char *candidateName(int C) {
-  switch (C) {
-  case CandLast:
-    return "last";
-  case CandStride:
-    return "stride";
-  default:
-    return "user";
-  }
-}
-
-/// Inverse of candidateName(); -1 for unknown names (a cold site or a
-/// profile written by a build with different candidates).
-inline int candidateId(const std::string &Name) {
-  if (Name == "user")
-    return CandUser;
-  if (Name == "last")
-    return CandLast;
-  if (Name == "stride")
-    return CandStride;
-  return -1;
-}
-
-/// Fills a `stats::Snapshot` sink's `Exec` half with the resolved
-/// executor's activity delta across the run. Constructed immediately
-/// after executor resolution and destroyed when the run ends, by which
-/// time every attempt of the run is Done, so the delta covers the run's
-/// work.
-struct ExecDeltaGuard {
-  stats::Snapshot *Snap;
-  SpecExecutor *Ex;
-  ExecutorStats Before{};
-  ExecDeltaGuard(stats::Snapshot *Snap, SpecExecutor &Ex)
-      : Snap(Snap), Ex(&Ex) {
-    if (Snap)
-      Before = Ex.stats();
-  }
-  ~ExecDeltaGuard() {
-    if (Snap)
-      Snap->Exec = Ex->stats() - Before;
-  }
-};
-
-} // namespace detail
+namespace specpar {
+namespace rt {
 
 /// The speculation API (paper Figure 3).
 class Speculation {
@@ -851,198 +457,8 @@ public:
                                 ConsumerFn &&Consumer,
                                 const SpecConfig &Cfg = SpecConfig(),
                                 Eq Equal = Eq()) {
-    SpecResult<void> Result;
-    detail::StatsOutGuard Guard{Result.Stats, Cfg.statsSnapshotOut()};
-    applyImpl<T>(std::forward<ProducerFn>(Producer),
-                 std::forward<PredictorFn>(Predictor),
-                 std::forward<ConsumerFn>(Consumer), Cfg, Equal, Result.Stats);
-    return Result;
+    return detail::applyImpl<T>(Producer, Predictor, Consumer, Cfg, Equal);
   }
-
-private:
-  /// apply() engine: fills \p Stats in place so callers observe whatever
-  /// was gathered even when the run throws. One speculative attempt runs
-  /// the predictor and then the consumer on its guess, concurrently with
-  /// the producer (rule SPEC-APPLY); the check step (rule CHECK) then
-  /// accepts that attempt or re-executes the consumer with the produced
-  /// value. Every exit — accept, re-execution, producer exception,
-  /// timeout — goes through one cancel → quiesce → resolve path.
-  template <typename T, typename ProducerFn, typename PredictorFn,
-            typename ConsumerFn, typename Eq>
-  static void applyImpl(ProducerFn &&Producer, PredictorFn &&Predictor,
-                        ConsumerFn &&Consumer, const SpecConfig &Cfg,
-                        Eq Equal, SpeculationStats &Stats) {
-    // Nested speculation inside a shielded body: this coordination code
-    // is authoritative, so a crash here must not be contained (it would
-    // longjmp past a live run other threads still reference).
-    ShieldPause PauseOuter;
-    SpecExecutor &Ex = resolveExecutor(Cfg);
-    detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
-    Tracer *const Tr = Cfg.trace();
-    FaultPlan *const FP = Cfg.faults();
-    const TraceContext JobCtx = Cfg.traceContext();
-    const detail::BodyEnv Env{FP,           Tr,
-                              JobCtx,       resolveDeadline(Cfg),
-                              Cfg.shield(), Cfg.attemptBudget().count()};
-    if (Env.Shield)
-      installSignalShield();
-
-    // The task touches A, Env and the callables only after it claims the
-    // attempt, and this frame returns only once the attempt is Done.
-    const auto RunRef = std::make_shared<detail::SegRunSync>(1);
-    detail::SegRunSync &Run = *RunRef;
-    detail::ApplyAttempt<T> A;
-    A.TraceId = Tr ? Tr->newAttemptId() : 0;
-    ++Stats.Tasks;
-    if (Tr)
-      Tr->record(SpecEventKind::Dispatch, 0, A.TraceId, JobCtx);
-    // The attempt, run by whichever thread claims it: the predictor, then
-    // the consumer on its guess.
-    auto RunAttempt = [&A, &Run, &Env, &Predictor, &Consumer] {
-      if (Env.Tr)
-        Env.Tr->record(SpecEventKind::Start, 0, A.TraceId, Env.Ctx);
-      std::optional<T> G;
-      {
-        // Under the attempt's cancellation too: eager producer abort
-        // (Section 3.3) stops a predictor that polls.
-        detail::CancelScope Scope(&A.CancelFlag, Env.Deadline,
-                                  &A.ObservedCancel);
-        try {
-          if (Env.FP)
-            Env.FP->maybeThrow(FaultSite::PredictorThrow);
-          G.emplace(Predictor());
-        } catch (...) {
-          // A failing predictor leaves no guess: a failed prediction,
-          // resolved by the check step's re-execution.
-        }
-      }
-      A.Guess = G;
-      A.GuessReady.store(true, std::memory_order_seq_cst);
-      Run.EC.notifyAll();
-      // Injection site: trip the attempt's cancellation flag for no
-      // reason, right between guess publication and the consumer's
-      // decision to run.
-      if (Env.FP && Env.FP->shouldFire(FaultSite::SpuriousCancel))
-        A.CancelFlag.store(true, std::memory_order_seq_cst);
-      // Invariant 5: a consumer cancelled before it starts never runs.
-      if (G && !A.CancelFlag.load(std::memory_order_seq_cst))
-        detail::runSpeculativeBody(A, Run, Env, [&] { Consumer(*G); });
-      if (Env.Tr)
-        Env.Tr->record(SpecEventKind::Finish, 0, A.TraceId, Env.Ctx);
-      Run.finish(0); // Done: the caller's frame may be gone after this
-    };
-    Ex.submit([RunRef, &RunAttempt] {
-      // Invariant 3: popped after the caller claimed the attempt, the
-      // task touches only *RunRef, which it keeps alive.
-      if (RunRef->claim(0, 0))
-        RunAttempt();
-    });
-
-    std::optional<T> Produced;
-    std::exception_ptr ProducerErr;
-    try {
-      Produced = Producer();
-    } catch (...) {
-      ProducerErr = std::current_exception();
-    }
-
-    // The check step: compare the guess with the product. A producer
-    // exception skips it — nothing the speculation did is observable
-    // under rollback freedom, and its exception (if any) is suppressed.
-    bool Accept = false;
-    bool TimedOut = false;
-    if (!ProducerErr) {
-      if (Cfg.eagerProducerAbort() &&
-          !A.GuessReady.load(std::memory_order_seq_cst)) {
-        // Section 3.3: the producer beat the predictor — speculation can
-        // no longer pay off, so go non-speculative. This is still a
-        // resolved prediction point (resolved without a guess).
-        ++Stats.Predictions;
-        ++Stats.FailedPredictions;
-      } else if (!Run.waitUntil(
-                     [&] {
-                       // Invariant 6: an attempt no worker has started
-                       // runs right here, exactly as a worker would run
-                       // it, before the check.
-                       if (Run.claim(0, 0))
-                         RunAttempt();
-                       return A.GuessReady.load(std::memory_order_seq_cst);
-                     },
-                     Env.Deadline)) {
-        TimedOut = true;
-      } else {
-        ++Stats.Predictions;
-        bool CmpThrew = false;
-        bool Hit = A.Guess &&
-                   guardedEqual(Equal, FP, *Produced, *A.Guess, CmpThrew);
-        // Injection site: discard a correct guess, forcing the
-        // misprediction/re-execution path.
-        if (Hit && FP && FP->shouldFire(FaultSite::ForceMispredict))
-          Hit = false;
-        if (Hit) {
-          TimedOut = !Run.waitUntil([&Run] { return Run.done(0); },
-                                    Env.Deadline);
-          // Accept only a consumer that ran to completion, was never
-          // cancelled (a contained crash cancels) and never *observed*
-          // cancellation — a spuriously cancelled or deadline-bailed
-          // consumer may have acted partially.
-          Accept = !TimedOut && !A.CancelFlag.load(std::memory_order_seq_cst) &&
-                   !A.ObservedCancel.load(std::memory_order_relaxed);
-        } else if (!A.Guess || CmpThrew) {
-          // Nothing was reliably compared: a failed prediction, not a
-          // misprediction.
-          ++Stats.FailedPredictions;
-        } else {
-          ++Stats.Mispredictions;
-          if (Tr)
-            Tr->record(SpecEventKind::Mispredict, 0, A.TraceId, JobCtx);
-        }
-      }
-    }
-
-    // Rule CHECK's `cancel tc`, then quiesce: the speculative consumer
-    // retires before anything below runs, so a re-execution's writes
-    // land last.
-    if (!Accept) {
-      if (Tr && !Run.done(0) &&
-          !A.CancelFlag.load(std::memory_order_acquire))
-        Tr->record(SpecEventKind::Cancel, 0, A.TraceId, JobCtx);
-      A.CancelFlag.store(true, std::memory_order_seq_cst);
-    }
-    // Retract the attempt if it is still unclaimed (cancelled, its
-    // consumer never runs), else wait for its runner — never under the
-    // deadline.
-    if (Run.claim(0, 0))
-      RunAttempt();
-    Run.waitUntil([&Run] { return Run.done(0); });
-    Run.mergeInto(Stats);
-    if (ProducerErr)
-      std::rethrow_exception(ProducerErr);
-    // Like the iterate engine's validation: a spent budget is reported,
-    // never accepted past or spent on an authoritative re-execution.
-    if (TimedOut || std::chrono::steady_clock::now() >= Env.Deadline) {
-      if (Tr)
-        Tr->record(SpecEventKind::Timeout, 0, 0, JobCtx);
-      throw SpecTimeoutError(Cfg.deadline());
-    }
-    if (Accept) {
-      if (Tr)
-        Tr->record(SpecEventKind::ValidateAccept, 0, A.TraceId, JobCtx);
-      if (A.Err)
-        std::rethrow_exception(A.Err);
-    } else {
-      // The consumer re-executes with the real value (rule CHECK's
-      // `vc xp`) on this thread, as authoritative code.
-      ++Stats.Reexecutions;
-      if (Tr)
-        Tr->record(SpecEventKind::Reexecute, 0, 0, JobCtx);
-      Consumer(*Produced);
-    }
-    if (Tr)
-      Tr->record(SpecEventKind::Finalize, 0, 0, JobCtx);
-  }
-
-public:
 
   /// Speculative iteration over [Low, High): computes
   ///
@@ -1090,23 +506,12 @@ public:
                                     FinalFn &&Finalize,
                                     const SpecConfig &Cfg = SpecConfig(),
                                     Eq Equal = Eq()) {
-    SpecResult<T> Result;
-    detail::StatsOutGuard Guard{Result.Stats, Cfg.statsSnapshotOut()};
-    if (High <= Low) {
-      Result.Value = Predictor(Low);
-      return Result;
-    }
-    SpecExecutor &Ex = resolveExecutor(Cfg);
-    detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
-    // Plain iteration is chunk-size-1 segmented iteration with per-
-    // iteration indices; the init/finalize-per-iteration contract pins
-    // the granularity, so the autotuner never applies here.
-    SegEngine<T, U, InitFn, BodyFn, PredictorFn, FinalFn, Eq> Engine(
-        Low, High, /*ChunkInit=*/1, /*OrdinalIndices=*/false,
-        /*AutotuneTargetNs=*/0, Init, Body, Predictor, Finalize, Cfg, Ex,
-        Equal, Result.Stats);
-    Result.Value = Engine.run();
-    return Result;
+    // Plain iteration is chunk-size-1 segmented iteration indexed from
+    // Low; the init/finalize-per-iteration contract pins the
+    // granularity, so the autotuner never applies here.
+    return detail::iterateImpl<T, U>(Low, High, /*Chunk=*/1, /*IdxBase=*/Low,
+                                     /*AutotuneTargetNs=*/0, Init, Body,
+                                     Predictor, Finalize, Cfg, Equal);
   }
 
   /// Chunked speculative iteration: like iterate(), but iterations are
@@ -1160,1173 +565,14 @@ public:
       throw std::invalid_argument(
           "Speculation::iterateChunked: ChunkSize must be positive, got " +
           std::to_string(ChunkSize));
-    SpecResult<T> Result;
-    detail::StatsOutGuard Guard{Result.Stats, Cfg.statsSnapshotOut()};
-    if (High <= Low) {
-      Result.Value = Predictor(Low);
-      return Result;
-    }
-    SpecExecutor &Ex = resolveExecutor(Cfg);
-    detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
     // The engine segments [Low, High) itself: with the autotuner off the
     // segment grid is exactly the fixed [Low + c*ChunkSize, ...) chunks;
     // with it on, ChunkSize is the initial granularity. Indices reported
-    // to finalizers/predictions/telemetry are segment ordinals.
-    SegEngine<T, U, InitFn, BodyFn, PredictorFn, FinalFn, Eq> Engine(
-        Low, High, /*ChunkInit=*/ChunkSize, /*OrdinalIndices=*/true,
+    // to finalizers/telemetry are segment ordinals.
+    return detail::iterateImpl<T, U>(
+        Low, High, ChunkSize, /*IdxBase=*/0,
         /*AutotuneTargetNs=*/Cfg.autotuneTargetMicros() * 1000, Init, Body,
-        Predictor, Finalize, Cfg, Ex, Equal, Result.Stats);
-    Result.Value = Engine.run();
-    return Result;
-  }
-
-private:
-  /// The engine under every iterate flavour: *wave-based* speculative
-  /// iteration over segments of [Low, High).
-  ///
-  /// The iteration space is consumed in waves of up to
-  /// `W = max(8, 4 * workers)` segments. Per wave the validator (the
-  /// calling thread) plans the segment boundaries, computes the
-  /// predictions (on the calling thread, in segment order, so FaultPlan
-  /// probe sequences stay deterministic), dispatches one pooled attempt
-  /// per usable prediction, validates the wave's segments strictly in
-  /// order, then recycles every attempt for the next wave. Attempts and
-  /// slots are preallocated (3W attempts: W for initial dispatches, 2W
-  /// for Par-mode chainers), reset in place, and recycled — together
-  /// with the executor's TaskRef/slot pooling the steady-state cost of a
-  /// segment is zero heap allocations.
-  ///
-  /// Synchronisation is lock-free on the hot path. An attempt is run by
-  /// whichever thread claims it first (detail::SegRunSync): a worker that
-  /// pops its task, or the validator waiting on its slot. The runner
-  /// publishes with one seq_cst Done RMW on the attempt's claim word,
-  /// which also wakes parked waiters. The validator runs only the
-  /// unclaimed attempts of the slot it waits on and otherwise parks, so
-  /// nested runs stay deadlock-free without draining the executor.
-  /// Par-mode chaining appends to the next slot with a reserve-then-
-  /// publish CAS on the slot's Count.
-  ///
-  /// The wave bound also caps in-flight speculation: a 10^5-segment run
-  /// no longer materialises 10^5 attempts and tasks up front. And waves
-  /// are what the autotuner hooks into — between waves the validator may
-  /// re-size `CurChunk` (chunked forms only) using the measured body
-  /// times and the wave's misprediction rate.
-  ///
-  /// \p Stats is filled in place (it survives throws via the caller's
-  /// StatsOutGuard). Only the validator touches it; workers count
-  /// chained dispatches in SegRunSync::ChainedTasks, merged before run()
-  /// returns.
-  template <typename T, typename U, typename InitFn, typename BodyFn,
-            typename PredictorFn, typename FinalFn, typename Eq>
-  class SegEngine {
-    using Attempt = detail::SegAttempt<T, U>;
-    using Slot = detail::SegSlot<T, U>;
-    using Clock = std::chrono::steady_clock;
-
-  public:
-    SegEngine(int64_t Low, int64_t High, int64_t ChunkInit,
-              bool OrdinalIndices, int64_t AutotuneTargetNs, InitFn &Init,
-              BodyFn &Body, PredictorFn &Predictor, FinalFn &Finalize,
-              const SpecConfig &Cfg, SpecExecutor &Ex, Eq &Equal,
-              SpeculationStats &Stats)
-        : Low(Low), High(High), CurChunk(ChunkInit),
-          OrdinalIndices(OrdinalIndices), AutoTargetNs(AutotuneTargetNs),
-          Init(Init), Body(Body), Predictor(Predictor), Finalize(Finalize),
-          Ex(Ex), Equal(Equal), Stats(Stats), Mode(Cfg.mode()),
-          Tr(Cfg.trace()), JobCtx(Cfg.traceContext()), FP(Cfg.faults()),
-          CfgDeadline(Cfg.deadline()),
-          Deadline(resolveDeadline(Cfg)),
-          HasDeadline(Deadline != Clock::time_point::max()),
-          DegradeThresh(Cfg.degradeThreshold()),
-          DegradeWin(Cfg.degradeThreshold() >= 0 ? Cfg.degradeWindow() : 0),
-          Prof(Cfg.profile()), SiteName(&Cfg.profileSite()),
-          ProfOn(Prof != nullptr && !SiteName->empty()),
-          W(std::max<int64_t>(8, 4 * static_cast<int64_t>(Ex.numThreads()))),
-          Shield(Cfg.shield()), BudgetNs(Cfg.attemptBudget().count()),
-          MeasureBody(AutotuneTargetNs > 0),
-          Run(std::make_shared<detail::SegRunSync>(
-              static_cast<size_t>(3 * W))),
-          AttemptStore(static_cast<size_t>(3 * W)),
-          Slots(static_cast<size_t>(W)), WavePred(static_cast<size_t>(W)),
-          WaveB(static_cast<size_t>(W)), WaveE(static_cast<size_t>(W)),
-          WaveUser(static_cast<size_t>(W)),
-          WaveCand(ProfOn ? static_cast<size_t>(W) : 0) {
-      FreeLocal.reserve(static_cast<size_t>(W));
-      ChainPool.reserve(static_cast<size_t>(2 * W));
-      for (int64_t I = 0; I < 3 * W; ++I)
-        AttemptStore[static_cast<size_t>(I)].Idx = static_cast<uint32_t>(I);
-      for (int64_t I = 0; I < W; ++I)
-        FreeLocal.push_back(&AttemptStore[static_cast<size_t>(I)]);
-      for (int64_t I = W; I < 3 * W; ++I) {
-        AttemptStore[static_cast<size_t>(I)].FromChainPool = true;
-        ChainPool.push_back(&AttemptStore[static_cast<size_t>(I)]);
-      }
-      // Autotune ceiling: never grow a chunk past the size that would
-      // leave fewer than two segments per worker (no overlap left to
-      // speculate with), and never below the caller's initial size as a
-      // ceiling.
-      MaxChunk = std::max<int64_t>(
-          CurChunk,
-          (High - Low) /
-              std::max<int64_t>(1, 2 * static_cast<int64_t>(Ex.numThreads())));
-      if (MaxChunk < 1)
-        MaxChunk = 1;
-    }
-
-    SegEngine(const SegEngine &) = delete;
-    SegEngine &operator=(const SegEngine &) = delete;
-
-    T run() {
-      // Nested run inside a shielded body: the validator loop here is
-      // authoritative coordination — a crash in it must not be contained
-      // by the *outer* attempt's shield (the longjmp would skip past
-      // this live engine while workers still reference it). Attempts
-      // this run dispatches re-arm their own shields in runAttempt.
-      ShieldPause PauseOuter;
-      if (Shield)
-        installSignalShield();
-      if (ProfOn)
-        profileSeed();
-      // The non-speculative initial value of the loop-carried state; its
-      // exception propagates (speculative prediction points swallow
-      // theirs into "failed prediction" instead — see planWave).
-      T Correct = Predictor(Low);
-      // Sliding window of prediction-point outcomes feeding the degrade
-      // monitor (1 = mispredicted or failed).
-      std::vector<char> WinBuf(static_cast<size_t>(DegradeWin), 0);
-      int WinCount = 0, WinPos = 0, WinBad = 0;
-      int64_t NextB = Low;  // first iteration not yet planned
-      int64_t NextOrd = 0;  // its segment ordinal
-      bool FirstSegment = true;
-
-      while (NextB < High && !TimedOut && !FirstValidErr) {
-        if (Degraded) {
-          // Adaptive sequential fallback: the remaining segments run
-          // in order on this thread, exactly once, never dispatched.
-          const int64_t B = NextB;
-          const int64_t E = std::min(High, B + CurChunk);
-          const int64_t UI = OrdinalIndices ? NextOrd : B;
-          NextB = E;
-          ++NextOrd;
-          if (HasDeadline && Clock::now() >= Deadline) {
-            TimedOut = true;
-            TimeoutIdx = UI;
-            break;
-          }
-          if (!degradedSegment(B, E, UI, Correct))
-            break;
-          continue;
-        }
-
-        planWave(NextB, NextOrd, FirstSegment, Correct);
-        dispatchWave();
-
-        // Validate the wave's segments strictly in order (the chain of
-        // `check` threads in the formal semantics).
-        for (int64_t K = 0; K < WaveCount && !TimedOut && !FirstValidErr;
-             ++K) {
-          const int64_t UI = WaveUser[static_cast<size_t>(K)];
-          if (HasDeadline && Clock::now() >= Deadline) {
-            TimedOut = true;
-            TimeoutIdx = UI;
-            break;
-          }
-          if (!Degraded && DegradeWin > 0 && WinCount == DegradeWin &&
-              WinBad > DegradeThresh * DegradeWin) {
-            // The window is saturated with bad prediction points:
-            // speculation is burning work. With a profile attached, first
-            // try to switch to a candidate predictor that has been
-            // hitting where the active one misses — the "deoptimize to a
-            // better guess" move; each candidate gets at most one shot
-            // per run, so a hopeless site still converges to sequential.
-            ++RunDegradeTrips;
-            const int Next = ProfOn ? pickSwitchCandidate() : -1;
-            if (Next >= 0) {
-              ActiveCand = Next;
-              CandTried[static_cast<size_t>(Next)] = true;
-              ++Stats.PredictorSwitches;
-              if (Tr)
-                Tr->record(SpecEventKind::PredictorSwitch, Next, 0, JobCtx);
-              // Fresh window: the new candidate drives the *next* wave's
-              // predictions, and it deserves a full window before the
-              // monitor may trip again.
-              std::fill(WinBuf.begin(), WinBuf.end(), 0);
-              WinCount = WinPos = WinBad = 0;
-            } else {
-              // No better candidate: cancel this wave's remaining
-              // attempts and fall back to in-order execution. Segments
-              // beyond the wave were never dispatched — nothing to
-              // cancel there.
-              Degraded = true;
-              for (int64_t KK = K; KK < WaveCount; ++KK)
-                cancelSlot(KK, WaveUser[static_cast<size_t>(KK)]);
-            }
-          }
-          if (Degraded) {
-            // Quiesce the (cancelled) slot so this in-order execution's
-            // writes land last, then run the segment exactly once. The
-            // slot is cancelled again first: a corrective may have been
-            // chained into it after the trip.
-            cancelSlot(K, UI);
-            if (!quiesceSlot(K, Deadline)) {
-              TimedOut = true;
-              TimeoutIdx = UI;
-              break;
-            }
-            if (!degradedSegment(WaveB[static_cast<size_t>(K)],
-                                 WaveE[static_cast<size_t>(K)], UI, Correct))
-              break;
-            continue;
-          }
-
-          const int64_t GlobalOrd = WaveOrd0 + K;
-          bool SlotBad = false;     // mispredicted or failed
-          bool ForceReexec = false; // injected ForceMispredict fired
-          if (ProfOn) {
-            // `Correct` here is the true value *entering* this segment:
-            // shadow-score every candidate's prediction against it
-            // (internal accounting — no fault-plan probes, and a
-            // throwing comparator just skips the sample), then feed the
-            // observation to the stride extrapolator.
-            if (GlobalOrd > 0) {
-              const auto &CP = WaveCand[static_cast<size_t>(K)];
-              for (int C = 0; C < detail::NumCandidates; ++C) {
-                if (!CP[static_cast<size_t>(C)])
-                  continue;
-                bool Th = false;
-                if (guardedEqual(Equal, nullptr, *CP[static_cast<size_t>(C)],
-                                 Correct, Th))
-                  ++CandHits[static_cast<size_t>(C)];
-                else if (!Th)
-                  ++CandMiss[static_cast<size_t>(C)];
-              }
-            }
-            observe(WaveB[static_cast<size_t>(K)], Correct);
-          }
-          if (GlobalOrd > 0) {
-            ++Stats.Predictions;
-            const std::optional<T> &P = WavePred[static_cast<size_t>(K)];
-            bool CmpThrew = false;
-            if (!P) {
-              // The predictor threw at this point: a failed prediction —
-              // nothing was dispatched, the validator executes it below.
-              ++Stats.FailedPredictions;
-              SlotBad = true;
-            } else if (guardedEqual(Equal, FP, *P, Correct, CmpThrew)) {
-              // Injection site: discard a correct prediction, forcing
-              // the full misprediction/re-execution machinery.
-              if (FP && FP->shouldFire(FaultSite::ForceMispredict)) {
-                ++Stats.Mispredictions;
-                SlotBad = true;
-                ForceReexec = true;
-                if (Tr)
-                  Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
-              }
-            } else if (CmpThrew) {
-              // The comparator threw: the prediction point resolved
-              // without a trustworthy comparison — a failed prediction,
-              // and the pessimistic path below re-executes. The user's
-              // exception never propagates from a speculative
-              // validation.
-              ++Stats.FailedPredictions;
-              SlotBad = true;
-            } else {
-              ++Stats.Mispredictions;
-              SlotBad = true;
-              if (Tr)
-                Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
-            }
-          }
-
-          // Cancel attempts whose input is already known wrong, then
-          // quiesce the slot. (Membership is final: chains into this
-          // slot originate from the previous slot, which was quiesced
-          // before we advanced, and their append happens-before that
-          // quiesce observed them done.) An attempt is acceptable only
-          // if it ran with the correct input, finished last in its slot
-          // (only then are its writes the final ones), and was neither
-          // cancelled nor *observed* cancellation — a spuriously
-          // cancelled or deadline-bailed body may have returned a
-          // partial value. Otherwise the validator re-executes, making
-          // its own writes final (condition (e)'s re-execution).
-          cancelSlot(K, UI, ForceReexec ? nullptr : &Correct);
-          if (!quiesceSlot(K, Deadline)) {
-            TimedOut = true;
-            TimeoutIdx = UI;
-            break;
-          }
-          if (DegradeWin > 0 && GlobalOrd > 0) {
-            if (WinCount == DegradeWin)
-              WinBad -= WinBuf[static_cast<size_t>(WinPos)];
-            else
-              ++WinCount;
-            WinBuf[static_cast<size_t>(WinPos)] = SlotBad ? 1 : 0;
-            WinBad += SlotBad ? 1 : 0;
-            WinPos = (WinPos + 1) % DegradeWin;
-          }
-
-          Attempt *Match = acceptableAttempt(K, ForceReexec, Correct);
-          int64_t SegNs = 0;
-          if (Match) {
-            if (Tr)
-              Tr->record(SpecEventKind::ValidateAccept, UI, Match->TraceId,
-                         JobCtx);
-            if (Match->Err) {
-              FirstValidErr = Match->Err;
-              break;
-            }
-            Correct = *Match->Out;
-            SegNs = Match->BodyNs;
-            U L = std::move(*Match->Local);
-            if (!finalizeSegment(UI, L))
-              break;
-          } else {
-            // Misprediction (or a stale valid run that was overwritten
-            // by a later garbage attempt): re-execute on the validator
-            // thread (rule CHECK's consumer re-execution). The slot is
-            // quiescent, so this execution's writes land last.
-            if (HasDeadline && Clock::now() >= Deadline) {
-              // Don't start an authoritative chunk we already have no
-              // budget for — the timeout path below reports instead.
-              TimedOut = true;
-              TimeoutIdx = UI;
-              break;
-            }
-            ++Stats.Reexecutions;
-            if (Tr)
-              Tr->record(SpecEventKind::Reexecute, UI, 0, JobCtx);
-            if (!runSegment(WaveB[static_cast<size_t>(K)],
-                            WaveE[static_cast<size_t>(K)], UI, Correct,
-                            SegNs))
-              break;
-          }
-          if (MeasureBody) {
-            WaveNs += SegNs;
-            ++WaveMeasured;
-            if (GlobalOrd > 0) {
-              ++WaveBoundaries;
-              WaveBad += SlotBad ? 1 : 0;
-            }
-          }
-        }
-
-        if (TimedOut || FirstValidErr)
-          break; // the drain below retires whatever is still in flight
-        if (!Degraded)
-          autotuneAdjust();
-        recycleWave();
-      }
-
-      // Cancel whatever speculation is still in flight, then quiesce every
-      // slot in order, not under the deadline: the validator claims each
-      // slot's unclaimed attempts, which, cancelled, skip their bodies
-      // (invariant 5), and waits for those running elsewhere. A slot is
-      // cancelled again right before its quiesce, which catches a
-      // corrective chained into it after the first pass. Once every
-      // attempt is Done the run is over: queued tasks of its attempts
-      // fail their claims and touch only the claim block.
-      for (int64_t K = 0; K < WaveCount; ++K)
-        cancelSlot(K, WaveUser[static_cast<size_t>(K)]);
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        cancelSlot(K, WaveUser[static_cast<size_t>(K)]);
-        quiesceSlot(K, Clock::time_point::max());
-      }
-      Run->mergeInto(Stats);
-      // The segmentation the run actually ended on — after any autotune
-      // resizes and regardless of how the run exits. DegradedChunks (and
-      // chunk ordinals generally) count segments of *this* dynamic grid,
-      // not the configured fixed grid.
-      Stats.FinalChunk = CurChunk;
-      if (ProfOn)
-        profileRecord();
-      if (TimedOut) {
-        if (Tr)
-          Tr->record(SpecEventKind::Timeout, TimeoutIdx, 0, JobCtx);
-        throw SpecTimeoutError(CfgDeadline);
-      }
-      if (FirstValidErr)
-        std::rethrow_exception(FirstValidErr);
-      return Correct;
-    }
-
-  private:
-    //===---------------- wave planning and dispatch --------------------===//
-
-    /// Plans up to W segments starting at \p NextB: boundaries, user
-    /// indices, and predictions. Predictions are computed here on the
-    /// calling thread, in segment order — a throwing predictor (or an
-    /// injected PredictorThrow) leaves the prediction disengaged, a
-    /// *failed* prediction point with no attempt dispatched.
-    void planWave(int64_t &NextB, int64_t &NextOrd, bool &FirstSegment,
-                  const T &Correct) {
-      WaveOrd0 = NextOrd;
-      WaveCount = 0;
-      int64_t B = NextB;
-      while (WaveCount < W && B < High) {
-        const size_t K = static_cast<size_t>(WaveCount);
-        const int64_t E = std::min(High, B + CurChunk);
-        WaveB[K] = B;
-        WaveE[K] = E;
-        WaveUser[K] = OrdinalIndices ? NextOrd : B;
-        if (FirstSegment) {
-          // The run's first segment consumes the non-speculative initial
-          // value — no speculation about its input, no prediction point.
-          WavePred[K].emplace(Correct);
-          if (ProfOn)
-            for (auto &CP : WaveCand[K])
-              CP.reset();
-          FirstSegment = false;
-        } else if (!ProfOn) {
-          WavePred[K].reset();
-          try {
-            if (FP)
-              FP->maybeThrow(FaultSite::PredictorThrow);
-            WavePred[K].emplace(Predictor(B));
-          } catch (...) {
-          }
-        } else {
-          // Profile-guided: compute *every* candidate's prediction (the
-          // user predictor is assumed cheap relative to bodies — it was
-          // already called here per segment), dispatch on the active
-          // one, shadow-score the rest at validation. `Correct` is the
-          // last validated value — exactly what the last-value
-          // candidate predicts for every segment of this wave.
-          auto &CP = WaveCand[K];
-          for (auto &C : CP)
-            C.reset();
-          try {
-            if (FP)
-              FP->maybeThrow(FaultSite::PredictorThrow);
-            CP[detail::CandUser].emplace(Predictor(B));
-          } catch (...) {
-          }
-          CP[detail::CandLast].emplace(Correct);
-          stridePredict(B, CP[detail::CandStride]);
-          WavePred[K] = CP[static_cast<size_t>(ActiveCand)];
-        }
-        ++NextOrd;
-        ++WaveCount;
-        B = E;
-      }
-      NextB = B;
-    }
-
-    /// Installs one pooled attempt per usable prediction into the wave's
-    /// slots, then submits their tasks. Two passes: every slot must be
-    /// fully initialised before the first task runs, because an early
-    /// finisher may immediately chain into a later slot.
-    void dispatchWave() {
-      // A new claim generation: tasks still queued from earlier waves
-      // can no longer claim the attempts recycled into this one.
-      ++Wave;
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        Slot &S = Slots[static_cast<size_t>(K)];
-        S.Items[0].store(nullptr, std::memory_order_relaxed);
-        S.Items[1].store(nullptr, std::memory_order_relaxed);
-        S.Count.store(0, std::memory_order_relaxed);
-      }
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        if (!WavePred[static_cast<size_t>(K)])
-          continue;
-        Attempt *A = FreeLocal.back();
-        FreeLocal.pop_back();
-        resetAttempt(A, K, *WavePred[static_cast<size_t>(K)], nullptr);
-        Slots[static_cast<size_t>(K)].Items[0].store(
-            A, std::memory_order_relaxed);
-        Slots[static_cast<size_t>(K)].Count.store(1,
-                                                  std::memory_order_relaxed);
-        ++Stats.Tasks;
-        // Recorded here, not between the submits below: a traced wave's
-        // tasks then reach the workers as one burst, and the validator
-        // claims its first slots itself as often as an untraced one.
-        if (Tr)
-          Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
-      }
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        // Guard on the prediction, not the slot: an already-running
-        // early dispatch may chain into a *failed-prediction* slot's
-        // Items[0] concurrently, and that corrective is submitted by
-        // its chainer, not here.
-        if (!WavePred[static_cast<size_t>(K)])
-          continue;
-        submitAttempt(Slots[static_cast<size_t>(K)].Items[0].load(
-            std::memory_order_relaxed));
-      }
-    }
-
-    void resetAttempt(Attempt *A, int64_t K, const T &In, Attempt *After) {
-      A->In.emplace(In);
-      A->Out.reset();
-      A->Local.reset();
-      A->Err = nullptr;
-      A->FinishStamp = 0;
-      A->B = WaveB[static_cast<size_t>(K)];
-      A->E = WaveE[static_cast<size_t>(K)];
-      A->SlotIdx = K;
-      A->UserIdx = WaveUser[static_cast<size_t>(K)];
-      A->After = After;
-      A->BodyNs = 0;
-      A->Crashed = false;
-      A->CancelFlag.store(false, std::memory_order_relaxed);
-      A->ObservedCancel.store(false, std::memory_order_relaxed);
-      A->TraceId = Tr ? Tr->newAttemptId() : 0;
-      Run->reset(A->Idx, Wave);
-    }
-
-    //===---------------- attempts: claim, run, publish -------------------===//
-
-    /// Submits \p A's task. The thunk captures the claim block, the
-    /// engine and the attempt's claim index and generation — it fits
-    /// TaskRef's inline storage, so a steady-state dispatch never
-    /// allocates. A run keeps at most kMaxQueuedTasks tasks unpopped:
-    /// past that the workers are not keeping up, so \p A just waits in
-    /// its slot for the validator to claim it, and tasks whose attempts
-    /// the validator claimed meanwhile cannot pile up in the executor's
-    /// fixed-size injection ring.
-    void submitAttempt(Attempt *A) {
-      std::atomic<int64_t> &Queued = Run->Queued;
-      if (Queued.load(std::memory_order_relaxed) >= kMaxQueuedTasks)
-        return;
-      Queued.fetch_add(1, std::memory_order_relaxed);
-      Ex.submit([RunRef = Run, this, I = A->Idx, Gen = Wave] {
-        RunRef->Queued.fetch_sub(1, std::memory_order_relaxed);
-        // Invariant 3: once the attempt was claimed elsewhere or recycled
-        // into a later wave, the claim fails and the task has touched
-        // only *RunRef, which it keeps alive — never this engine, which
-        // may be gone.
-        if (RunRef->claim(I, Gen))
-          runClaimed(&AttemptStore[I]);
-      });
-    }
-
-    /// Runs \p A, claimed by the calling thread, and then each corrective
-    /// its finish hands over.
-    void runClaimed(Attempt *A) {
-      while (A)
-        A = runAttempt(A);
-    }
-
-    /// Runs one attempt the calling thread has claimed, then (in Par mode)
-    /// chains a corrective attempt for the next slot if our output
-    /// contradicts its prediction, and publishes Done. Returns the
-    /// corrective parked on \p A, claimed for the caller to run next, or
-    /// nullptr.
-    Attempt *runAttempt(Attempt *A) {
-      // Invariant 5: an attempt cancelled before anyone claimed it never
-      // runs its body — that is how the validator retracts the attempts
-      // it cancels (misprediction, degrade, teardown) and then claims. One
-      // cancelled after its claim still runs and may observe the flag,
-      // as the cooperative-cancellation contract requires.
-      const bool Skip = A->CancelFlag.load(std::memory_order_seq_cst);
-      // Injection site: trip this attempt's cancellation flag even
-      // though its input may be perfectly valid. The validator's
-      // not-cancelled acceptance check turns this into a re-execution,
-      // never a wrong result.
-      if (!Skip && FP && FP->shouldFire(FaultSite::SpuriousCancel))
-        A->CancelFlag.store(true, std::memory_order_seq_cst);
-      if (Tr)
-        Tr->record(SpecEventKind::Start, A->UserIdx, A->TraceId, JobCtx);
-      std::optional<T> Out;
-      std::optional<U> Local;
-      if (!Skip) {
-        detail::runSpeculativeBody(
-            *A, *Run,
-            {FP, Tr, JobCtx, Deadline, Shield, BudgetNs},
-            [&] {
-              U L = Init();
-              Clock::time_point T0;
-              if (MeasureBody)
-                T0 = Clock::now();
-              T Acc = *A->In; // copy: In stays for the validator's comparisons
-              for (int64_t I = A->B; I < A->E; ++I)
-                Acc = Body(I, L, std::move(Acc));
-              if (MeasureBody)
-                A->BodyNs =
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - T0)
-                        .count();
-              Out.emplace(std::move(Acc));
-              Local.emplace(std::move(L));
-            });
-        if (A->Crashed) {
-          // Drop whatever partial state escaped the contained body.
-          Out.reset();
-          Local.reset();
-        }
-      }
-      // Parallel validation: if the next slot's prediction contradicts
-      // our (speculative) output, append a corrective attempt for it
-      // before publishing our own completion — the validator's quiesce
-      // of our slot then happens-after the append, so it always sees
-      // final slot membership.
-      Attempt *Chained = nullptr;
-      if (Mode == ValidationMode::Par && Out && A->SlotIdx + 1 < WaveCount &&
-          !A->CancelFlag.load(std::memory_order_seq_cst) &&
-          !A->ObservedCancel.load(std::memory_order_relaxed))
-        Chained = tryChain(A->SlotIdx + 1, *Out);
-      // Publish: every plain field first (the runner already wrote Err
-      // and Crashed), and every trace event, then Done.
-      A->Out = std::move(Out);
-      A->Local = std::move(Local);
-      A->FinishStamp =
-          Run->FinishCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (Tr) {
-        Tr->record(SpecEventKind::Finish, A->UserIdx, A->TraceId, JobCtx);
-        if (Chained) {
-          Tr->record(SpecEventKind::Chain, Chained->UserIdx,
-                     Chained->TraceId, JobCtx);
-          Tr->record(SpecEventKind::Dispatch, Chained->UserIdx,
-                     Chained->TraceId, JobCtx);
-        }
-      }
-      detail::SegRunSync &Sync = *Run;
-      // Invariant 4: a corrective is claimable only once its predecessor
-      // is Done, so attempts of one segment never overlap. Without a
-      // predecessor, or with one already Done, it is submitted now;
-      // otherwise it parks on the predecessor's claim word, and the
-      // predecessor's runner claims it right after publishing Done.
-      if (Chained && (!Chained->After ||
-                      !Sync.park(Chained->After->Idx, Chained->Idx)))
-        submitAttempt(Chained);
-      const uint32_t Gen = Wave;
-      // Done. From here on the validator may accept and recycle A, or
-      // end the run: this thread touches only Sync (its caller keeps it
-      // alive), unless it claims the parked corrective, which keeps the
-      // run going until that corrective is Done.
-      const uint32_t Parked = Sync.finish(A->Idx);
-      if (Parked && Sync.claim(Parked - 1, Gen))
-        return &AttemptStore[Parked - 1];
-      return nullptr;
-    }
-
-    /// Appends a corrective attempt with input \p OutVal to slot \p NK if
-    /// no equivalent attempt (or prediction) exists there. Lock-free:
-    /// reserve an item index by CASing Count, then publish with a
-    /// release store.
-    Attempt *tryChain(int64_t NK, const T &OutVal) {
-      Slot &S = Slots[static_cast<size_t>(NK)];
-      bool CmpThrew = false;
-      bool Exists =
-          WavePred[static_cast<size_t>(NK)] &&
-          guardedEqual(Equal, FP, *WavePred[static_cast<size_t>(NK)], OutVal,
-                       CmpThrew);
-      const int C = S.Count.load(std::memory_order_acquire);
-      for (int I = 0; I < C && !Exists; ++I) {
-        Attempt *Other = S.Items[I].load(std::memory_order_acquire);
-        if (!Other) {
-          // Another chainer is mid-publish; treat as existing rather
-          // than risk a duplicate.
-          Exists = true;
-          break;
-        }
-        Exists = guardedEqual(Equal, FP, *Other->In, OutVal, CmpThrew);
-      }
-      // Don't chain on an unreliable comparison: a throwing comparator
-      // must never trigger extra speculation.
-      if (CmpThrew)
-        Exists = true;
-      if (Exists)
-        return nullptr;
-      int Cur = S.Count.load(std::memory_order_acquire);
-      while (Cur < 2 &&
-             !S.Count.compare_exchange_weak(Cur, Cur + 1,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_acquire)) {
-      }
-      if (Cur >= 2)
-        return nullptr;
-      Attempt *NA = chainPoolPop();
-      if (!NA) {
-        // Pool exhausted (cannot happen with the 2W sizing; belt only):
-        // release the reservation and skip the optimisation.
-        S.Count.fetch_sub(1, std::memory_order_seq_cst);
-        return nullptr;
-      }
-      Attempt *After = nullptr;
-      if (Cur > 0) {
-        // The prior item may be mid-publish; its publisher is a few
-        // instructions away.
-        do {
-          After = S.Items[Cur - 1].load(std::memory_order_acquire);
-          if (!After)
-            std::this_thread::yield();
-        } while (!After);
-      }
-      resetAttempt(NA, NK, OutVal, After);
-      Run->ChainedTasks.fetch_add(1, std::memory_order_relaxed);
-      S.Items[Cur].store(NA, std::memory_order_release);
-      return NA;
-    }
-
-    Attempt *chainPoolPop() {
-      std::lock_guard<std::mutex> Lock(ChainPoolM);
-      if (ChainPool.empty())
-        return nullptr;
-      Attempt *A = ChainPool.back();
-      ChainPool.pop_back();
-      return A;
-    }
-
-    //===---------------- validator-side helpers -------------------------===//
-
-    /// Loads slot item \p I, riding out a chainer's reserve-to-publish
-    /// window. Returns nullptr only if the reservation was released.
-    Attempt *slotItem(Slot &S, int I) {
-      Attempt *A = S.Items[I].load(std::memory_order_acquire);
-      while (!A) {
-        if (S.Count.load(std::memory_order_acquire) <= I)
-          return nullptr;
-        std::this_thread::yield();
-        A = S.Items[I].load(std::memory_order_acquire);
-      }
-      return A;
-    }
-
-    /// Cancels slot \p K's attempts: all of them, or, given \p Correct,
-    /// those whose input is already known wrong (telemetry: a Cancel
-    /// event per attempt that was neither done nor already cancelled).
-    void cancelSlot(int64_t K, int64_t UI, const T *Correct = nullptr) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      const int C = S.Count.load(std::memory_order_acquire);
-      for (int I = 0; I < C; ++I) {
-        Attempt *A = slotItem(S, I);
-        bool InCmpThrew = false;
-        if (!A ||
-            (Correct && guardedEqual(Equal, FP, *A->In, *Correct, InCmpThrew)))
-          continue;
-        if (Tr && !Run->done(A->Idx) &&
-            !A->CancelFlag.load(std::memory_order_acquire))
-          Tr->record(SpecEventKind::Cancel, UI, A->TraceId, JobCtx);
-        A->CancelFlag.store(true, std::memory_order_seq_cst);
-      }
-    }
-
-    /// One scan of slot \p K by the validator waiting on it: sets
-    /// \p AllDone when every attempt is Done, and otherwise claims and
-    /// returns the first attempt of the slot that is unclaimed and
-    /// claimable (invariant 4: its predecessor, if any, is Done), or
-    /// nullptr when every pending attempt is running on another thread
-    /// or parked on one that is.
-    Attempt *claimInSlot(int64_t K, bool &AllDone) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      const int C = S.Count.load(std::memory_order_acquire);
-      AllDone = true;
-      for (int I = 0; I < C; ++I) {
-        Attempt *A = slotItem(S, I);
-        if (!A || Run->done(A->Idx))
-          continue;
-        AllDone = false;
-        if ((!A->After || Run->done(A->After->Idx)) &&
-            Run->claim(A->Idx, Wave))
-          return A;
-      }
-      return nullptr;
-    }
-
-    /// Waits until every attempt in slot \p K is Done. Returns false if
-    /// \p Until passed first. Invariant 2: the waiting thread runs only
-    /// this slot's unclaimed attempts of its own run and otherwise parks
-    /// on the run's eventcount; it never runs another slot's or another
-    /// run's attempt and never pops an executor task.
-    /// Deadlock freedom for nested runs is therefore local: every awaited
-    /// attempt is Done, claimable right here, running on some thread, or
-    /// parked on a predecessor that is one of these.
-    bool quiesceSlot(int64_t K, Clock::time_point Until) {
-      for (;;) {
-        Attempt *Mine = nullptr;
-        bool AllDone = false;
-        if (!Run->waitUntil(
-                [&] {
-                  Mine = claimInSlot(K, AllDone);
-                  return Mine || AllDone;
-                },
-                Until))
-          return false;
-        if (!Mine)
-          return true;
-        runClaimed(Mine);
-      }
-    }
-
-    /// The attempt the validator may accept for slot \p K, or nullptr:
-    /// the last attempt that actually executed (skipped correctives —
-    /// cancelled during their pre-wait — wrote nothing and don't count),
-    /// provided it ran with the correct input and was neither cancelled
-    /// nor observed cancellation. The slot is quiesced when called.
-    Attempt *acceptableAttempt(int64_t K, bool ForceReexec,
-                               const T &Correct) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      const int C = S.Count.load(std::memory_order_acquire);
-      Attempt *LastReal = nullptr;
-      for (int I = 0; I < C; ++I) {
-        Attempt *A = S.Items[I].load(std::memory_order_acquire);
-        if (!A)
-          continue;
-        // Crashed attempts compete for the last-finisher position (their
-        // partial writes may have landed last, so the slot needs a
-        // re-execution) but are never themselves acceptable.
-        if ((A->Out || A->Err || A->Crashed) &&
-            (!LastReal || A->FinishStamp > LastReal->FinishStamp))
-          LastReal = A;
-      }
-      if (!LastReal || ForceReexec || LastReal->Crashed ||
-          LastReal->CancelFlag.load(std::memory_order_seq_cst) ||
-          LastReal->ObservedCancel.load(std::memory_order_relaxed))
-        return nullptr;
-      bool MatchCmpThrew = false;
-      if (!guardedEqual(Equal, FP, *LastReal->In, Correct, MatchCmpThrew))
-        return nullptr;
-      return LastReal;
-    }
-
-    /// The one authoritative segment runner: executes segment [B, E)
-    /// from \p Correct on the validator thread, advances \p Correct past
-    /// it, and finalizes it. Used for a re-execution and for a degraded
-    /// segment; deliberately *not* under a CancelScope of its own. One
-    /// BodyThrow probe per segment. \p SegNs receives the body time when
-    /// MeasureBody. Returns false when a body or finalizer exception
-    /// aborts the run (recorded in FirstValidErr).
-    bool runSegment(int64_t B, int64_t E, int64_t UI, T &Correct,
-                    int64_t &SegNs) {
-      try {
-        if (FP)
-          FP->maybeThrow(FaultSite::BodyThrow);
-        U L = Init();
-        Clock::time_point T0;
-        if (MeasureBody)
-          T0 = Clock::now();
-        T Acc = std::move(Correct);
-        for (int64_t I = B; I < E; ++I)
-          Acc = Body(I, L, std::move(Acc));
-        if (MeasureBody)
-          SegNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - T0)
-                      .count();
-        Correct = std::move(Acc);
-        return finalizeSegment(UI, L);
-      } catch (...) {
-        FirstValidErr = std::current_exception();
-        return false;
-      }
-    }
-
-    /// Runs the user finalizer of validated segment \p UI; same return
-    /// contract as runSegment().
-    bool finalizeSegment(int64_t UI, U &L) {
-      try {
-        Finalize(UI, L);
-        if (Tr)
-          Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
-      } catch (...) {
-        FirstValidErr = std::current_exception();
-        return false;
-      }
-      return true;
-    }
-
-    /// Runs segment [B, E) in order in degraded mode.
-    bool degradedSegment(int64_t B, int64_t E, int64_t UI, T &Correct) {
-      ++Stats.DegradedChunks;
-      if (Tr)
-        Tr->record(SpecEventKind::Degrade, UI, 0, JobCtx);
-      int64_t SegNs = 0;
-      return runSegment(B, E, UI, Correct, SegNs);
-    }
-
-    //===---------------- wave teardown / autotune -----------------------===//
-
-    /// Returns every attempt of the (fully validated, quiesced) wave to
-    /// its freelist and clears the slots.
-    void recycleWave() {
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        Slot &S = Slots[static_cast<size_t>(K)];
-        const int C = S.Count.load(std::memory_order_acquire);
-        for (int I = 0; I < C; ++I) {
-          Attempt *A = S.Items[I].load(std::memory_order_acquire);
-          if (!A)
-            continue;
-          if (A->FromChainPool) {
-            std::lock_guard<std::mutex> Lock(ChainPoolM);
-            ChainPool.push_back(A);
-          } else {
-            FreeLocal.push_back(A);
-          }
-        }
-        S.Items[0].store(nullptr, std::memory_order_relaxed);
-        S.Items[1].store(nullptr, std::memory_order_relaxed);
-        S.Count.store(0, std::memory_order_relaxed);
-      }
-      WaveCount = 0;
-    }
-
-    /// The adaptive chunk controller, run between waves: halve the chunk
-    /// when the wave mispredicted badly (smaller chunks re-validate
-    /// sooner) or when bodies overshoot the target (lost parallelism);
-    /// double it when bodies run far under the target (per-attempt
-    /// overhead dominating). A no-op unless MeasureBody timed the wave.
-    void autotuneAdjust() {
-      if (WaveMeasured == 0)
-        return;
-      const double AvgNs = static_cast<double>(WaveNs) / WaveMeasured;
-      const double BadRate =
-          WaveBoundaries > 0
-              ? static_cast<double>(WaveBad) / WaveBoundaries
-              : 0.0;
-      int64_t NewChunk = CurChunk;
-      if (BadRate > 0.5)
-        NewChunk = CurChunk / 2;
-      else if (AvgNs < static_cast<double>(AutoTargetNs) / 2)
-        NewChunk = CurChunk * 2;
-      else if (AvgNs > static_cast<double>(AutoTargetNs) * 2)
-        NewChunk = CurChunk / 2;
-      NewChunk = std::max<int64_t>(1, std::min(NewChunk, MaxChunk));
-      if (NewChunk != CurChunk) {
-        CurChunk = NewChunk;
-        // Telemetry: the event's index is the *new* chunk size, so a
-        // trace shows the size trajectory. 0 attempt id: this is a
-        // run-level decision, not tied to an attempt.
-        if (Tr)
-          Tr->record(SpecEventKind::Autotune, CurChunk, 0, JobCtx);
-      }
-      WaveNs = 0;
-      WaveMeasured = 0;
-      WaveBad = 0;
-      WaveBoundaries = 0;
-    }
-
-    //===---------------- profile-guided prediction ----------------------===//
-
-    /// Warm-start from the profile store, called once at run start:
-    /// seeds the initial chunk size from the site's converged value
-    /// (autotuned chunked runs only) and the starting predictor
-    /// candidate from historical hit rates. One ProfileSeed trace event
-    /// and one ProfileSeeds count per warm run.
-    void profileSeed() {
-      int64_t SeededChunk = 0;
-      if (OrdinalIndices && AutoTargetNs > 0) {
-        const int64_t SC = Prof->seedChunk(*SiteName);
-        if (SC > 0) {
-          CurChunk = std::min(std::max<int64_t>(1, SC), MaxChunk);
-          SeededChunk = CurChunk;
-        }
-      }
-      int BestId = detail::candidateId(Prof->bestPredictor(*SiteName));
-      // A stride recommendation is only honourable when T supports it.
-      if (BestId == detail::CandStride && !std::is_arithmetic_v<T>)
-        BestId = -1;
-      if (BestId >= 0)
-        ActiveCand = BestId;
-      CandTried[static_cast<size_t>(ActiveCand)] = true;
-      if (SeededChunk > 0 || BestId >= 0) {
-        ++Stats.ProfileSeeds;
-        if (Tr)
-          Tr->record(SpecEventKind::ProfileSeed, SeededChunk,
-                     static_cast<uint64_t>(ActiveCand), JobCtx);
-      }
-    }
-
-    /// Feeds one validated (iteration index, loop-carried value)
-    /// observation to the stride extrapolator (arithmetic T only).
-    void observe(int64_t Idx, const T &Val) {
-      if constexpr (std::is_arithmetic_v<T>) {
-        ObsIdx0 = ObsIdx1;
-        ObsVal0 = ObsVal1;
-        HaveTwoObs = HaveObs;
-        ObsIdx1 = Idx;
-        ObsVal1 = Val;
-        HaveObs = true;
-      } else {
-        (void)Idx;
-        (void)Val;
-      }
-    }
-
-    /// The stride candidate's prediction for a segment starting at
-    /// iteration \p B: linear extrapolation through the last two
-    /// validated observations. Left disengaged until two observations at
-    /// distinct indices exist (or always, for non-arithmetic T).
-    void stridePredict(int64_t B, std::optional<T> &Out) {
-      if constexpr (std::is_arithmetic_v<T>) {
-        if (!HaveTwoObs || ObsIdx1 == ObsIdx0)
-          return;
-        const double Slope =
-            (static_cast<double>(ObsVal1) - static_cast<double>(ObsVal0)) /
-            static_cast<double>(ObsIdx1 - ObsIdx0);
-        Out.emplace(static_cast<T>(
-            static_cast<double>(ObsVal1) +
-            Slope * static_cast<double>(B - ObsIdx1)));
-      } else {
-        (void)B;
-        (void)Out;
-      }
-    }
-
-    /// The candidate to switch to at a degrade trip, or -1 to degrade:
-    /// the untried candidate with the best hit rate *this run*, provided
-    /// it has enough samples to mean anything and is hitting a majority
-    /// — switching to a coin flip would only defer the fallback.
-    int pickSwitchCandidate() const {
-      int Best = -1;
-      double BestRate = 0.5;
-      for (int C = 0; C < detail::NumCandidates; ++C) {
-        if (CandTried[static_cast<size_t>(C)])
-          continue;
-        const int64_t N = CandHits[static_cast<size_t>(C)] +
-                          CandMiss[static_cast<size_t>(C)];
-        if (N < 4)
-          continue;
-        const double Rate =
-            static_cast<double>(CandHits[static_cast<size_t>(C)]) / N;
-        if (Rate > BestRate) {
-          BestRate = Rate;
-          Best = C;
-        }
-      }
-      return Best;
-    }
-
-    /// Folds the run's observations back into the store, called once at
-    /// run end on every exit path (by then the counters are final).
-    void profileRecord() {
-      ProfileStore::RunObservation Obs;
-      Obs.FinalChunk =
-          (OrdinalIndices && AutoTargetNs > 0) ? CurChunk : 0;
-      Obs.DegradeTrips = RunDegradeTrips;
-      Obs.PredictorSwitches = Stats.PredictorSwitches;
-      Obs.Predictions = Stats.Predictions;
-      Obs.BadPredictions = Stats.Mispredictions + Stats.FailedPredictions;
-      for (int C = 0; C < detail::NumCandidates; ++C) {
-        const int64_t H = CandHits[static_cast<size_t>(C)];
-        const int64_t Ms = CandMiss[static_cast<size_t>(C)];
-        if (H + Ms > 0)
-          Obs.Predictors.emplace_back(detail::candidateName(C),
-                                      PredictorProfile{H, Ms});
-      }
-      Prof->recordRun(*SiteName, Obs);
-    }
-
-    //===---------------- state ------------------------------------------===//
-
-    static constexpr int64_t kMaxQueuedTasks = 256;
-
-    const int64_t Low, High;
-    int64_t CurChunk;
-    const bool OrdinalIndices;
-    const int64_t AutoTargetNs;
-    InitFn &Init;
-    BodyFn &Body;
-    PredictorFn &Predictor;
-    FinalFn &Finalize;
-    SpecExecutor &Ex;
-    Eq &Equal;
-    SpeculationStats &Stats;
-    const ValidationMode Mode;
-    Tracer *const Tr;
-    /// The serving-layer job context stamped onto every event this run
-    /// records (zero outside specd — see SpecConfig::traceContext()).
-    const TraceContext JobCtx;
-    FaultPlan *const FP;
-    const std::chrono::nanoseconds CfgDeadline;
-    const Clock::time_point Deadline;
-    const bool HasDeadline;
-    const double DegradeThresh;
-    const int DegradeWin;
-    /// Profile-guided prediction (armed iff a store *and* a site name
-    /// are configured; everything below is untouched otherwise).
-    ProfileStore *const Prof;
-    const std::string *const SiteName;
-    const bool ProfOn;
-    const int64_t W;
-    /// Crash containment (SpecConfig::shield() / attemptBudget()): the
-    /// per-attempt budget every attempt runs under (0 = none).
-    const bool Shield;
-    const int64_t BudgetNs;
-    /// Body timing feeds the chunk autotuner.
-    const bool MeasureBody;
-    int64_t MaxChunk = 1;
-
-    /// Shared with the run's queued tasks (see detail::SegRunSync).
-    const std::shared_ptr<detail::SegRunSync> Run;
-    /// The current wave's claim generation: validator-written between
-    /// waves, read by the wave's attempts before they are Done.
-    uint32_t Wave = 0;
-    /// 3W pooled attempts: [0, W) seed the validator's freelist, the
-    /// rest the chainers' shared pool.
-    std::vector<Attempt> AttemptStore;
-    std::vector<Attempt *> FreeLocal; // validator-owned
-    std::mutex ChainPoolM;            // guards ChainPool (chainers race)
-    std::vector<Attempt *> ChainPool;
-    std::vector<Slot> Slots;
-
-    /// Current wave plan (validator-written before dispatch, read-only
-    /// for workers during the wave).
-    std::vector<std::optional<T>> WavePred;
-    std::vector<int64_t> WaveB, WaveE, WaveUser;
-    /// Per-segment candidate predictions (profile-guided runs only;
-    /// validator-only — workers never read the shadow candidates).
-    std::vector<std::array<std::optional<T>, detail::NumCandidates>>
-        WaveCand;
-    int64_t WaveCount = 0;
-    int64_t WaveOrd0 = 0;
-
-    /// Candidate accounting for this run (validator only). The stride
-    /// extrapolator's observation storage collapses to a char when T is
-    /// not arithmetic (the candidate is then never engaged).
-    int ActiveCand = detail::CandUser;
-    std::array<bool, detail::NumCandidates> CandTried{};
-    std::array<int64_t, detail::NumCandidates> CandHits{};
-    std::array<int64_t, detail::NumCandidates> CandMiss{};
-    int64_t RunDegradeTrips = 0;
-    bool HaveObs = false, HaveTwoObs = false;
-    int64_t ObsIdx1 = 0, ObsIdx0 = 0;
-    std::conditional_t<std::is_arithmetic_v<T>, T, char> ObsVal1{},
-        ObsVal0{};
-
-    /// Autotune accumulators (current wave).
-    int64_t WaveNs = 0;
-    int64_t WaveMeasured = 0;
-    int64_t WaveBad = 0;
-    int64_t WaveBoundaries = 0;
-
-    /// Run outcome flags (validator only).
-    bool Degraded = false;
-    bool TimedOut = false;
-    int64_t TimeoutIdx = 0;
-    std::exception_ptr FirstValidErr;
-  };
-
-  static SpecExecutor &resolveExecutor(const SpecConfig &Cfg) {
-    if (SpecExecutor *E = Cfg.executor())
-      return *E;
-    return *SpecExecutor::defaultShard();
-  }
-
-  /// The absolute deadline of a run starting now (time_point::max() when
-  /// the config has none).
-  static std::chrono::steady_clock::time_point
-  resolveDeadline(const SpecConfig &Cfg) {
-    if (Cfg.deadline() <= std::chrono::nanoseconds::zero())
-      return std::chrono::steady_clock::time_point::max();
-    return std::chrono::steady_clock::now() + Cfg.deadline();
-  }
-
-  /// Calls the user comparator under the ComparatorThrow injection site,
-  /// swallowing any exception: a throwing comparator yields "not equal"
-  /// (the pessimistic answer — the validator then re-executes) and sets
-  /// \p Threw so callers can account the prediction point as failed. User
-  /// comparator exceptions therefore never propagate from a speculative
-  /// validation path.
-  template <typename Eq, typename T>
-  static bool guardedEqual(Eq &Equal, FaultPlan *FP, const T &A, const T &B,
-                           bool &Threw) {
-    try {
-      if (FP)
-        FP->maybeThrow(FaultSite::ComparatorThrow);
-      return Equal(A, B);
-    } catch (...) {
-      Threw = true;
-      return false;
-    }
+        Predictor, Finalize, Cfg, Equal);
   }
 };
 

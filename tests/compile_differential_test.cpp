@@ -181,4 +181,32 @@ TEST(CompiledCorpus5Unsafe, FailingConditionIsConditionA) {
   EXPECT_EQ(Rep.UnsafeSites[0].FailedCondition, "(a)") << Rep.str();
 }
 
+// A specfold whose range ends near INT64_MAX: with chunk 8 a segment's
+// nominal end lies past INT64_MAX, so the runtime must clip it without
+// overflowing. Every prediction but the first is wrong.
+TEST(CompiledNearInt64Max, SpecfoldAgreesWithTheReferenceEvaluator) {
+  auto R = lang::parseProgram("main = specfold(\\i acc. acc + 1, \\i. 0, "
+                              "9223372036854775800, 9223372036854775805)");
+  ASSERT_TRUE(bool(R)) << R.error();
+  std::unique_ptr<lang::Program> P = R.take();
+  interp::RunOutcome N = interp::runNonSpeculative(*P);
+  ASSERT_TRUE(N.ok()) << N.statusStr();
+  ASSERT_EQ(N.Result.asInt(), 6);
+  auto Compiled = compile::compileProgram(*P, compile::CompileOptions());
+  ASSERT_TRUE(bool(Compiled)) << Compiled.error();
+  for (unsigned Threads : {1u, 4u}) {
+    for (int64_t Chunk : {1, 4, 8}) {
+      rt::SpecExecutor Ex(Threads);
+      CompiledProgram::RunOptions RO;
+      RO.Config.executor(Ex);
+      RO.ChunkSize = Chunk;
+      CompiledProgram::Outcome O = (*Compiled)->run(RO);
+      ASSERT_TRUE(O.Run.ok()) << "threads=" << Threads << " chunk=" << Chunk
+                              << ": " << O.Run.statusStr();
+      EXPECT_EQ(O.Run.Result.asInt(), 6)
+          << "threads=" << Threads << " chunk=" << Chunk;
+    }
+  }
+}
+
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -1083,6 +1084,46 @@ TEST(IterateChunked, NonPositiveChunkSizeThrows) {
   }
 }
 
+// Ranges at the ends of int64: a segment's end and the autotune ceiling
+// are computed from the distance to High, which only a uint64 holds. Each
+// run is under a deadline, so an engine that computes a bound wrong fails
+// with SpecTimeoutError (or a UBSan report) instead of hanging.
+
+TEST(IterateChunked, SegmentsEndingAtInt64MaxDoNotOverflow) {
+  const int64_t High = std::numeric_limits<int64_t>::max();
+  const int64_t Low = High - 6;
+  auto Body = [](int64_t, int64_t A) { return A + 1; };
+  auto Pred = [Low](int64_t I) { return I - Low; };
+  SpecExecutor Ex(2);
+  for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par}) {
+    for (int64_t Chunk : {1, 4, 8}) {
+      auto R = Speculation::iterateChunked<int64_t>(
+          Low, High, Chunk, Body, Pred,
+          SpecConfig().executor(Ex).mode(Mode).deadline(
+              std::chrono::seconds(2)));
+      EXPECT_EQ(R.Value, 6) << "chunk " << Chunk;
+      EXPECT_EQ(R.Stats.Tasks, (6 + Chunk - 1) / Chunk) << "chunk " << Chunk;
+    }
+  }
+}
+
+TEST(IterateChunked, WholeInt64RangeRunsUntilItsDeadline) {
+  // 2^64 - 1 iterations: no run finishes, so the deadline ends it.
+  const int64_t Low = std::numeric_limits<int64_t>::min();
+  const int64_t High = std::numeric_limits<int64_t>::max();
+  auto Body = [](int64_t, uint64_t A) { return A + 1; };
+  auto Pred = [Low](int64_t I) {
+    return static_cast<uint64_t>(I) - static_cast<uint64_t>(Low);
+  };
+  SpecExecutor Ex(2);
+  for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par})
+    EXPECT_THROW(Speculation::iterateChunked<uint64_t>(
+                     Low, High, 8, Body, Pred,
+                     SpecConfig().executor(Ex).mode(Mode).deadline(
+                         std::chrono::milliseconds(50))),
+                 SpecTimeoutError);
+}
+
 //===----------------------------------------------------------------------===//
 // Executor statistics
 //===----------------------------------------------------------------------===//
@@ -1301,6 +1342,61 @@ TEST(Telemetry, SummaryNamesEventKinds) {
   std::string S = Tr.summary();
   for (const char *Needle : {"dispatch=", "mispredict=", "re-execute="})
     EXPECT_NE(S.find(Needle), std::string::npos) << S;
+}
+
+TEST(IterateChunked, ParModeDispatchesAtMostTwoAttemptsPerSegment) {
+  // A wave slot holds at most two attempts. Failed predictions (half of
+  // the prediction points throw) and wrong ones (a random third of the
+  // boundaries) make Par-mode chainers compete for slots: no segment may
+  // see more than two dispatches, and the run must still equal the
+  // sequential fold, finalizing each chunk once, in order, from a
+  // correct execution.
+  const int64_t N = 320, ChunkSize = 8, Chunks = N / ChunkSize;
+  auto Body = [](int64_t I, int64_t &L, int64_t A) {
+    L += I;
+    return A + I;
+  };
+  for (uint64_t Seed : {1, 2, 3, 4, 5}) {
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      Rng R(Seed * 31 + Workers);
+      std::vector<bool> Wrong(static_cast<size_t>(Chunks));
+      for (int64_t C = 1; C < Chunks; ++C)
+        Wrong[static_cast<size_t>(C)] = R.nextBool(1.0 / 3);
+      auto Pred = [&](int64_t I) {
+        const int64_t Truth = I * (I - 1) / 2;
+        return Wrong[static_cast<size_t>(I / ChunkSize)] ? Truth + 1 : Truth;
+      };
+      FaultPlan Plan(Seed);
+      Plan.arm(FaultSite::PredictorThrow, 0.5);
+      Tracer Tr;
+      SpecExecutor Ex(Workers);
+      std::vector<int64_t> Order, Sums;
+      auto Res = Speculation::iterateChunkedLocal<int64_t, int64_t>(
+          0, N, ChunkSize, [] { return int64_t(0); }, Body, Pred,
+          [&](int64_t C, int64_t &L) {
+            Order.push_back(C);
+            Sums.push_back(L);
+          },
+          SpecConfig()
+              .executor(Ex)
+              .mode(ValidationMode::Par)
+              .faults(&Plan)
+              .trace(&Tr));
+      EXPECT_EQ(Res.Value, N * (N - 1) / 2)
+          << "seed " << Seed << " workers " << Workers;
+      const std::vector<SpecEvent> Ev = Tr.snapshot();
+      EXPECT_EQ(Tr.droppedEvents(), 0u);
+      ASSERT_EQ(Order.size(), static_cast<size_t>(Chunks));
+      for (int64_t C = 0; C < Chunks; ++C) {
+        EXPECT_EQ(Order[static_cast<size_t>(C)], C);
+        const int64_t B = C * ChunkSize, E = B + ChunkSize;
+        EXPECT_EQ(Sums[static_cast<size_t>(C)], (E * (E - 1) - B * (B - 1)) / 2)
+            << "chunk " << C;
+        EXPECT_LE(countKind(Ev, SpecEventKind::Dispatch, C), 2u)
+            << "seed " << Seed << " workers " << Workers << " chunk " << C;
+      }
+    }
+  }
 }
 
 /// Property sweep across seeds: a fold with data-dependent control flow,

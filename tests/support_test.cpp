@@ -7,7 +7,6 @@
 
 #include "support/Casting.h"
 #include "support/CommandLine.h"
-#include "support/Interval.h"
 #include "support/Result.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
@@ -67,92 +66,6 @@ TEST(Result, SuccessAndError) {
   ASSERT_FALSE(bool(Bad));
   EXPECT_EQ(Bad.error(), "not positive");
 }
-
-//===----------------------------------------------------------------------===//
-// ExtInt / Interval
-//===----------------------------------------------------------------------===//
-
-TEST(ExtInt, Ordering) {
-  EXPECT_TRUE(ExtInt::negInf() < ExtInt(0));
-  EXPECT_TRUE(ExtInt(0) < ExtInt::posInf());
-  EXPECT_TRUE(ExtInt::negInf() < ExtInt::posInf());
-  EXPECT_FALSE(ExtInt::posInf() < ExtInt::posInf());
-  EXPECT_TRUE(ExtInt(-3) < ExtInt(7));
-}
-
-TEST(ExtInt, SaturatingArithmetic) {
-  EXPECT_EQ(ExtInt(INT64_MAX) + ExtInt(1), ExtInt::posInf());
-  EXPECT_EQ(ExtInt(INT64_MIN) + ExtInt(-1), ExtInt::negInf());
-  EXPECT_EQ(ExtInt::posInf() + ExtInt(5), ExtInt::posInf());
-  EXPECT_EQ(-ExtInt::posInf(), ExtInt::negInf());
-  EXPECT_EQ(ExtInt(3) * ExtInt::negInf(), ExtInt::negInf());
-  EXPECT_EQ(ExtInt(-3) * ExtInt::negInf(), ExtInt::posInf());
-  EXPECT_EQ(ExtInt(0) * ExtInt::posInf(), ExtInt(0));
-}
-
-TEST(Interval, BasicOps) {
-  Interval A = Interval::of(1, 5);
-  Interval B = Interval::of(3, 9);
-  EXPECT_EQ(Interval::join(A, B), Interval::of(1, 9));
-  EXPECT_EQ(Interval::meet(A, B), Interval::of(3, 5));
-  EXPECT_TRUE(A.intersects(B));
-  EXPECT_FALSE(A.intersects(Interval::of(6, 9)));
-  EXPECT_TRUE(A.contains(3));
-  EXPECT_FALSE(A.contains(0));
-  EXPECT_TRUE(Interval::full().contains(A));
-  EXPECT_TRUE(A.contains(Interval::empty()));
-}
-
-TEST(Interval, EmptyIsAbsorbing) {
-  Interval E = Interval::empty();
-  Interval A = Interval::of(1, 5);
-  EXPECT_TRUE((E + A).isEmpty());
-  EXPECT_TRUE((A * E).isEmpty());
-  EXPECT_EQ(Interval::join(E, A), A);
-  EXPECT_TRUE(Interval::meet(E, A).isEmpty());
-}
-
-TEST(Interval, Arithmetic) {
-  Interval A = Interval::of(1, 3);
-  Interval B = Interval::of(-2, 4);
-  EXPECT_EQ(A + B, Interval::of(-1, 7));
-  EXPECT_EQ(A - B, Interval::of(-3, 5));
-  EXPECT_EQ(A * B, Interval::of(-6, 12));
-  EXPECT_EQ(Interval::point(2) * Interval::point(-3), Interval::point(-6));
-}
-
-TEST(Interval, Widening) {
-  Interval Old = Interval::of(0, 10);
-  EXPECT_EQ(Interval::widen(Old, Interval::of(0, 11)),
-            Interval::of(ExtInt(0), ExtInt::posInf()));
-  EXPECT_EQ(Interval::widen(Old, Interval::of(-1, 10)),
-            Interval::of(ExtInt::negInf(), ExtInt(10)));
-  EXPECT_EQ(Interval::widen(Old, Interval::of(2, 9)), Old);
-}
-
-/// Property sweep: interval arithmetic is a sound abstraction of concrete
-/// arithmetic on random samples.
-class IntervalSoundness : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(IntervalSoundness, AddSubMulAreSound) {
-  Rng R(GetParam());
-  for (int Trial = 0; Trial < 200; ++Trial) {
-    int64_t ALo = R.nextInRange(-50, 50);
-    int64_t AHi = ALo + static_cast<int64_t>(R.nextBelow(20));
-    int64_t BLo = R.nextInRange(-50, 50);
-    int64_t BHi = BLo + static_cast<int64_t>(R.nextBelow(20));
-    Interval A = Interval::of(ALo, AHi), B = Interval::of(BLo, BHi);
-    int64_t X = R.nextInRange(ALo, AHi), Y = R.nextInRange(BLo, BHi);
-    EXPECT_TRUE((A + B).contains(X + Y));
-    EXPECT_TRUE((A - B).contains(X - Y));
-    EXPECT_TRUE((A * B).contains(X * Y));
-    EXPECT_TRUE(Interval::join(A, B).contains(X));
-    EXPECT_TRUE(Interval::join(A, B).contains(Y));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSoundness,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 //===----------------------------------------------------------------------===//
 // Rng
