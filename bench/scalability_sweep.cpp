@@ -21,6 +21,13 @@
 ///    and recycling. Reported as the median and the p10/p90 of the
 ///    repeats (bench/RealCores.h's `quantile`), so one lucky or unlucky
 ///    run moves neither.
+///  * body_cost — the same run at chunk 1 with a body that spins 0, 1, 5
+///    or 20 us per chunk, as a speedup over the ideal sequential time
+///    (NumChunks x body, no runtime at all). The break-even body of a
+///    worker count is the smallest body on that axis whose speedup
+///    reaches 1 (-1: none does). An empty body races the waking workers
+///    rather than measuring a cost, so the body axis, not the empty-body
+///    rows, says what a chunk must cost to pay for its attempt.
 /// The steady-state allocation criterion is asserted by hotpath_test
 /// (operator-new hook), not here.
 ///
@@ -55,15 +62,26 @@ double wallSeconds() {
       .count();
 }
 
-/// One empty-body chunked run: NumChunks chunks of ChunkSize iterations,
-/// always-correct predictor (carried value stays 0), so the run exercises
-/// the dispatch -> execute -> accept fast path only.
-double runOnce(rt::SpecExecutor &Ex, int64_t NumChunks, int64_t ChunkSize) {
+/// One chunked run: NumChunks chunks of ChunkSize iterations whose last
+/// iteration spins \p BodyUs microseconds, always-correct predictor
+/// (carried value stays 0), so the run exercises the dispatch -> execute
+/// -> accept fast path only.
+double runOnce(rt::SpecExecutor &Ex, int64_t NumChunks, int64_t ChunkSize,
+               int64_t BodyUs) {
   rt::SpecConfig Cfg = rt::SpecConfig().executor(Ex);
   const int64_t N = NumChunks * ChunkSize;
   double T0 = wallSeconds();
   auto R = rt::Speculation::iterateChunked<int64_t>(
-      0, N, ChunkSize, [](int64_t, int64_t A) { return A; },
+      0, N, ChunkSize,
+      [ChunkSize, BodyUs](int64_t I, int64_t A) {
+        if (BodyUs > 0 && I % ChunkSize == ChunkSize - 1) {
+          const auto End = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(BodyUs);
+          while (std::chrono::steady_clock::now() < End) {
+          }
+        }
+        return A;
+      },
       [](int64_t) { return int64_t(0); }, Cfg);
   double T1 = wallSeconds();
   if (R.Value != 0)
@@ -74,21 +92,29 @@ double runOnce(rt::SpecExecutor &Ex, int64_t NumChunks, int64_t ChunkSize) {
 struct Row {
   unsigned Threads;
   int64_t ChunkSize;
-  int64_t NumChunks;
+  int64_t BodyUs;
   double MedianNs, P10Ns, P90Ns;
+  /// Ideal sequential time over the median wall time (0 for no body).
+  double Speedup;
 };
 
 Row measure(unsigned Threads, int64_t NumChunks, int64_t ChunkSize,
-            int Repeats) {
+            int64_t BodyUs, int Repeats) {
   rt::SpecExecutor Ex(Threads);
-  runOnce(Ex, NumChunks, ChunkSize); // warm-up: worker spin-up, first touch
+  // warm-up: worker spin-up, first touch
+  runOnce(Ex, NumChunks, ChunkSize, BodyUs);
   std::vector<double> PerAttemptNs;
   for (int R = 0; R < Repeats; ++R)
-    PerAttemptNs.push_back(runOnce(Ex, NumChunks, ChunkSize) /
+    PerAttemptNs.push_back(runOnce(Ex, NumChunks, ChunkSize, BodyUs) /
                            static_cast<double>(NumChunks) * 1e9);
-  return {Threads, ChunkSize, NumChunks, bench::median(PerAttemptNs),
+  const double Median = bench::median(PerAttemptNs);
+  return {Threads,
+          ChunkSize,
+          BodyUs,
+          Median,
           bench::quantile(PerAttemptNs, 0.1),
-          bench::quantile(PerAttemptNs, 0.9)};
+          bench::quantile(PerAttemptNs, 0.9),
+          static_cast<double>(BodyUs) * 1e3 / Median};
 }
 
 } // namespace
@@ -118,6 +144,7 @@ int main(int Argc, char **Argv) {
       ThreadSweep.end())
     ThreadSweep.push_back(TwoXHw);
   std::vector<int64_t> ChunkSizes = {1, 8, 64};
+  const std::vector<int64_t> BodyCostsUs = {0, 1, 5, 20};
   if (*Smoke) {
     ThreadSweep = {1, 2, 8};
     ChunkSizes = {8};
@@ -133,12 +160,33 @@ int main(int Argc, char **Argv) {
               "median ns", "p10 ns", "p90 ns");
   for (unsigned T : ThreadSweep)
     for (int64_t C : ChunkSizes) {
-      Row R = measure(T, NumChunks, C, Reps);
+      Row R = measure(T, NumChunks, C, 0, Reps);
       Rows.push_back(R);
       std::printf("%8u %10lld %12.0f %12.0f %12.0f\n", R.Threads,
                   static_cast<long long>(R.ChunkSize), R.MedianNs, R.P10Ns,
                   R.P90Ns);
     }
+
+  std::printf("=== body cost (chunk 1, speedup over the ideal sequential "
+              "time; break-even = smallest body reaching 1.0x) ===\n");
+  std::printf("%8s %8s %12s %9s\n", "threads", "body us", "median ns",
+              "speedup");
+  std::vector<Row> BodyRows;
+  std::vector<int64_t> BreakEvenUs;
+  for (unsigned T : ThreadSweep) {
+    int64_t BreakEven = -1;
+    for (int64_t B : BodyCostsUs) {
+      Row R = measure(T, NumChunks, 1, B, Reps);
+      BodyRows.push_back(R);
+      if (B > 0 && BreakEven < 0 && R.Speedup >= 1.0)
+        BreakEven = B;
+      std::printf("%8u %8lld %12.0f %8.2fx\n", R.Threads,
+                  static_cast<long long>(B), R.MedianNs, R.Speedup);
+    }
+    BreakEvenUs.push_back(BreakEven);
+    std::printf("%8u break-even body: %lld us\n", T,
+                static_cast<long long>(BreakEven));
+  }
 
   // The headline number: median per-attempt overhead at 8 threads, chunk
   // size 8 (the configuration the apps' default granularity uses).
@@ -172,6 +220,21 @@ int main(int Argc, char **Argv) {
                    Rows[I].P10Ns, Rows[I].P90Ns,
                    I + 1 == Rows.size() ? "" : ",");
     std::fprintf(F, "  ],\n");
+    std::fprintf(F, "  \"body_cost\": [\n");
+    for (size_t I = 0; I < BodyRows.size(); ++I)
+      std::fprintf(F,
+                   "    {\"threads\": %u, \"body_us\": %lld, \"median_ns\": "
+                   "%.1f, \"p10_ns\": %.1f, \"p90_ns\": %.1f, "
+                   "\"speedup\": %.3f}%s\n",
+                   BodyRows[I].Threads,
+                   static_cast<long long>(BodyRows[I].BodyUs),
+                   BodyRows[I].MedianNs, BodyRows[I].P10Ns, BodyRows[I].P90Ns,
+                   BodyRows[I].Speedup, I + 1 == BodyRows.size() ? "" : ",");
+    std::fprintf(F, "  ],\n  \"break_even_body_us\": {");
+    for (size_t I = 0; I < ThreadSweep.size(); ++I)
+      std::fprintf(F, "%s\"%u\": %lld", I ? ", " : "", ThreadSweep[I],
+                   static_cast<long long>(BreakEvenUs[I]));
+    std::fprintf(F, "},\n");
     std::fprintf(F, "  \"per_attempt_ns_8threads_chunk8\": %.1f", At8);
     if (!BaselineJson->empty()) {
       std::FILE *B = std::fopen(BaselineJson->c_str(), "r");

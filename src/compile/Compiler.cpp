@@ -31,14 +31,37 @@ struct RunState;
 
 /// The per-thread evaluation context threaded through every compiled
 /// node. FP/Caps describe the current activation; FS is the evaluating
-/// thread's frame stack; LocalFuel is this thread's unspent share of the
-/// run's step budget (drawn in batches from RunState::Fuel).
+/// thread's frame stack; LocalFuel is this context's unspent share of the
+/// run's step budget (drawn in batches from RunState::Fuel). A context
+/// returns its unspent fuel to the pool when it dies, and a move hands
+/// the fuel over, so a context that dies after a few steps — a
+/// specfold chunk's, a discarded attempt's — costs only those steps.
 struct EvalCtx {
   RtVal *FP = nullptr;
   const RtVal *Caps = nullptr;
   RunState *RS = nullptr;
   FrameStack *FS = nullptr;
   int64_t LocalFuel = 0;
+
+  EvalCtx() = default;
+  EvalCtx(EvalCtx &&O) noexcept
+      : FP(O.FP), Caps(O.Caps), RS(O.RS), FS(O.FS),
+        LocalFuel(std::exchange(O.LocalFuel, 0)) {}
+  EvalCtx &operator=(EvalCtx &&O) noexcept {
+    if (this != &O) {
+      returnFuel();
+      FP = O.FP;
+      Caps = O.Caps;
+      RS = O.RS;
+      FS = O.FS;
+      LocalFuel = std::exchange(O.LocalFuel, 0);
+    }
+    return *this;
+  }
+  ~EvalCtx() { returnFuel(); }
+
+  /// Gives the unspent fuel back to RunState::Fuel.
+  void returnFuel();
 };
 
 /// A compiled expression node. The tree is immutable after compilation;
@@ -126,6 +149,11 @@ struct RunState {
     ++SpecRuns;
   }
 };
+
+void EvalCtx::returnFuel() {
+  if (RS && LocalFuel > 0)
+    RS->Fuel.fetch_add(std::exchange(LocalFuel, 0), std::memory_order_relaxed);
+}
 
 namespace {
 

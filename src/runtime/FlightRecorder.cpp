@@ -10,48 +10,14 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 using namespace specpar;
 using namespace specpar::rt;
 
 namespace {
-
-std::atomic<uint64_t> TmpCounter{0};
-
-/// Publishes \p Body at \p Path via unique temp file + rename() (the
-/// ProfileStore::save discipline): readers see the old file or the whole
-/// new one, never a prefix. False on any I/O failure.
-bool writeFileAtomic(const std::string &Path, const std::string &Body) {
-  const uint64_t N = TmpCounter.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << ::getpid() << "." << N;
-  const std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(Body.data(), static_cast<std::streamsize>(Body.size()));
-    Out.flush();
-    if (!Out) {
-      Out.close();
-      std::remove(Tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Filenames carry the anomaly reason; keep them shell- and URL-safe.
 std::string slugify(const std::string &S) {

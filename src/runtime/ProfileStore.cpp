@@ -8,14 +8,11 @@
 #include "runtime/ProfileStore.h"
 
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
-#include <atomic>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 namespace specpar {
 namespace rt {
@@ -269,8 +266,6 @@ struct JsonParser {
   }
 };
 
-std::atomic<uint64_t> TmpCounter{0};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -312,32 +307,7 @@ bool ProfileStore::save(const std::string &Path) const {
     }
     OS << "}}\n";
   }
-  const std::string Body = OS.str();
-
-  // Unique temp name in the target's directory (rename() must not cross
-  // filesystems): pid + a process-wide counter disambiguates concurrent
-  // savers; each publishes a *complete* snapshot via its own rename.
-  const uint64_t N = TmpCounter.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << ::getpid() << "." << N;
-  const std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(Body.data(), static_cast<std::streamsize>(Body.size()));
-    Out.flush();
-    if (!Out) {
-      Out.close();
-      std::remove(Tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
+  return writeFileAtomic(Path, OS.str());
 }
 
 bool ProfileStore::load(const std::string &Path) {

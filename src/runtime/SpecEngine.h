@@ -11,13 +11,13 @@
 /// runtime/Speculation.h, not this header.
 ///
 /// `apply` and `iterate` share one attempt lifecycle: an attempt is run
-/// by whichever thread claims it first — a worker that pops its task, or
-/// the thread waiting on it — under its cancel scope, fault probes and
-/// optional shield (`runSpeculativeBody`); it publishes with one seq_cst
-/// Done RMW on its claim word in the run's `SegRunSync`, which also awaits
-/// and accounts it. On top of it sit two check steps: `applyImpl` (rule
-/// CHECK for one `spec`) and `SegEngine` (the wave engine under every
-/// iterate form).
+/// by whichever thread claims it first — a worker running a task of its
+/// run, or the thread waiting on it — under its cancel scope, fault
+/// probes and optional shield (`runSpeculativeBody`); it publishes with
+/// one seq_cst Done RMW on its claim word in the run's `SegRunSync`. On
+/// top of it sit two check steps: `applyImpl` (rule CHECK for one `spec`,
+/// one task) and `SegEngine` (the wave engine under every iterate form,
+/// at most one drain task per worker and wave, not one per attempt).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,9 +140,6 @@ template <typename T, typename U> struct SegAttempt : AttemptCore {
   int64_t B = 0, E = 0;
   /// Wave-local slot this attempt belongs to.
   int64_t SlotIdx = 0;
-  /// A corrective attempt runs only after its slot's prior attempt is
-  /// Done, so attempts of one segment never run concurrently.
-  SegAttempt *After = nullptr;
   /// Body wall time in ns, measured only when the autotuner is armed.
   int64_t BodyNs = 0;
   /// The attempt's claim word in the run's SegRunSync.
@@ -160,7 +157,8 @@ template <typename T> struct ApplyAttempt : AttemptCore {
 
 /// A wave slot: at most two attempts — the initial dispatch and Par-mode
 /// correctives — appended lock-free. Slot K owns the run's attempts 2K
-/// and 2K+1, item I being attempt 2K+I. `Count` is reserve-then-publish —
+/// and 2K+1, item I being attempt 2K+I, so a second item's predecessor
+/// is always attempt 2K. `Count` is reserve-then-publish —
 /// a chainer CASes Count up while it is below 2, then release-stores the
 /// item pointer — so readers tolerate a transiently null cell by
 /// re-polling (the publisher is a handful of instructions away).
@@ -171,35 +169,39 @@ template <typename T, typename U> struct SegSlot {
 
 /// Synchronisation of one speculative run (an iterate engine run or one
 /// apply()), in one refcounted block: the run holds a reference and so
-/// does every task it submits, so a task popped after its attempt was
+/// does every task it submits, so a task popped after its attempts were
 /// claimed, recycled into a later wave, or after its run returned still
-/// finds its claim word here, fails to claim, and returns.
+/// finds their claim words here, fails to claim, and returns.
 ///
-/// An attempt is run by whichever thread claims it first: a worker that
-/// pops its task, or a thread waiting on it. A waiting thread runs only
-/// the attempts it waits for and otherwise parks on the eventcount, so
-/// no wait depends on the executor draining other work. An attempt's
-/// claim word packs its wave generation (bits 32-63), the index + 1 of a
-/// corrective parked on it (bits 2-31; 0 = none), Done (bit 1) and
-/// Claimed (bit 0).
+/// An attempt is run by whichever thread claims it first: a worker
+/// running a task of its run, or a thread waiting on it. A waiting thread
+/// runs only the attempts it waits for and otherwise parks on the
+/// eventcount, so no wait depends on the executor draining other work.
+/// An attempt's claim word packs its wave generation (bits 32-63), the
+/// index + 1 of a corrective parked on it (bits 2-31; 0 = none), Done
+/// (bit 1) and Claimed (bit 0).
 struct SegRunSync {
   explicit SegRunSync(size_t Attempts) : Words(Attempts) {}
 
   static constexpr uint64_t Claimed = 1, Done = 2;
 
   /// Arms attempt \p I for wave \p Gen: unclaimed, not Done, nothing
-  /// parked. Published with the attempt (task submission or slot item).
+  /// parked. A release store after the attempt's fields, so a claim that
+  /// sees \p Gen also sees the attempt.
   void reset(uint32_t I, uint32_t Gen) {
-    Words[I].V.store(uint64_t(Gen) << 32, std::memory_order_relaxed);
+    Words[I].V.store(uint64_t(Gen) << 32, std::memory_order_release);
   }
 
   /// Claims attempt \p I of wave \p Gen for the calling thread.
   /// Invariant 1: an attempt's body runs at most once, on the thread
   /// whose claim succeeded — at most one claim per generation succeeds.
+  /// Invariant 4: a slot's second attempt (odd \p I) is claimable only
+  /// once attempt I-1 is Done. I's word, reset after I-1's, shows \p Gen
+  /// first, so the read of I-1's word sees this wave's, never older.
   bool claim(uint32_t I, uint32_t Gen) {
     uint64_t W = Words[I].V.load(std::memory_order_seq_cst);
     do {
-      if ((W >> 32) != Gen || (W & Claimed))
+      if ((W >> 32) != Gen || (W & Claimed) || (I % 2 && !done(I - 1)))
         return false;
     } while (!Words[I].V.compare_exchange_weak(W, W | Claimed,
                                                std::memory_order_seq_cst));
@@ -273,11 +275,17 @@ struct SegRunSync {
     std::atomic<uint64_t> V{0};
   };
   std::vector<Word> Words;
-  /// The run's tasks submitted to the executor and not yet popped.
-  std::atomic<int64_t> Queued{0};
+  /// The wave drain tasks walk (generation in bits 32-63, attempt count
+  /// in bits 0-31), published once its attempts are reset; the drain
+  /// tasks submitted and not yet started, and when the last one was (ns).
+  std::atomic<uint64_t> CurrentWave{0};
+  std::atomic<int64_t> QueuedDrains{0}, SubmitNs{0};
+  /// A drain task ran an attempt for longer than it waited to start
+  /// since the validator last looked: waking the workers paid.
+  std::atomic<bool> WakePaid{true};
   /// Orders attempt completions (FinishStamp = fetch_add + 1).
   std::atomic<uint64_t> FinishCounter{0};
-  /// Tasks dispatched by Par-mode chainers. Workers must not touch the
+  /// Attempts dispatched by Par-mode chainers. Workers must not touch the
   /// run's (non-atomic) SpeculationStats, so they count here and the
   /// validator merges before the run returns.
   std::atomic<int64_t> ChainedTasks{0};
@@ -393,27 +401,16 @@ enum PredictorCandidate : int {
   NumCandidates = 3,
 };
 
-/// The stable ProfileStore key of candidate \p C.
-inline const char *candidateName(int C) {
-  switch (C) {
-  case CandLast:
-    return "last";
-  case CandStride:
-    return "stride";
-  default:
-    return "user";
-  }
-}
+/// The stable ProfileStore keys of the candidates, by id.
+inline constexpr const char *CandidateNames[NumCandidates] = {"user", "last",
+                                                              "stride"};
 
-/// Inverse of candidateName(); -1 for unknown names (a cold site or a
-/// profile written by a build with different candidates).
+/// The id of the candidate named \p Name; -1 for unknown names (a cold
+/// site or a profile written by a build with different candidates).
 inline int candidateId(const std::string &Name) {
-  if (Name == "user")
-    return CandUser;
-  if (Name == "last")
-    return CandLast;
-  if (Name == "stride")
-    return CandStride;
+  for (int C = 0; C < NumCandidates; ++C)
+    if (Name == CandidateNames[C])
+      return C;
   return -1;
 }
 
@@ -436,12 +433,6 @@ struct ExecDeltaGuard {
       Snap->Exec = Ex->stats() - Before;
   }
 };
-
-inline SpecExecutor &resolveExecutor(const SpecConfig &Cfg) {
-  if (SpecExecutor *E = Cfg.executor())
-    return *E;
-  return *SpecExecutor::defaultShard();
-}
 
 /// The absolute deadline of a run starting now (time_point::max() when
 /// the config has none).
@@ -490,7 +481,8 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
   // is authoritative, so a crash here must not be contained (it would
   // longjmp past a live run other threads still reference).
   ShieldPause PauseOuter;
-  SpecExecutor &Ex = resolveExecutor(Cfg);
+  SpecExecutor &Ex =
+      Cfg.executor() ? *Cfg.executor() : *SpecExecutor::defaultShard();
   ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
   Tracer *const Tr = Cfg.trace();
   FaultPlan *const FP = Cfg.faults();
@@ -672,8 +664,9 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
 /// pooling the steady-state cost of a segment is zero heap allocations.
 ///
 /// Synchronisation is lock-free on the hot path. An attempt is run by
-/// whichever thread claims it first (SegRunSync): a worker that
-/// pops its task, or the validator waiting on its slot. The runner
+/// whichever thread claims it first (SegRunSync): a worker running one
+/// of the wave's drain tasks (at most one per worker, each claiming in
+/// segment order), or the validator waiting on its slot. The runner
 /// publishes with one seq_cst Done RMW on the attempt's claim word,
 /// which also wakes parked waiters. The validator runs only the
 /// unclaimed attempts of the slot it waits on and otherwise parks, so
@@ -681,10 +674,8 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
 /// Par-mode chaining appends to the next slot with a reserve-then-
 /// publish CAS on the slot's Count.
 ///
-/// The wave bound also caps in-flight speculation: a 10^5-segment run
-/// no longer materialises 10^5 attempts and tasks up front. And waves
-/// are what the autotuner hooks into — between waves the validator may
-/// re-size `CurChunk` (chunked forms only) using the measured body
+/// Waves also cap in-flight speculation, and between waves the autotuner
+/// may re-size `CurChunk` (chunked forms only) from the measured body
 /// times and the wave's misprediction rate.
 ///
 /// Reported indices (finalizers, telemetry) are `IdxBase` plus the
@@ -977,8 +968,8 @@ public:
     // A run that stopped mid-wave (timeout, exception) retires whatever
     // speculation is still in flight, not under the deadline; every
     // other exit has quiesced the whole wave. Once every attempt is Done
-    // the run is over: queued tasks of its attempts fail their claims
-    // and touch only the claim block.
+    // the run is over: its queued drain tasks fail their claims and
+    // touch only the claim block.
     if (TimedOut || FirstValidErr)
       drainWave(0, Clock::time_point::max());
     Run->mergeInto(Stats);
@@ -1070,13 +1061,14 @@ private:
   }
 
   /// Installs slot K's first attempt (attempt 2K) for each usable
-  /// prediction, then submits their tasks. Two passes: every slot must
-  /// be fully initialised before the first task runs, because an early
-  /// finisher may immediately chain into a later slot.
+  /// prediction, then submits drain tasks for them. Two passes: every
+  /// slot must be fully initialised before the first task runs, because
+  /// an early finisher may immediately chain into a later slot.
   void dispatchWave() {
     // A new claim generation: tasks still queued from earlier waves
     // can no longer claim the attempts reset for this one.
     ++Wave;
+    int64_t Dispatched = 0;
     for (int64_t K = 0; K < WaveCount; ++K) {
       Slot &S = Slots[static_cast<size_t>(K)];
       S.Items[1].store(nullptr, std::memory_order_relaxed);
@@ -1086,28 +1078,22 @@ private:
         continue;
       }
       Attempt *A = &AttemptStore[static_cast<size_t>(2 * K)];
-      resetAttempt(A, K, *WavePred[static_cast<size_t>(K)], nullptr);
+      resetAttempt(A, K, *WavePred[static_cast<size_t>(K)]);
       S.Items[0].store(A, std::memory_order_relaxed);
       S.Count.store(1, std::memory_order_relaxed);
-      ++Stats.Tasks;
-      // Recorded here, not between the submits below: a traced wave's
-      // tasks then reach the workers as one burst, and the validator
-      // claims its first slots itself as often as an untraced one.
+      ++Dispatched;
       if (Tr)
         Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
     }
-    for (int64_t K = 0; K < WaveCount; ++K) {
-      // Guard on the prediction, not the slot: an already-running
-      // early dispatch may chain into a *failed-prediction* slot's
-      // Items[0] concurrently, and that corrective is submitted by
-      // its chainer, not here.
-      if (!WavePred[static_cast<size_t>(K)])
-        continue;
-      submitAttempt(&AttemptStore[static_cast<size_t>(2 * K)]);
-    }
+    Stats.Tasks += Dispatched;
+    Run->CurrentWave.store(uint64_t(Wave) << 32 | uint64_t(2 * WaveCount),
+                           std::memory_order_release);
+    // Wake every worker only while waking pays (WakePaid); otherwise one
+    // drain task picks up what the validator does not run itself.
+    submitDrains(Run->WakePaid.exchange(false) ? Dispatched : 1);
   }
 
-  void resetAttempt(Attempt *A, int64_t K, const T &In, Attempt *After) {
+  void resetAttempt(Attempt *A, int64_t K, const T &In) {
     A->In.emplace(In);
     A->Out.reset();
     A->Local.reset();
@@ -1117,7 +1103,6 @@ private:
     A->E = WaveE[static_cast<size_t>(K)];
     A->SlotIdx = K;
     A->UserIdx = WaveUser[static_cast<size_t>(K)];
-    A->After = After;
     A->BodyNs = 0;
     A->Crashed = false;
     A->CancelFlag.store(false, std::memory_order_relaxed);
@@ -1128,28 +1113,47 @@ private:
 
   //===---------------- attempts: claim, run, publish -------------------===//
 
-  /// Submits \p A's task. The thunk captures the claim block, the
-  /// engine and the attempt's claim index and generation — it fits
-  /// TaskRef's inline storage, so a steady-state dispatch never
-  /// allocates. A run keeps at most kMaxQueuedTasks tasks unpopped:
-  /// past that the workers are not keeping up, so \p A just waits in
-  /// its slot for the validator to claim it, and tasks whose attempts
-  /// the validator claimed meanwhile cannot pile up in the executor's
-  /// fixed-size injection ring.
-  void submitAttempt(Attempt *A) {
-    std::atomic<int64_t> &Queued = Run->Queued;
-    if (Queued.load(std::memory_order_relaxed) >= kMaxQueuedTasks)
-      return;
-    Queued.fetch_add(1, std::memory_order_relaxed);
-    Ex.submit([RunRef = Run, this, I = A->Idx, Gen = Wave] {
-      RunRef->Queued.fetch_sub(1, std::memory_order_relaxed);
-      // Invariant 3: once the attempt was claimed elsewhere or recycled
-      // into a later wave, the claim fails and the task has touched
-      // only *RunRef, which it keeps alive — never this engine, which
-      // may be gone.
-      if (RunRef->claim(I, Gen))
-        runClaimed(&AttemptStore[I]);
-    });
+  /// Submits up to \p N drain tasks, keeping at most one per worker
+  /// queued (the validator runs what workers do not claim). A drain task
+  /// walks the current wave in segment order, running each attempt it
+  /// claims, until a walk claims nothing, so a queued task stays useful
+  /// while its run lasts; it reports whether an attempt outlasted its own
+  /// wait to start (WakePaid). Its thunk fits TaskRef's inline storage.
+  void submitDrains(int64_t N) {
+    std::atomic<int64_t> &Queued = Run->QueuedDrains;
+    N = std::min(N, static_cast<int64_t>(Ex.numThreads()) -
+                        Queued.load(std::memory_order_relaxed));
+    if (N > 0)
+      Run->SubmitNs.store(nowNs(), std::memory_order_relaxed);
+    for (; N > 0; --N) {
+      Queued.fetch_add(1, std::memory_order_relaxed);
+      Ex.submit([RunRef = Run, this] {
+        SegRunSync &Sync = *RunRef;
+        Sync.QueuedDrains.fetch_sub(1, std::memory_order_relaxed);
+        const int64_t Waited =
+            nowNs() - Sync.SubmitNs.load(std::memory_order_relaxed);
+        // Invariant 3: a claim fails once its attempt was claimed
+        // elsewhere or its wave is over, and until one succeeds the task
+        // touches only *RunRef, which it keeps alive — never this
+        // engine, which may be gone.
+        for (bool Ran = true; Ran;) {
+          Ran = false;
+          const uint64_t Cur = Sync.CurrentWave.load(std::memory_order_acquire);
+          for (uint32_t I = 0; I < static_cast<uint32_t>(Cur); ++I)
+            if (Sync.claim(I, static_cast<uint32_t>(Cur >> 32))) {
+              const int64_t T0 = nowNs();
+              runClaimed(&AttemptStore[I]);
+              if (nowNs() - T0 > Waited)
+                Sync.WakePaid.store(true, std::memory_order_relaxed);
+              Ran = true;
+            }
+        }
+      });
+    }
+  }
+
+  static int64_t nowNs() {
+    return std::chrono::nanoseconds(Clock::now().time_since_epoch()).count();
   }
 
   /// Runs \p A, claimed by the calling thread, and then each corrective
@@ -1234,13 +1238,13 @@ private:
     }
     SegRunSync &Sync = *Run;
     // Invariant 4: a corrective is claimable only once its predecessor
-    // is Done, so attempts of one segment never overlap. Without a
-    // predecessor, or with one already Done, it is submitted now;
-    // otherwise it parks on the predecessor's claim word, and the
-    // predecessor's runner claims it right after publishing Done.
-    if (Chained && (!Chained->After ||
-                    !Sync.park(Chained->After->Idx, Chained->Idx)))
-      submitAttempt(Chained);
+    // is Done. Without a predecessor (an even attempt), or with one
+    // already Done, a drain task is submitted for it now; otherwise it
+    // parks on the predecessor's claim word, and the predecessor's
+    // runner claims it right after publishing Done.
+    if (Chained && (Chained->Idx % 2 == 0 ||
+                    !Sync.park(Chained->Idx - 1, Chained->Idx)))
+      submitDrains(1);
     const uint32_t Gen = Wave;
     // Done. From here on the validator may accept and recycle A, or
     // end the run: this thread touches only Sync (its caller keeps it
@@ -1289,7 +1293,7 @@ private:
     if (Cur >= 2)
       return nullptr;
     Attempt *NA = &AttemptStore[static_cast<size_t>(2 * NK + Cur)];
-    resetAttempt(NA, NK, OutVal, Cur > 0 ? slotItem(S, Cur - 1) : nullptr);
+    resetAttempt(NA, NK, OutVal);
     Run->ChainedTasks.fetch_add(1, std::memory_order_relaxed);
     S.Items[Cur].store(NA, std::memory_order_release);
     return NA;
@@ -1329,7 +1333,7 @@ private:
   /// returns the first attempt of the slot that is unclaimed and
   /// claimable (invariant 4: its predecessor, if any, is Done), or
   /// nullptr when every pending attempt is running on another thread
-  /// or parked on one that is.
+  /// or parked on one that is. Drain tasks claim the same way.
   Attempt *claimInSlot(int64_t K, bool &AllDone) {
     Slot &S = Slots[static_cast<size_t>(K)];
     const int C = S.Count.load(std::memory_order_acquire);
@@ -1339,8 +1343,7 @@ private:
       if (Run->done(A->Idx))
         continue;
       AllDone = false;
-      if ((!A->After || Run->done(A->After->Idx)) &&
-          Run->claim(A->Idx, Wave))
+      if (Run->claim(A->Idx, Wave))
         return A;
     }
     return nullptr;
@@ -1534,7 +1537,7 @@ private:
 
   /// Feeds one validated (iteration index, loop-carried value)
   /// observation to the stride extrapolator (arithmetic T only).
-  void observe(int64_t Idx, const T &Val) {
+  void observe([[maybe_unused]] int64_t Idx, [[maybe_unused]] const T &Val) {
     if constexpr (std::is_arithmetic_v<T>) {
       ObsIdx0 = ObsIdx1;
       ObsVal0 = ObsVal1;
@@ -1542,9 +1545,6 @@ private:
       ObsIdx1 = Idx;
       ObsVal1 = Val;
       HaveObs = true;
-    } else {
-      (void)Idx;
-      (void)Val;
     }
   }
 
@@ -1552,7 +1552,8 @@ private:
   /// iteration \p B: linear extrapolation through the last two
   /// validated observations. Left disengaged until two observations at
   /// distinct indices exist (or always, for non-arithmetic T).
-  void stridePredict(int64_t B, std::optional<T> &Out) {
+  void stridePredict([[maybe_unused]] int64_t B,
+                     [[maybe_unused]] std::optional<T> &Out) {
     if constexpr (std::is_arithmetic_v<T>) {
       if (!HaveTwoObs || ObsIdx1 == ObsIdx0)
         return;
@@ -1562,9 +1563,6 @@ private:
       Out.emplace(static_cast<T>(
           static_cast<double>(ObsVal1) +
           Slope * static_cast<double>(B - ObsIdx1)));
-    } else {
-      (void)B;
-      (void)Out;
     }
   }
 
@@ -1605,15 +1603,13 @@ private:
       const int64_t H = CandHits[static_cast<size_t>(C)];
       const int64_t Ms = CandMiss[static_cast<size_t>(C)];
       if (H + Ms > 0)
-        Obs.Predictors.emplace_back(candidateName(C),
+        Obs.Predictors.emplace_back(CandidateNames[C],
                                     PredictorProfile{H, Ms});
     }
     Prof->recordRun(*SiteName, Obs);
   }
 
   //===---------------- state ------------------------------------------===//
-
-  static constexpr int64_t kMaxQueuedTasks = 256;
 
   const int64_t Low, High;
   int64_t CurChunk;
@@ -1651,7 +1647,7 @@ private:
   const bool MeasureBody;
   int64_t MaxChunk = 1;
 
-  /// Shared with the run's queued tasks (see SegRunSync).
+  /// Shared with the run's drain tasks (see SegRunSync).
   const std::shared_ptr<SegRunSync> Run;
   /// The current wave's claim generation: validator-written between
   /// waves, read by the wave's attempts before they are Done.
@@ -1713,7 +1709,8 @@ SpecResult<T> iterateImpl(int64_t Low, int64_t High, int64_t Chunk,
     Result.Value = Predictor(Low);
     return Result;
   }
-  SpecExecutor &Ex = resolveExecutor(Cfg);
+  SpecExecutor &Ex =
+      Cfg.executor() ? *Cfg.executor() : *SpecExecutor::defaultShard();
   ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
   SegEngine<T, U, InitFn, BodyFn, PredictorFn, FinalFn, Eq> Engine(
       Low, High, Chunk, IdxBase, AutotuneTargetNs, Init, Body, Predictor,

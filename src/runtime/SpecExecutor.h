@@ -9,7 +9,9 @@
 /// A persistent pool of workers draining one FIFO task queue, the
 /// substrate under the speculation runtime (the role .NET's Task Parallel
 /// Library plays for the paper's C# library). The runtime asks it for one
-/// thing: run this attempt somewhere.
+/// thing: run this task somewhere. `apply` submits one task per run; an
+/// iterate run keeps at most one drain task per worker queued, each
+/// running its wave's unclaimed attempts (runtime/SpecEngine.h).
 ///
 /// Design:
 ///  * one queue: every submit — from a worker or any other thread — puts
@@ -18,16 +20,14 @@
 ///    never blocks and allocates nothing in steady state; workers pop
 ///    from the same ring in FIFO order;
 ///  * tasks are `TaskRef` (move-only, 48-byte inline storage): the
-///    runtime's attempt thunks capture two pointers and never touch the
-///    heap; oversized captures fall back to one allocation inside
-///    TaskRef;
+///    runtime's thunks fit it and never touch the heap; oversized
+///    captures fall back to one allocation inside TaskRef;
 ///  * idle workers park on an `EventCount`, so submit's wake-up is a
 ///    single seq_cst load when every worker is busy;
 ///  * no helping: a thread waiting on speculative work never runs queued
-///    tasks. A run waiting on an attempt claims and runs that attempt
-///    itself when no worker has started it (runtime/Speculation.h),
-///    which is what makes *nested* speculation on one shared executor
-///    deadlock-free without per-worker deques or stealing;
+///    tasks. It claims and runs an attempt it waits on itself when no
+///    worker has, which is what makes *nested* speculation on one shared
+///    executor deadlock-free without per-worker deques or stealing;
 ///  * destruction drains the queue (every submitted task runs) and joins
 ///    the workers.
 ///

@@ -336,9 +336,14 @@ public:
   /// size those segments were cut at (the last `Autotune` resize, or the
   /// initial/seeded size when none fired). Plain (unchunked) iterate()
   /// is never autotuned — its per-iteration init/finalize contract fixes
-  /// the granularity.
+  /// the granularity. Negative targets clamp to 0, and targets past
+  /// `INT64_MAX / 1000` to that value, so the target in nanoseconds
+  /// always fits an int64.
   SpecConfig &autotune(int64_t TargetChunkMicros) {
-    AutotuneUs = TargetChunkMicros < 0 ? 0 : TargetChunkMicros;
+    AutotuneUs = TargetChunkMicros < 0 ? 0
+                 : TargetChunkMicros > INT64_MAX / 1000
+                     ? INT64_MAX / 1000
+                     : TargetChunkMicros;
     return *this;
   }
   /// Arms the per-thread signal shield around *speculative* attempt

@@ -39,7 +39,9 @@ namespace rt {
 /// counters are at chunk granularity: one task and (after the first chunk)
 /// one validated prediction per chunk.
 struct SpeculationStats {
-  /// Speculative task executions dispatched to the executor.
+  /// Speculative attempts dispatched (initial and chained), whichever
+  /// thread ran them. Not executor submits: an iterate wave hands its
+  /// attempts to at most one drain task per worker (ExecutorStats).
   int64_t Tasks = 0;
   /// Resolved prediction points: iteration boundaries after the first,
   /// plus every apply() resolution — including eager producer aborts and

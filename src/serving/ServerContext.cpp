@@ -504,7 +504,8 @@ std::string ServerContext::metricsText() const {
     int64_t rt::SpeculationStats::*Member;
   };
   static const SpecField SpecFields[] = {
-      {"specd_spec_tasks_total", "Speculative task executions.",
+      {"specd_spec_tasks_total",
+       "Speculative attempts dispatched (not executor submits).",
        &rt::SpeculationStats::Tasks},
       {"specd_spec_predictions_total", "Resolved prediction points.",
        &rt::SpeculationStats::Predictions},

@@ -7,8 +7,12 @@
 
 #include "support/StringUtils.h"
 
+#include <atomic>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
+
+#include <unistd.h>
 
 using namespace specpar;
 
@@ -93,4 +97,28 @@ bool specpar::writeStringToFile(const std::string &Path,
   bool Ok = Written == Data.size() && !std::ferror(F);
   std::fclose(F);
   return Ok;
+}
+
+bool specpar::writeFileAtomic(const std::string &Path, std::string_view Data) {
+  static std::atomic<uint64_t> TmpCounter{0};
+  const std::string Tmp =
+      Path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(TmpCounter.fetch_add(1, std::memory_order_relaxed));
+  {
+    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+    if (!Out)
+      return false;
+    Out.write(Data.data(), static_cast<std::streamsize>(Data.size()));
+    Out.flush();
+    if (!Out) {
+      Out.close();
+      std::remove(Tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    std::remove(Tmp.c_str());
+    return false;
+  }
+  return true;
 }

@@ -43,6 +43,14 @@ bool readFileToString(const std::string &Path, std::string &Out);
 /// Writes a string to a file. Returns false on I/O failure.
 bool writeStringToFile(const std::string &Path, std::string_view Data);
 
+/// Publishes \p Data at \p Path atomically: writes a temp file next to
+/// it (named from the pid and a process-wide counter, so concurrent
+/// writers never share one; rename() must not cross filesystems), then
+/// rename()s it over \p Path. Readers see the old file or the whole new
+/// one, never a prefix. Returns false, leaving no temp file, on any I/O
+/// failure.
+bool writeFileAtomic(const std::string &Path, std::string_view Data);
+
 } // namespace specpar
 
 #endif // SPECPAR_SUPPORT_STRINGUTILS_H

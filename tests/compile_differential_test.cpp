@@ -209,4 +209,28 @@ TEST(CompiledNearInt64Max, SpecfoldAgreesWithTheReferenceEvaluator) {
   }
 }
 
+// The serving catalog's Spec program at its largest scale. Every chunk
+// draws a fuel batch for its own evaluation context; each context must
+// give back what it did not spend, or 2^17 chunks of 8 burn far more
+// than the 50M-step budget the reference evaluator finishes within.
+TEST(CompiledFuel, CatalogSpecfoldAtTwoToTheTwentyFitsTheStepBudget) {
+  const int64_t N = int64_t(1) << 20;
+  auto R = lang::parseProgram(
+      "main = specfold(\\i acc. acc + i * i,\n"
+      "                \\i. ((i - 1) * i * (2 * i - 1)) / 6,\n"
+      "                1, " + std::to_string(N) + ")");
+  ASSERT_TRUE(bool(R)) << R.error();
+  std::unique_ptr<lang::Program> P = R.take();
+  auto Compiled = compile::compileProgram(*P, compile::CompileOptions());
+  ASSERT_TRUE(bool(Compiled)) << Compiled.error();
+  rt::SpecExecutor Ex(1);
+  CompiledProgram::RunOptions RO;
+  RO.Config.executor(Ex);
+  RO.ChunkSize = 8;
+  CompiledProgram::Outcome O = (*Compiled)->run(RO);
+  ASSERT_TRUE(O.Run.ok()) << O.Run.statusStr();
+  EXPECT_EQ(O.Run.Result.asInt(), N * (N + 1) * (2 * N + 1) / 6);
+  EXPECT_LT(O.Run.Steps, RO.MaxSteps);
+}
+
 } // namespace

@@ -8,7 +8,8 @@
 // Stress and contract tests for the hot path: the executor's one task
 // queue under a burst past its ring capacity from workers and external
 // threads at once, TaskRef's small-buffer allocation contract, the
-// adaptive chunk autotuner, and — the headline perf contract — zero
+// bound of one drain task per worker and wave, the adaptive chunk
+// autotuner, and — the headline perf contract — zero
 // steady-state heap allocations per chunk in a speculative run (global
 // operator new counting, support/AllocCounter.h).
 //
@@ -177,6 +178,23 @@ TEST(ZeroAlloc, SteadyStateChunkIterationDoesNotTouchTheHeap) {
   EXPECT_EQ(R.Stats.Tasks, N / 4);
   EXPECT_EQ(allocsSinceMark(Mark), 0)
       << "steady-state chunk iteration allocated";
+}
+
+// Dispatch is demand-driven: a wave submits at most one drain task per
+// worker, not one task per attempt. 250 empty-body chunks on 4 workers
+// run in 16 waves of up to 16 segments, so the executor sees at most
+// 16 x 4 submits however the validator and the workers race.
+TEST(Dispatch, EachWaveSubmitsAtMostOneDrainTaskPerWorker) {
+  SpecExecutor Ex(4);
+  stats::Snapshot Snap;
+  auto R = Speculation::iterateChunked<int64_t>(
+      0, 250, /*ChunkSize=*/1, [](int64_t, int64_t Acc) { return Acc; },
+      [](int64_t) { return int64_t(0); },
+      SpecConfig().executor(Ex).mode(ValidationMode::Seq).statsOut(&Snap));
+  EXPECT_EQ(R.Value, 0);
+  EXPECT_EQ(Snap.Spec.Tasks, 250);
+  EXPECT_GE(Snap.Exec.Submits, 1u);
+  EXPECT_LE(Snap.Exec.Submits, 16u * 4);
 }
 
 //===----------------------------------------------------------------------===//

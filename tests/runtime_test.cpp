@@ -134,11 +134,17 @@ TEST(ExecutorIsolation, ConcurrentRunsDoNotBleedStats) {
   EXPECT_EQ(SnapB.Spec.Mispredictions, 63);
 
   // Executor activity stays per-shard: each shard's submit delta is its
-  // own run's task count — nothing leaked across.
+  // own run's drain tasks — at least one, and at most one per worker in
+  // each of the run's 8 waves (8 segments each at 2 workers) — and the
+  // run's snapshot attributes exactly that delta, nothing leaked across.
   const ExecutorStats ADelta = A->stats() - ABefore;
   const ExecutorStats BDelta = B->stats() - BBefore;
-  EXPECT_EQ(ADelta.Submits, static_cast<uint64_t>(SnapA.Spec.Tasks));
-  EXPECT_EQ(BDelta.Submits, static_cast<uint64_t>(SnapB.Spec.Tasks));
+  EXPECT_EQ(SnapA.Spec.Tasks, 64);
+  EXPECT_EQ(SnapB.Spec.Tasks, 64);
+  for (uint64_t Submits : {ADelta.Submits, BDelta.Submits}) {
+    EXPECT_GE(Submits, 1u);
+    EXPECT_LE(Submits, 8u * 2);
+  }
   EXPECT_EQ(ADelta.Submits, static_cast<uint64_t>(SnapA.Exec.Submits));
   EXPECT_EQ(BDelta.Submits, static_cast<uint64_t>(SnapB.Exec.Submits));
 }
@@ -171,8 +177,11 @@ TEST(ExecutorIsolation, SnapshotSinkAttributesRunExecutorActivity) {
       0, 16, [](int64_t, int64_t Acc) { return Acc + 1; },
       [](int64_t I) { return I; }, SpecConfig().executor(Ex).statsOut(&Snap));
   EXPECT_EQ(R.Value, 16);
+  // 16 attempts in 2 waves of 8, each wave dispatched by at most one
+  // drain task per worker.
   EXPECT_EQ(Snap.Spec.Tasks, 16);
-  EXPECT_EQ(Snap.Exec.Submits, static_cast<uint64_t>(Snap.Spec.Tasks));
+  EXPECT_GE(Snap.Exec.Submits, 1u);
+  EXPECT_LE(Snap.Exec.Submits, 2u * 2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1105,6 +1114,22 @@ TEST(IterateChunked, SegmentsEndingAtInt64MaxDoNotOverflow) {
       EXPECT_EQ(R.Stats.Tasks, (6 + Chunk - 1) / Chunk) << "chunk " << Chunk;
     }
   }
+}
+
+TEST(IterateChunked, HugeAutotuneTargetSaturates) {
+  // The engine takes the target in nanoseconds; the setter saturates it
+  // so that product cannot overflow.
+  EXPECT_EQ(SpecConfig().autotune(std::numeric_limits<int64_t>::max())
+                .autotuneTargetMicros(),
+            std::numeric_limits<int64_t>::max() / 1000);
+  EXPECT_EQ(SpecConfig().autotune(-5).autotuneTargetMicros(), 0);
+  SpecExecutor Ex(2);
+  auto R = Speculation::iterateChunked<int64_t>(
+      0, 64, 4, [](int64_t I, int64_t A) { return A + I; },
+      [](int64_t I) { return I * (I - 1) / 2; },
+      SpecConfig().executor(Ex).autotune(
+          std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(R.Value, 64 * 63 / 2);
 }
 
 TEST(IterateChunked, WholeInt64RangeRunsUntilItsDeadline) {

@@ -239,6 +239,19 @@ TEST(Policy, SpecJobRunsTheCompiledProgramAgainstTheOracle) {
   EXPECT_EQ(TS->outcomes()[static_cast<size_t>(JobOutcome::Ok)], 1u);
 }
 
+// At the catalog's largest scale the Spec program folds 2^20 iterations
+// in chunks of 8: it fits the compiled step budget only when each chunk's
+// evaluation context returns the fuel it did not spend.
+TEST(Policy, SpecJobAtTheLargestScaleFitsTheStepBudget) {
+  ServerOptions O = testOptions(1);
+  O.WorkloadScale = int64_t(1) << 20;
+  ServerContext Ctx(O);
+  Ctx.registerTenant(basicTenant("t"));
+  JobResult R = Ctx.submit("t", Job::spec()).get();
+  ASSERT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+  EXPECT_EQ(R.Value, Ctx.catalog().SpecOracle);
+}
+
 //===----------------------------------------------------------------------===//
 // Executor-shard isolation
 //===----------------------------------------------------------------------===//
