@@ -8,6 +8,7 @@
 #include "compile/Compiler.h"
 
 #include "compile/Runtime.h"
+#include "interp/Prims.h"
 #include "runtime/SpecExecutor.h"
 #include "support/Casting.h"
 #include "support/StringUtils.h"
@@ -26,6 +27,8 @@
 
 namespace specpar {
 namespace compile {
+
+namespace prims = interp::prims;
 
 struct RunState;
 
@@ -281,7 +284,7 @@ RtVal callValue(RtVal Fn, const RtVal *Args, uint32_t N, EvalCtx &C,
     }
     if (N == 0)
       return Fn;
-    throw CompiledRunError("application of a non-function value", Loc);
+    throw CompiledRunError(prims::NotCallable, Loc);
   }
 }
 
@@ -452,7 +455,7 @@ public:
     fuelStep(C);
     RtVal Cond = CondE->eval(C);
     if (!Cond.isInt())
-      throw CompiledRunError("if condition must be an integer", CondLoc);
+      throw CompiledRunError(prims::IfNotInt, CondLoc);
     return Cond.I != 0 ? ThenE->eval(C) : ElseE->eval(C);
   }
 
@@ -472,47 +475,11 @@ public:
     RtVal L = LE->eval(C);
     RtVal R = RE->eval(C);
     if (!L.isInt() || !R.isInt())
-      throw CompiledRunError(
-          formatString("operator '%s' needs integer operands",
-                       lang::binOpSpelling(Op)),
-          Loc);
-    const int64_t A = L.I, B = R.I;
-    switch (Op) {
-    case lang::BinOpKind::Add:
-      return RtVal::fromInt(static_cast<int64_t>(static_cast<uint64_t>(A) +
-                                                 static_cast<uint64_t>(B)));
-    case lang::BinOpKind::Sub:
-      return RtVal::fromInt(static_cast<int64_t>(static_cast<uint64_t>(A) -
-                                                 static_cast<uint64_t>(B)));
-    case lang::BinOpKind::Mul:
-      return RtVal::fromInt(static_cast<int64_t>(static_cast<uint64_t>(A) *
-                                                 static_cast<uint64_t>(B)));
-    case lang::BinOpKind::Div:
-      if (B == 0)
-        throw CompiledRunError("division by zero", Loc);
-      if (A == INT64_MIN && B == -1)
-        throw CompiledRunError("integer overflow in division", Loc);
-      return RtVal::fromInt(A / B);
-    case lang::BinOpKind::Mod:
-      if (B == 0)
-        throw CompiledRunError("modulo by zero", Loc);
-      if (A == INT64_MIN && B == -1)
-        throw CompiledRunError("integer overflow in modulo", Loc);
-      return RtVal::fromInt(A % B);
-    case lang::BinOpKind::Lt:
-      return RtVal::fromInt(A < B);
-    case lang::BinOpKind::Le:
-      return RtVal::fromInt(A <= B);
-    case lang::BinOpKind::Gt:
-      return RtVal::fromInt(A > B);
-    case lang::BinOpKind::Ge:
-      return RtVal::fromInt(A >= B);
-    case lang::BinOpKind::EqEq:
-      return RtVal::fromInt(A == B);
-    case lang::BinOpKind::Ne:
-      return RtVal::fromInt(A != B);
-    }
-    return RtVal::unit(); // unreachable
+      throw CompiledRunError(prims::operandsNotInts(Op), Loc);
+    int64_t V;
+    if (const char *Msg = prims::intOp(Op, L.I, R.I, V))
+      throw CompiledRunError(Msg, Loc);
+    return RtVal::fromInt(V);
   }
 
 private:
@@ -544,7 +511,7 @@ public:
     RtVal Cell = CellE->eval(C);
     RtVal V = ValueE->eval(C);
     if (Cell.T != RtVal::Tag::Cell)
-      throw CompiledRunError("assignment target is not a cell", CellLoc);
+      throw CompiledRunError(prims::AssignNotCell, CellLoc);
     *Cell.Cell = V;
     return V;
   }
@@ -562,7 +529,7 @@ public:
     fuelStep(C);
     RtVal Cell = CellE->eval(C);
     if (Cell.T != RtVal::Tag::Cell)
-      throw CompiledRunError("dereference of a non-cell", Loc);
+      throw CompiledRunError(prims::DerefNotCell, Loc);
     return *Cell.Cell;
   }
 
@@ -580,8 +547,7 @@ public:
     RtVal Size = SizeE->eval(C);
     RtVal Init = InitE->eval(C);
     if (!Size.isInt() || Size.I < 0)
-      throw CompiledRunError("array size must be a non-negative integer",
-                             SizeLoc);
+      throw CompiledRunError(prims::BadArraySize, SizeLoc);
     return RtVal::fromArray(C.RS->Heap.allocArray(Size.I, Init, Loc));
   }
 
@@ -600,13 +566,9 @@ public:
     RtVal Arr = ArrE->eval(C);
     RtVal Idx = IdxE->eval(C);
     if (Arr.T != RtVal::Tag::Arr || !Idx.isInt())
-      throw CompiledRunError("array read needs an array and an integer index",
-                             Loc);
+      throw CompiledRunError(prims::BadArrayRead, Loc);
     if (Idx.I < 0 || Idx.I >= Arr.A->Len)
-      throw CompiledRunError(
-          formatString("array index %lld out of bounds",
-                       static_cast<long long>(Idx.I)),
-          Loc);
+      throw CompiledRunError(prims::indexOutOfBounds(Idx.I), Loc);
     return Arr.A->elems()[Idx.I];
   }
 
@@ -626,13 +588,9 @@ public:
     RtVal Idx = IdxE->eval(C);
     RtVal V = ValueE->eval(C);
     if (Arr.T != RtVal::Tag::Arr || !Idx.isInt())
-      throw CompiledRunError("array write needs an array and an integer index",
-                             Loc);
+      throw CompiledRunError(prims::BadArrayWrite, Loc);
     if (Idx.I < 0 || Idx.I >= Arr.A->Len)
-      throw CompiledRunError(
-          formatString("array index %lld out of bounds",
-                       static_cast<long long>(Idx.I)),
-          Loc);
+      throw CompiledRunError(prims::indexOutOfBounds(Idx.I), Loc);
     Arr.A->elems()[Idx.I] = V;
     return V;
   }
@@ -650,7 +608,7 @@ public:
     fuelStep(C);
     RtVal Arr = ArrE->eval(C);
     if (Arr.T != RtVal::Tag::Arr)
-      throw CompiledRunError("len of a non-array", Loc);
+      throw CompiledRunError(prims::LenNotArray, Loc);
     return RtVal::fromInt(Arr.A->Len);
   }
 
@@ -690,18 +648,12 @@ public:
     RtVal Lo = LoE->eval(C);
     RtVal Hi = HiE->eval(C);
     if (!Lo.isInt() || !Hi.isInt())
-      throw CompiledRunError("fold bounds must be integers", Loc);
-    const int64_t HiI = Hi.I;
-    if (Lo.I > HiI)
-      return Acc;
-    // Check-then-increment so HiI == INT64_MAX does not overflow ++I.
-    for (int64_t I = Lo.I;; ++I) {
+      throw CompiledRunError(prims::FoldBoundsNotInts, Loc);
+    for (prims::InclusiveRange R(Lo.I, Hi.I); !R.empty();) {
       fuelStep(C);
-      C.FP[ISlot] = RtVal::fromInt(I);
+      C.FP[ISlot] = RtVal::fromInt(R.pop());
       C.FP[AccSlot] = Acc;
       Acc = BodyE->eval(C);
-      if (I >= HiI)
-        break;
     }
     return Acc;
   }
@@ -729,15 +681,10 @@ public:
     RtVal Lo = LoE->eval(C);
     RtVal Hi = HiE->eval(C);
     if (!Lo.isInt() || !Hi.isInt())
-      throw CompiledRunError("fold bounds must be integers", Loc);
-    const int64_t HiI = Hi.I;
-    if (Lo.I > HiI)
-      return Acc;
-    for (int64_t I = Lo.I;; ++I) {
-      RtVal A[2] = {RtVal::fromInt(I), Acc};
+      throw CompiledRunError(prims::FoldBoundsNotInts, Loc);
+    for (prims::InclusiveRange R(Lo.I, Hi.I); !R.empty();) {
+      RtVal A[2] = {RtVal::fromInt(R.pop()), Acc};
       Acc = callValue(Fn, A, 2, C, Loc);
-      if (I >= HiI)
-        break;
     }
     return Acc;
   }
@@ -787,8 +734,7 @@ public:
         Cfg, &rtPredictionEquals);
     RS->noteStats(Res.Stats);
     if (!Out)
-      throw CompiledRunError("speculation finished without a consumer result",
-                             Loc);
+      throw CompiledRunError(prims::NoConsumerResult, Loc);
     return *Out;
   }
 
@@ -802,7 +748,9 @@ private:
 /// `specfold(f, g, l, u)` lowered onto Speculation::iterateChunkedLocal
 /// over [l, u+1): g compiles into the chunk predictor (called on the
 /// validating thread, in segment order), f into the chunk body (called
-/// on workers with a per-chunk EvalCtx so fuel draws amortize).
+/// on workers with a per-chunk EvalCtx so fuel draws amortize). The
+/// engine cannot name INT64_MAX + 1, so at u == INT64_MAX it runs
+/// [l, u) and the iteration at u follows on this thread.
 class CSpecFold : public CNode {
 public:
   CSpecFold(const CNode *FnE, const CNode *GuessE, const CNode *LoE,
@@ -816,13 +764,12 @@ public:
     RtVal Lo = LoE->eval(C);
     RtVal Hi = HiE->eval(C);
     if (!Lo.isInt() || !Hi.isInt())
-      throw CompiledRunError("fold bounds must be integers", Loc);
-    if (Hi.I == INT64_MAX)
-      throw CompiledRunError("specfold upper bound overflows", Loc);
+      throw CompiledRunError(prims::FoldBoundsNotInts, Loc);
+    const bool LastAfter = Hi.I == INT64_MAX;
     rt::SpecConfig Cfg = C.RS->siteConfig(SiteIdx);
     RunState *RS = C.RS;
     auto Res = rt::Speculation::iterateChunkedLocal<RtVal, EvalCtx>(
-        Lo.I, Hi.I + 1, RS->ChunkSize,
+        Lo.I, LastAfter ? Hi.I : Hi.I + 1, RS->ChunkSize,
         [RS]() {
           EvalCtx X;
           X.RS = RS;
@@ -839,7 +786,10 @@ public:
         },
         [](int64_t, EvalCtx &) {}, Cfg, &rtPredictionEquals);
     RS->noteStats(Res.Stats);
-    return Res.Value;
+    if (!LastAfter)
+      return Res.Value;
+    RtVal A[2] = {RtVal::fromInt(Hi.I), Res.Value};
+    return callValue(Fn, A, 2, C, Loc);
   }
 
 private:

@@ -7,7 +7,7 @@
 
 #include "compile/Runtime.h"
 
-#include "support/StringUtils.h"
+#include "interp/Prims.h"
 
 #include <algorithm>
 
@@ -55,11 +55,15 @@ FrameStack &specpar::compile::threadFrameStack() {
   return Stack;
 }
 
-void *RunHeap::alloc(size_t Bytes, lang::SourceLoc Loc) {
-  Bytes = (Bytes + 15) & ~size_t(15);
+void *RunHeap::alloc(size_t HeaderBytes, uint64_t NumSlots,
+                     lang::SourceLoc Loc) {
   std::lock_guard<std::mutex> Lock(M);
-  if (Allocated + Bytes > Limit)
-    throw CompiledRunError("speculate heap exhausted", Loc);
+  if (!interp::prims::heapFits(Slots, NumSlots))
+    throw CompiledRunError(interp::prims::HeapExhausted, Loc);
+  Slots += NumSlots;
+  // NumSlots <= MaxHeapSlots here, so the byte count cannot wrap.
+  size_t Bytes = HeaderBytes + static_cast<size_t>(NumSlots) * sizeof(RtVal);
+  Bytes = (Bytes + 15) & ~size_t(15);
   if (Bytes > Left) {
     size_t BlockSize = std::max(Bytes, BlockBytes);
     Blocks.push_back(std::make_unique<unsigned char[]>(BlockSize));
@@ -69,19 +73,12 @@ void *RunHeap::alloc(size_t Bytes, lang::SourceLoc Loc) {
   void *P = Cur;
   Cur += Bytes;
   Left -= Bytes;
-  Allocated += Bytes;
   return P;
 }
 
 RtArray *RunHeap::allocArray(int64_t Len, RtVal Init, lang::SourceLoc Loc) {
-  // Guard the byte computation itself: a huge Len would wrap size_t and
-  // slip under the limit check.
-  if (static_cast<uint64_t>(Len) >
-      (SIZE_MAX - sizeof(RtArray)) / sizeof(RtVal))
-    throw CompiledRunError("speculate heap exhausted", Loc);
   auto *A = static_cast<RtArray *>(
-      alloc(sizeof(RtArray) + static_cast<size_t>(Len) * sizeof(RtVal),
-            Loc));
+      alloc(sizeof(RtArray), static_cast<uint64_t>(Len), Loc));
   A->Len = Len;
   RtVal *E = A->elems();
   for (int64_t I = 0; I < Len; ++I)
@@ -93,7 +90,7 @@ const RtClosure *RunHeap::allocClosure(const CodeObject *Code,
                                        const RtVal *Caps, uint32_t NumCaps,
                                        lang::SourceLoc Loc) {
   auto *C = static_cast<RtClosure *>(
-      alloc(sizeof(RtClosure) + NumCaps * sizeof(RtVal), Loc));
+      alloc(sizeof(RtClosure) + NumCaps * sizeof(RtVal), 0, Loc));
   C->Code = Code;
   C->NumCaps = NumCaps;
   if (NumCaps)
@@ -106,7 +103,7 @@ const RtPap *RunHeap::allocPap(const CodeObject *Code, const RtClosure *Clos,
                                const RtVal *Args, uint32_t NArgs,
                                lang::SourceLoc Loc) {
   auto *P = static_cast<RtPap *>(
-      alloc(sizeof(RtPap) + NArgs * sizeof(RtVal), Loc));
+      alloc(sizeof(RtPap) + NArgs * sizeof(RtVal), 0, Loc));
   P->Code = Code;
   P->Clos = Clos;
   P->NArgs = NArgs;

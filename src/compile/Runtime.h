@@ -235,18 +235,17 @@ FrameStack &threadFrameStack();
 /// The per-run heap: cells, arrays, closures and partial applications,
 /// bump-allocated from mutex-guarded blocks and freed wholesale when the
 /// run ends. Values are trivially destructible, so no destructors run.
+/// Cells and array elements count against the heap limit every engine
+/// shares (interp/Prims.h); past it an allocation raises the shared
+/// "heap exhausted" error rather than OOMing the host.
 class RunHeap {
 public:
-  /// \p LimitBytes caps total allocation; exceeding it raises a
-  /// Speculate-level "heap exhausted" error rather than OOMing the host.
-  explicit RunHeap(size_t LimitBytes = size_t(4) << 30)
-      : Limit(LimitBytes) {}
-
+  RunHeap() = default;
   RunHeap(const RunHeap &) = delete;
   RunHeap &operator=(const RunHeap &) = delete;
 
   RtVal *allocCell(RtVal Init, lang::SourceLoc Loc) {
-    auto *Cell = static_cast<RtVal *>(alloc(sizeof(RtVal), Loc));
+    auto *Cell = static_cast<RtVal *>(alloc(0, 1, Loc));
     *Cell = Init;
     return Cell;
   }
@@ -259,7 +258,9 @@ public:
                         lang::SourceLoc Loc);
 
 private:
-  void *alloc(size_t Bytes, lang::SourceLoc Loc);
+  /// \p HeaderBytes followed by \p NumSlots values; the slots count against
+  /// the heap limit, checked before anything is allocated.
+  void *alloc(size_t HeaderBytes, uint64_t NumSlots, lang::SourceLoc Loc);
 
   static constexpr size_t BlockBytes = size_t(256) << 10;
 
@@ -267,8 +268,7 @@ private:
   std::vector<std::unique_ptr<unsigned char[]>> Blocks;
   unsigned char *Cur = nullptr;
   size_t Left = 0;
-  size_t Allocated = 0;
-  const size_t Limit;
+  uint64_t Slots = 0;
 };
 
 } // namespace compile

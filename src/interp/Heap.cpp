@@ -12,6 +12,7 @@ using namespace specpar::interp;
 
 CellRef Heap::allocCell(const Value &V) {
   uint64_t Base = NextBase++;
+  ++Slots;
   Cells.emplace(Base, V);
   if (TraceOut)
     TraceOut->alloc(ActingThread, tr::MemLoc{Base, 0}, V.toLabel());
@@ -40,6 +41,7 @@ std::optional<Value> Heap::getCell(CellRef Ref) {
 
 ArrRef Heap::allocArray(int64_t Size, const Value &Init) {
   uint64_t Base = NextBase++;
+  Slots += static_cast<uint64_t>(Size);
   Arrays.emplace(Base, std::vector<Value>(static_cast<size_t>(Size), Init));
   if (TraceOut)
     TraceOut->allocArr(ActingThread, Base, Size, Init.toLabel());

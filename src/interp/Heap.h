@@ -43,8 +43,12 @@ public:
   /// Reads a cell; nullopt on a dangling reference.
   std::optional<Value> getCell(CellRef Ref);
 
-  /// Allocates an array of \p Size copies of \p Init. Size must be >= 0.
+  /// Allocates an array of \p Size copies of \p Init. Size must be >= 0;
+  /// the caller checks it against the heap limit (interp/Prims.h).
   ArrRef allocArray(int64_t Size, const Value &Init);
+
+  /// Value slots allocated so far: one per cell, one per array element.
+  uint64_t slots() const { return Slots; }
 
   /// Array length; nullopt on a dangling reference.
   std::optional<int64_t> arrayLen(ArrRef Ref) const;
@@ -62,6 +66,7 @@ private:
   std::unordered_map<uint64_t, Value> Cells;
   std::unordered_map<uint64_t, std::vector<Value>> Arrays;
   uint64_t NextBase = 1;
+  uint64_t Slots = 0;
   uint64_t ActingThread = 0;
   tr::Trace *TraceOut;
 };

@@ -7,6 +7,7 @@
 
 #include "interp/NonSpecEval.h"
 
+#include "interp/Prims.h"
 #include "support/Casting.h"
 #include "support/StringUtils.h"
 #include "support/Unreachable.h"
@@ -55,8 +56,7 @@ public:
       if (const Binding *B = V->binding()) {
         const Value *Found = EnvNode::lookup(Env, B);
         if (!Found)
-          return fail(E, formatString("unbound variable '%s'",
-                                      V->name().c_str()));
+          return fail(E, prims::unboundVariable(V->name()));
         Out = *Found;
         return true;
       }
@@ -92,99 +92,20 @@ public:
       if (!eval(I->cond(), Env, Cond))
         return false;
       if (!Cond.isInt())
-        return fail(I->cond(), "if condition must be an integer");
+        return fail(I->cond(), prims::IfNotInt);
       return eval(Cond.asInt() != 0 ? I->thenExpr() : I->elseExpr(), Env,
                   Out);
     }
-    case Expr::Kind::BinOp: {
-      const auto *B = cast<BinOp>(E);
-      Value L, R;
-      if (!eval(B->lhs(), Env, L) || !eval(B->rhs(), Env, R))
-        return false;
-      return applyBinOp(B, L, R, Out);
-    }
-    case Expr::Kind::NewCell: {
-      Value Init;
-      if (!eval(cast<NewCell>(E)->init(), Env, Init))
-        return false;
-      Out = Value(H.allocCell(Init));
-      return true;
-    }
-    case Expr::Kind::Assign: {
-      const auto *A = cast<Assign>(E);
-      Value Cell, V;
-      if (!eval(A->cell(), Env, Cell) || !eval(A->value(), Env, V))
-        return false;
-      const auto *Ref = std::get_if<CellRef>(&Cell.V);
-      if (!Ref)
-        return fail(A->cell(), "assignment target is not a cell");
-      if (!H.setCell(*Ref, V))
-        return fail(A->cell(), "dangling cell reference");
-      Out = V;
-      return true;
-    }
-    case Expr::Kind::Deref: {
-      Value Cell;
-      if (!eval(cast<Deref>(E)->cell(), Env, Cell))
-        return false;
-      const auto *Ref = std::get_if<CellRef>(&Cell.V);
-      if (!Ref)
-        return fail(E, "dereference of a non-cell");
-      std::optional<Value> V = H.getCell(*Ref);
-      if (!V)
-        return fail(E, "dangling cell reference");
-      Out = *V;
-      return true;
-    }
-    case Expr::Kind::NewArray: {
-      const auto *A = cast<NewArray>(E);
-      Value Size, Init;
-      if (!eval(A->size(), Env, Size) || !eval(A->init(), Env, Init))
-        return false;
-      if (!Size.isInt() || Size.asInt() < 0)
-        return fail(A->size(), "array size must be a non-negative integer");
-      Out = Value(H.allocArray(Size.asInt(), Init));
-      return true;
-    }
-    case Expr::Kind::ArrayGet: {
-      const auto *A = cast<ArrayGet>(E);
-      Value Arr, Idx;
-      if (!eval(A->array(), Env, Arr) || !eval(A->index(), Env, Idx))
-        return false;
-      const auto *Ref = std::get_if<ArrRef>(&Arr.V);
-      if (!Ref || !Idx.isInt())
-        return fail(E, "array read needs an array and an integer index");
-      std::optional<Value> V = H.getSlot(*Ref, Idx.asInt());
-      if (!V)
-        return fail(E, formatString("array index %lld out of bounds",
-                                    static_cast<long long>(Idx.asInt())));
-      Out = *V;
-      return true;
-    }
-    case Expr::Kind::ArraySet: {
-      const auto *A = cast<ArraySet>(E);
-      Value Arr, Idx, V;
-      if (!eval(A->array(), Env, Arr) || !eval(A->index(), Env, Idx) ||
-          !eval(A->value(), Env, V))
-        return false;
-      const auto *Ref = std::get_if<ArrRef>(&Arr.V);
-      if (!Ref || !Idx.isInt())
-        return fail(E, "array write needs an array and an integer index");
-      if (!H.setSlot(*Ref, Idx.asInt(), V))
-        return fail(E, formatString("array index %lld out of bounds",
-                                    static_cast<long long>(Idx.asInt())));
-      Out = V;
-      return true;
-    }
+    case Expr::Kind::BinOp:
+    case Expr::Kind::NewCell:
+    case Expr::Kind::Assign:
+    case Expr::Kind::Deref:
+    case Expr::Kind::NewArray:
+    case Expr::Kind::ArrayGet:
+    case Expr::Kind::ArraySet:
     case Expr::Kind::ArrayLen: {
-      Value Arr;
-      if (!eval(cast<ArrayLen>(E)->array(), Env, Arr))
-        return false;
-      const auto *Ref = std::get_if<ArrRef>(&Arr.V);
-      if (!Ref)
-        return fail(E, "len of a non-array");
-      Out = Value(*H.arrayLen(*Ref));
-      return true;
+      Value Ops[prims::MaxOperands];
+      return evalOperands(E, Env, Ops) && prims::apply(H, E, Ops, Out, Error);
     }
     case Expr::Kind::Let: {
       const auto *L = cast<Let>(E);
@@ -194,13 +115,18 @@ public:
       return eval(L->body(), EnvNode::bind(Env, L->var(), std::move(Init)),
                   Out);
     }
-    case Expr::Kind::Fold: {
-      const auto *F = cast<Fold>(E);
-      Value Fn, Acc, Lo, Hi;
-      if (!eval(F->fn(), Env, Fn) || !eval(F->init(), Env, Acc) ||
-          !eval(F->lo(), Env, Lo) || !eval(F->hi(), Env, Hi))
+    case Expr::Kind::Fold:
+    case Expr::Kind::SpecFold: {
+      // Operands fn, init (fold) or guess (specfold), lo, hi.
+      // NONSPEC-ITERATE runs specfold f g l u as fold f (g l) l u.
+      Value Ops[prims::MaxOperands];
+      prims::InclusiveRange R;
+      if (!evalOperands(E, Env, Ops) ||
+          !prims::foldRange(E, Ops[2], Ops[3], R, Error))
         return false;
-      return runFold(F, Fn, Acc, Lo, Hi, Out);
+      if (isa<SpecFold>(E) && !applyMany(E, Ops[1], {Ops[2]}, Ops[1]))
+        return false;
+      return runFold(E, Ops[0], std::move(Ops[1]), R, Out);
     }
     case Expr::Kind::Spec: {
       // NONSPEC-APPLY: evaluate the consumer (evaluation context), then
@@ -213,27 +139,12 @@ public:
         return false;
       return applyMany(E, Consumer, {Produced}, Out);
     }
-    case Expr::Kind::SpecFold: {
-      // NONSPEC-ITERATE: fold f (g l) l u.
-      const auto *S = cast<SpecFold>(E);
-      Value Fn, Guess, Lo, Hi;
-      if (!eval(S->fn(), Env, Fn) || !eval(S->guess(), Env, Guess) ||
-          !eval(S->lo(), Env, Lo) || !eval(S->hi(), Env, Hi))
-        return false;
-      Value Init;
-      if (!applyMany(E, Guess, {Lo}, Init))
-        return false;
-      return runFold(E, Fn, Init, Lo, Hi, Out);
-    }
     }
     sp_unreachable("unknown expression kind");
   }
 
   bool fail(const Expr *E, std::string Msg) {
-    if (!Failed) {
-      Failed = true;
-      Error = RtError{std::move(Msg), E->loc()};
-    }
+    Error = RtError{std::move(Msg), E->loc()};
     return false;
   }
 
@@ -284,72 +195,25 @@ private:
         Env = EnvNode::bind(Env, F->Fn->Params[I], std::move(Partial[I]));
       return eval(F->Fn->Body, Env, Out);
     }
-    return fail(At, "application of a non-function value");
+    return fail(At, prims::NotCallable);
   }
 
-  bool applyBinOp(const BinOp *B, const Value &L, const Value &R,
-                  Value &Out) {
-    if (!L.isInt() || !R.isInt())
-      return fail(B, formatString("operator '%s' needs integer operands",
-                                  binOpSpelling(B->op())));
-    int64_t A = L.asInt(), C = R.asInt();
-    switch (B->op()) {
-    case BinOpKind::Add:
-      Out = Value(static_cast<int64_t>(static_cast<uint64_t>(A) +
-                                       static_cast<uint64_t>(C)));
-      return true;
-    case BinOpKind::Sub:
-      Out = Value(static_cast<int64_t>(static_cast<uint64_t>(A) -
-                                       static_cast<uint64_t>(C)));
-      return true;
-    case BinOpKind::Mul:
-      Out = Value(static_cast<int64_t>(static_cast<uint64_t>(A) *
-                                       static_cast<uint64_t>(C)));
-      return true;
-    case BinOpKind::Div:
-      if (C == 0)
-        return fail(B, "division by zero");
-      if (A == INT64_MIN && C == -1)
-        return fail(B, "integer overflow in division");
-      Out = Value(A / C);
-      return true;
-    case BinOpKind::Mod:
-      if (C == 0)
-        return fail(B, "modulo by zero");
-      if (A == INT64_MIN && C == -1)
-        return fail(B, "integer overflow in modulo");
-      Out = Value(A % C);
-      return true;
-    case BinOpKind::Lt:
-      Out = Value(static_cast<int64_t>(A < C));
-      return true;
-    case BinOpKind::Le:
-      Out = Value(static_cast<int64_t>(A <= C));
-      return true;
-    case BinOpKind::Gt:
-      Out = Value(static_cast<int64_t>(A > C));
-      return true;
-    case BinOpKind::Ge:
-      Out = Value(static_cast<int64_t>(A >= C));
-      return true;
-    case BinOpKind::EqEq:
-      Out = Value(static_cast<int64_t>(A == C));
-      return true;
-    case BinOpKind::Ne:
-      Out = Value(static_cast<int64_t>(A != C));
-      return true;
-    }
-    sp_unreachable("unknown binop");
+  /// Evaluates the operands of \p E (prims::operands) into \p Ops.
+  bool evalOperands(const Expr *E, const EnvPtr &Env, Value *Ops) {
+    const Expr *Sub[prims::MaxOperands];
+    const unsigned N = prims::operands(E, Sub);
+    for (unsigned I = 0; I < N; ++I)
+      if (!eval(Sub[I], Env, Ops[I]))
+        return false;
+    return true;
   }
 
-  /// The FOLD-1/FOLD-2 loop (inclusive bounds), iterative.
-  bool runFold(const Expr *At, const Value &Fn, Value Acc, const Value &Lo,
-               const Value &Hi, Value &Out) {
-    if (!Lo.isInt() || !Hi.isInt())
-      return fail(At, "fold bounds must be integers");
-    for (int64_t I = Lo.asInt(); I <= Hi.asInt(); ++I) {
+  /// The FOLD-1/FOLD-2 loop over \p R, iterative.
+  bool runFold(const Expr *At, const Value &Fn, Value Acc,
+               prims::InclusiveRange R, Value &Out) {
+    while (!R.empty()) {
       Value Next;
-      if (!applyMany(At, Fn, {Value(I), std::move(Acc)}, Next))
+      if (!applyMany(At, Fn, {Value(R.pop()), std::move(Acc)}, Next))
         return false;
       Acc = std::move(Next);
     }
@@ -361,7 +225,6 @@ private:
   Heap &H;
   uint64_t MaxSteps;
   uint64_t Steps = 0;
-  bool Failed = false;
   bool StepLimitHit = false;
   RtError Error;
 };

@@ -7,8 +7,8 @@
 
 #include "interp/SpecMachine.h"
 
+#include "interp/Prims.h"
 #include "support/Casting.h"
-#include "support/StringUtils.h"
 #include "support/Unreachable.h"
 
 #include <memory>
@@ -54,7 +54,7 @@ struct Control {
   std::vector<ArgSpec> Specs;
   // AuxFold (rule SPEC-ITERATE-2/3 state)
   Value FoldFn, FoldGuess;
-  int64_t FoldLo = 0, FoldHi = 0;
+  prims::InclusiveRange FoldRange;
   uint64_t FoldPrev = 0;
 
   static Control eval(const Expr *E, EnvPtr Env) {
@@ -83,14 +83,13 @@ struct Control {
     C.Specs = std::move(Specs);
     return C;
   }
-  static Control auxFold(Value F, Value G, int64_t Lo, int64_t Hi,
+  static Control auxFold(Value F, Value G, prims::InclusiveRange R,
                          uint64_t Prev) {
     Control C;
     C.K = Kind::AuxFold;
     C.FoldFn = std::move(F);
     C.FoldGuess = std::move(G);
-    C.FoldLo = Lo;
-    C.FoldHi = Hi;
+    C.FoldRange = R;
     C.FoldPrev = Prev;
     return C;
   }
@@ -103,36 +102,24 @@ struct Frame {
     CallArgs,
     SeqNext,
     IfCond,
-    BinLhs,
-    BinRhs,
-    NewCellInit,
-    AssignCell,
-    AssignVal,
-    DerefCell,
-    NewArrSize,
-    NewArrInit,
-    ArrGetArr,
-    ArrGetIdx,
-    ArrSetArr,
-    ArrSetIdx,
-    ArrSetVal,
-    ArrLenArr,
+    Operands,
     LetInit,
-    FoldCollect,
     FoldLoop,
     SpecConsumer,
-    SpecFoldCollect,
     MultiApply,
     ApplyArgs,
     Check,
   } K;
   const Expr *E = nullptr;
   EnvPtr Env;
-  Value V1, V2;
+  // Operands: the evaluated operands. V[0] is also the callee (CallArgs,
+  // ApplyArgs) or the fold function (FoldLoop); Check keeps vc and vp
+  // in V[0] and V[1].
+  Value V[prims::MaxOperands];
   std::vector<Value> Vals;
   std::vector<ArgSpec> Specs;
   size_t Idx = 0;
-  int64_t I = 0, Hi = 0;
+  prims::InclusiveRange Range; // FoldLoop: the iterations still to run
   uint64_t T1 = 0, T2 = 0, T3 = 0;
   int Phase = 0; // Check: 0=await consumer value, 1=wait producer,
                  // 2=wait predictor
@@ -243,7 +230,7 @@ private:
         T.Ctl = Control::ret(Target.Result);
         return;
       case MachineThread::Status::Cancelled:
-        failThread(T, nullptr, "wait on a cancelled thread");
+        failThread(T, nullptr, prims::WaitCancelled);
         return;
       case MachineThread::Status::Failed:
         // Propagate the failure to the waiter (a stuck redex in the
@@ -259,7 +246,7 @@ private:
     case Control::Kind::StartApply: {
       Frame F;
       F.K = Frame::Kind::ApplyArgs;
-      F.V1 = std::move(T.Ctl.Fn);
+      F.V[0] = std::move(T.Ctl.Fn);
       F.Specs = std::move(T.Ctl.Specs);
       T.Stack.push_back(std::move(F));
       continueApplyArgs(T);
@@ -275,20 +262,20 @@ private:
   /// SPEC-ITERATE-2 and SPEC-ITERATE-3.
   void stepAuxFold(MachineThread &T) {
     Control C = T.Ctl; // copy: we overwrite T.Ctl below
-    if (C.FoldLo > C.FoldHi) {
+    if (C.FoldRange.empty()) {
       // SPEC-ITERATE-3: wait for the last checker in the chain.
       T.Ctl = Control::wait(C.FoldPrev);
       return;
     }
     // SPEC-ITERATE-2: spawn predictor tg', speculative body tb', and the
     // checker tc' that first evaluates the re-execution consumer (f lo).
+    const int64_t Lo = C.FoldRange.pop();
     uint64_t Tg = spawn(
-        Control::startApply(C.FoldGuess, {ArgSpec::val(Value(C.FoldLo))}),
+        Control::startApply(C.FoldGuess, {ArgSpec::val(Value(Lo))}),
         /*Speculative=*/true);
-    uint64_t Tb = spawn(
-        Control::startApply(
-            C.FoldFn, {ArgSpec::val(Value(C.FoldLo)), ArgSpec::wait(Tg)}),
-        /*Speculative=*/true);
+    uint64_t Tb = spawn(Control::startApply(C.FoldFn, {ArgSpec::val(Value(Lo)),
+                                                       ArgSpec::wait(Tg)}),
+                        /*Speculative=*/true);
     Frame Check;
     Check.K = Frame::Kind::Check;
     Check.T1 = C.FoldPrev; // producer role: the previous iteration
@@ -297,11 +284,10 @@ private:
     Check.Phase = 0;       // consumer value (f lo) evaluated first
     std::vector<Frame> Stack;
     Stack.push_back(std::move(Check));
-    uint64_t Tc = spawn(
-        Control::startApply(C.FoldFn, {ArgSpec::val(Value(C.FoldLo))}),
-        /*Speculative=*/false, std::move(Stack));
-    T.Ctl = Control::auxFold(C.FoldFn, C.FoldGuess, C.FoldLo + 1, C.FoldHi,
-                             Tc);
+    uint64_t Tc =
+        spawn(Control::startApply(C.FoldFn, {ArgSpec::val(Value(Lo))}),
+              /*Speculative=*/false, std::move(Stack));
+    T.Ctl = Control::auxFold(C.FoldFn, C.FoldGuess, C.FoldRange, Tc);
   }
 
   void stepEval(MachineThread &T) {
@@ -319,8 +305,7 @@ private:
       if (const Binding *B = V->binding()) {
         const Value *Found = EnvNode::lookup(Env, B);
         if (!Found) {
-          failThread(T, E, formatString("unbound variable '%s'",
-                                        V->name().c_str()));
+          failThread(T, E, prims::unboundVariable(V->name()));
           return;
         }
         T.Ctl = Control::ret(*Found);
@@ -362,74 +347,25 @@ private:
       T.Ctl = Control::eval(I->cond(), Env);
       return;
     }
-    case Expr::Kind::BinOp: {
-      const auto *B = cast<BinOp>(E);
+    case Expr::Kind::BinOp:
+    case Expr::Kind::NewCell:
+    case Expr::Kind::Assign:
+    case Expr::Kind::Deref:
+    case Expr::Kind::NewArray:
+    case Expr::Kind::ArrayGet:
+    case Expr::Kind::ArraySet:
+    case Expr::Kind::ArrayLen:
+    case Expr::Kind::Fold:
+    case Expr::Kind::SpecFold: {
+      // The operands evaluate left to right into an Operands frame.
+      const Expr *Sub[prims::MaxOperands] = {};
+      prims::operands(E, Sub);
       Frame F;
-      F.K = Frame::Kind::BinLhs;
+      F.K = Frame::Kind::Operands;
       F.E = E;
       F.Env = Env;
       T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(B->lhs(), Env);
-      return;
-    }
-    case Expr::Kind::NewCell: {
-      Frame F;
-      F.K = Frame::Kind::NewCellInit;
-      F.E = E;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<NewCell>(E)->init(), Env);
-      return;
-    }
-    case Expr::Kind::Assign: {
-      Frame F;
-      F.K = Frame::Kind::AssignCell;
-      F.E = E;
-      F.Env = Env;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<Assign>(E)->cell(), Env);
-      return;
-    }
-    case Expr::Kind::Deref: {
-      Frame F;
-      F.K = Frame::Kind::DerefCell;
-      F.E = E;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<Deref>(E)->cell(), Env);
-      return;
-    }
-    case Expr::Kind::NewArray: {
-      Frame F;
-      F.K = Frame::Kind::NewArrSize;
-      F.E = E;
-      F.Env = Env;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<NewArray>(E)->size(), Env);
-      return;
-    }
-    case Expr::Kind::ArrayGet: {
-      Frame F;
-      F.K = Frame::Kind::ArrGetArr;
-      F.E = E;
-      F.Env = Env;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<ArrayGet>(E)->array(), Env);
-      return;
-    }
-    case Expr::Kind::ArraySet: {
-      Frame F;
-      F.K = Frame::Kind::ArrSetArr;
-      F.E = E;
-      F.Env = Env;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<ArraySet>(E)->array(), Env);
-      return;
-    }
-    case Expr::Kind::ArrayLen: {
-      Frame F;
-      F.K = Frame::Kind::ArrLenArr;
-      F.E = E;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<ArrayLen>(E)->array(), Env);
+      T.Ctl = Control::eval(Sub[0], Env);
       return;
     }
     case Expr::Kind::Let: {
@@ -441,15 +377,6 @@ private:
       T.Ctl = Control::eval(cast<Let>(E)->init(), Env);
       return;
     }
-    case Expr::Kind::Fold: {
-      Frame F;
-      F.K = Frame::Kind::FoldCollect;
-      F.E = E;
-      F.Env = Env;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<Fold>(E)->fn(), Env);
-      return;
-    }
     case Expr::Kind::Spec: {
       // Evaluation context `spec ep eg E`: the consumer first.
       Frame F;
@@ -458,15 +385,6 @@ private:
       F.Env = Env;
       T.Stack.push_back(std::move(F));
       T.Ctl = Control::eval(cast<Spec>(E)->consumer(), Env);
-      return;
-    }
-    case Expr::Kind::SpecFold: {
-      Frame F;
-      F.K = Frame::Kind::SpecFoldCollect;
-      F.E = E;
-      F.Env = Env;
-      T.Stack.push_back(std::move(F));
-      T.Ctl = Control::eval(cast<SpecFold>(E)->fn(), Env);
       return;
     }
     }
@@ -494,7 +412,7 @@ private:
         return;
       }
       F.K = Frame::Kind::CallArgs;
-      F.V1 = std::move(V);
+      F.V[0] = std::move(V);
       F.Idx = 0;
       T.Ctl = Control::eval(C->args()[0], F.Env);
       return;
@@ -506,7 +424,7 @@ private:
         T.Ctl = Control::eval(C->args()[F.Vals.size()], F.Env);
         return;
       }
-      Value Fn = std::move(F.V1);
+      Value Fn = std::move(F.V[0]);
       std::vector<Value> Args = std::move(F.Vals);
       T.Stack.pop_back();
       beginMultiApply(T, std::move(Fn), std::move(Args), C);
@@ -524,154 +442,24 @@ private:
       EnvPtr Env = F.Env;
       T.Stack.pop_back();
       if (!V.isInt()) {
-        failThread(T, I->cond(), "if condition must be an integer");
+        failThread(T, I->cond(), prims::IfNotInt);
         return;
       }
       T.Ctl =
           Control::eval(V.asInt() != 0 ? I->thenExpr() : I->elseExpr(), Env);
       return;
     }
-    case Frame::Kind::BinLhs: {
-      const auto *B = cast<BinOp>(F.E);
-      F.K = Frame::Kind::BinRhs;
-      F.V1 = std::move(V);
-      T.Ctl = Control::eval(B->rhs(), F.Env);
-      return;
-    }
-    case Frame::Kind::BinRhs: {
-      const auto *B = cast<BinOp>(F.E);
-      Value L = std::move(F.V1);
+    case Frame::Kind::Operands: {
+      const Expr *Sub[prims::MaxOperands];
+      const unsigned N = prims::operands(F.E, Sub);
+      F.V[F.Idx++] = std::move(V);
+      if (F.Idx < N) {
+        T.Ctl = Control::eval(Sub[F.Idx], F.Env);
+        return;
+      }
+      Frame Done = std::move(F);
       T.Stack.pop_back();
-      applyBinOp(T, B, L, V);
-      return;
-    }
-    case Frame::Kind::NewCellInit:
-      T.Stack.pop_back();
-      T.Ctl = Control::ret(Value(H.allocCell(V)));
-      return;
-    case Frame::Kind::AssignCell: {
-      const auto *A = cast<Assign>(F.E);
-      F.K = Frame::Kind::AssignVal;
-      F.V1 = std::move(V);
-      T.Ctl = Control::eval(A->value(), F.Env);
-      return;
-    }
-    case Frame::Kind::AssignVal: {
-      const auto *A = cast<Assign>(F.E);
-      Value Cell = std::move(F.V1);
-      T.Stack.pop_back();
-      const auto *Ref = std::get_if<CellRef>(&Cell.V);
-      if (!Ref) {
-        failThread(T, A->cell(), "assignment target is not a cell");
-        return;
-      }
-      if (!H.setCell(*Ref, V)) {
-        failThread(T, A->cell(), "dangling cell reference");
-        return;
-      }
-      T.Ctl = Control::ret(std::move(V));
-      return;
-    }
-    case Frame::Kind::DerefCell: {
-      const Expr *E = F.E;
-      T.Stack.pop_back();
-      const auto *Ref = std::get_if<CellRef>(&V.V);
-      if (!Ref) {
-        failThread(T, E, "dereference of a non-cell");
-        return;
-      }
-      std::optional<Value> Read = H.getCell(*Ref);
-      if (!Read) {
-        failThread(T, E, "dangling cell reference");
-        return;
-      }
-      T.Ctl = Control::ret(std::move(*Read));
-      return;
-    }
-    case Frame::Kind::NewArrSize: {
-      const auto *A = cast<NewArray>(F.E);
-      F.K = Frame::Kind::NewArrInit;
-      F.V1 = std::move(V);
-      T.Ctl = Control::eval(A->init(), F.Env);
-      return;
-    }
-    case Frame::Kind::NewArrInit: {
-      const auto *A = cast<NewArray>(F.E);
-      Value Size = std::move(F.V1);
-      T.Stack.pop_back();
-      if (!Size.isInt() || Size.asInt() < 0) {
-        failThread(T, A->size(), "array size must be a non-negative integer");
-        return;
-      }
-      T.Ctl = Control::ret(Value(H.allocArray(Size.asInt(), V)));
-      return;
-    }
-    case Frame::Kind::ArrGetArr: {
-      const auto *A = cast<ArrayGet>(F.E);
-      F.K = Frame::Kind::ArrGetIdx;
-      F.V1 = std::move(V);
-      T.Ctl = Control::eval(A->index(), F.Env);
-      return;
-    }
-    case Frame::Kind::ArrGetIdx: {
-      const Expr *E = F.E;
-      Value Arr = std::move(F.V1);
-      T.Stack.pop_back();
-      const auto *Ref = std::get_if<ArrRef>(&Arr.V);
-      if (!Ref || !V.isInt()) {
-        failThread(T, E, "array read needs an array and an integer index");
-        return;
-      }
-      std::optional<Value> Read = H.getSlot(*Ref, V.asInt());
-      if (!Read) {
-        failThread(T, E, formatString("array index %lld out of bounds",
-                                      static_cast<long long>(V.asInt())));
-        return;
-      }
-      T.Ctl = Control::ret(std::move(*Read));
-      return;
-    }
-    case Frame::Kind::ArrSetArr: {
-      const auto *A = cast<ArraySet>(F.E);
-      F.K = Frame::Kind::ArrSetIdx;
-      F.V1 = std::move(V);
-      T.Ctl = Control::eval(A->index(), F.Env);
-      return;
-    }
-    case Frame::Kind::ArrSetIdx: {
-      const auto *A = cast<ArraySet>(F.E);
-      F.K = Frame::Kind::ArrSetVal;
-      F.V2 = std::move(V);
-      T.Ctl = Control::eval(A->value(), F.Env);
-      return;
-    }
-    case Frame::Kind::ArrSetVal: {
-      const Expr *E = F.E;
-      Value Arr = std::move(F.V1);
-      Value Idx = std::move(F.V2);
-      T.Stack.pop_back();
-      const auto *Ref = std::get_if<ArrRef>(&Arr.V);
-      if (!Ref || !Idx.isInt()) {
-        failThread(T, E, "array write needs an array and an integer index");
-        return;
-      }
-      if (!H.setSlot(*Ref, Idx.asInt(), V)) {
-        failThread(T, E, formatString("array index %lld out of bounds",
-                                      static_cast<long long>(Idx.asInt())));
-        return;
-      }
-      T.Ctl = Control::ret(std::move(V));
-      return;
-    }
-    case Frame::Kind::ArrLenArr: {
-      const Expr *E = F.E;
-      T.Stack.pop_back();
-      const auto *Ref = std::get_if<ArrRef>(&V.V);
-      if (!Ref) {
-        failThread(T, E, "len of a non-array");
-        return;
-      }
-      T.Ctl = Control::ret(Value(*H.arrayLen(*Ref)));
+      applyOperands(T, Done.E, Done.V);
       return;
     }
     case Frame::Kind::LetInit: {
@@ -682,34 +470,15 @@ private:
           Control::eval(L->body(), EnvNode::bind(Env, L->var(), std::move(V)));
       return;
     }
-    case Frame::Kind::FoldCollect: {
-      const auto *Fo = cast<Fold>(F.E);
-      F.Vals.push_back(std::move(V));
-      static constexpr size_t FoldArity = 4;
-      if (F.Vals.size() < FoldArity) {
-        const Expr *Next[FoldArity] = {Fo->fn(), Fo->init(), Fo->lo(),
-                                       Fo->hi()};
-        T.Ctl = Control::eval(Next[F.Vals.size()], F.Env);
-        return;
-      }
-      Value Fn = std::move(F.Vals[0]);
-      Value Acc = std::move(F.Vals[1]);
-      Value Lo = std::move(F.Vals[2]);
-      Value Hi = std::move(F.Vals[3]);
-      const Expr *At = F.E;
-      T.Stack.pop_back();
-      beginFold(T, At, std::move(Fn), std::move(Acc), Lo, Hi);
-      return;
-    }
     case Frame::Kind::FoldLoop: {
-      // V is the accumulator after iteration F.I - 1.
-      if (F.I > F.Hi) {
+      // V is the accumulator after the previous iteration.
+      if (F.Range.empty()) {
         T.Stack.pop_back();
         T.Ctl = Control::ret(std::move(V));
         return;
       }
-      int64_t I = F.I++;
-      Value Fn = F.V1;
+      const int64_t I = F.Range.pop();
+      Value Fn = F.V[0];
       beginMultiApply(T, std::move(Fn), {Value(I), std::move(V)}, F.E);
       return;
     }
@@ -731,49 +500,10 @@ private:
       Check.T1 = Tp;
       Check.T2 = Tg;
       Check.T3 = Tc;
-      Check.V1 = std::move(Vc);
+      Check.V[0] = std::move(Vc);
       Check.Phase = 1; // the consumer value is already known
       T.Stack.push_back(std::move(Check));
       T.Ctl = Control::wait(Tp);
-      return;
-    }
-    case Frame::Kind::SpecFoldCollect: {
-      const auto *S = cast<SpecFold>(F.E);
-      F.Vals.push_back(std::move(V));
-      static constexpr size_t SpecFoldArity = 4;
-      if (F.Vals.size() < SpecFoldArity) {
-        const Expr *Next[SpecFoldArity] = {S->fn(), S->guess(), S->lo(),
-                                           S->hi()};
-        T.Ctl = Control::eval(Next[F.Vals.size()], F.Env);
-        return;
-      }
-      Value Fn = std::move(F.Vals[0]);
-      Value Guess = std::move(F.Vals[1]);
-      Value Lo = std::move(F.Vals[2]);
-      Value Hi = std::move(F.Vals[3]);
-      const Expr *At = F.E;
-      T.Stack.pop_back();
-      if (!Lo.isInt() || !Hi.isInt()) {
-        failThread(T, At, "specfold bounds must be integers");
-        return;
-      }
-      if (Lo.asInt() > Hi.asInt()) {
-        // Empty loop: the value is the initial accumulator g(l) (matches
-        // NONSPEC-ITERATE + FOLD-1).
-        beginMultiApply(T, std::move(Guess), {Value(Lo.asInt())}, At);
-        return;
-      }
-      // SPEC-ITERATE-1: the first iteration is non-speculative in its
-      // input (g(l) is the definition of the initial value).
-      uint64_t Tg = spawn(
-          Control::startApply(Guess, {ArgSpec::val(Value(Lo.asInt()))}),
-          /*Speculative=*/true);
-      uint64_t Tb = spawn(
-          Control::startApply(
-              Fn, {ArgSpec::val(Value(Lo.asInt())), ArgSpec::wait(Tg)}),
-          /*Speculative=*/true);
-      T.Ctl = Control::auxFold(std::move(Fn), std::move(Guess),
-                               Lo.asInt() + 1, Hi.asInt(), Tb);
       return;
     }
     case Frame::Kind::MultiApply: {
@@ -803,18 +533,18 @@ private:
     Frame &F = T.Stack.back();
     switch (F.Phase) {
     case 0:
-      F.V1 = std::move(V); // vc
+      F.V[0] = std::move(V); // vc
       F.Phase = 1;
       T.Ctl = Control::wait(F.T1);
       return;
     case 1: {
-      F.V2 = std::move(V); // vp
+      F.V[1] = std::move(V); // vp
       if (Opts.EagerProducerAbort &&
           Threads[F.T2]->St == MachineThread::Status::Running) {
         // Section 3.3: the producer finished before the predictor — there
         // is no point continuing the speculation.
-        Value Vc = std::move(F.V1);
-        Value Vp = std::move(F.V2);
+        Value Vc = std::move(F.V[0]);
+        Value Vp = std::move(F.V[1]);
         uint64_t Tg = F.T2, Tc = F.T3;
         const Expr *At = F.E;
         T.Stack.pop_back();
@@ -829,8 +559,8 @@ private:
     }
     case 2: {
       Value Vg = std::move(V);
-      Value Vc = std::move(F.V1);
-      Value Vp = std::move(F.V2);
+      Value Vc = std::move(F.V[0]);
+      Value Vp = std::move(F.V[1]);
       uint64_t Tc = F.T3;
       const Expr *At = F.E;
       T.Stack.pop_back();
@@ -900,7 +630,7 @@ private:
         T.Ctl = Control::eval(Def->Body, Env);
         return;
       }
-      failThread(T, At, "application of a non-function value");
+      failThread(T, At, prims::NotCallable);
       return;
     }
     T.Ctl = Control::ret(std::move(Cur));
@@ -930,91 +660,61 @@ private:
       T.Ctl = Control::wait(Tid);
       return; // the waited value re-enters through onReturn(ApplyArgs)
     }
-    Value Fn = std::move(F.V1);
+    Value Fn = std::move(F.V[0]);
     std::vector<Value> Vals = std::move(F.Vals);
     const Expr *At = F.E;
     T.Stack.pop_back();
     beginMultiApply(T, std::move(Fn), std::move(Vals), At);
   }
 
-  /// FOLD-1/FOLD-2 via the FoldLoop frame.
-  void beginFold(MachineThread &T, const Expr *At, Value Fn, Value Acc,
-                 const Value &Lo, const Value &Hi) {
-    if (!Lo.isInt() || !Hi.isInt()) {
-      failThread(T, At, "fold bounds must be integers");
+  /// Acts on \p E once its operands \p Ops (prims::operands) are
+  /// evaluated: a primitive, or the start of a fold or specfold loop.
+  void applyOperands(MachineThread &T, const Expr *E, Value *Ops) {
+    if (!isa<Fold, SpecFold>(E)) {
+      Value Out;
+      if (prims::apply(H, E, Ops, Out, T.Err))
+        T.Ctl = Control::ret(std::move(Out));
+      else
+        T.St = MachineThread::Status::Failed;
       return;
     }
-    if (Lo.asInt() > Hi.asInt()) {
-      T.Ctl = Control::ret(std::move(Acc));
+    // fn, init (fold) or guess (specfold), lo, hi.
+    prims::InclusiveRange R;
+    if (!prims::foldRange(E, Ops[2], Ops[3], R, T.Err)) {
+      T.St = MachineThread::Status::Failed;
       return;
     }
-    Frame F;
-    F.K = Frame::Kind::FoldLoop;
-    F.E = At;
-    F.V1 = Fn;
-    F.I = Lo.asInt() + 1;
-    F.Hi = Hi.asInt();
-    T.Stack.push_back(std::move(F));
-    beginMultiApply(T, std::move(Fn), {Value(Lo.asInt()), std::move(Acc)},
-                    At);
-  }
-
-  void applyBinOp(MachineThread &T, const BinOp *B, const Value &L,
-                  const Value &R) {
-    if (!L.isInt() || !R.isInt()) {
-      failThread(T, B, formatString("operator '%s' needs integer operands",
-                                    binOpSpelling(B->op())));
+    if (R.empty()) {
+      // FOLD-1: the initial accumulator; specfold's is g(l) (matches
+      // NONSPEC-ITERATE).
+      if (isa<Fold>(E))
+        T.Ctl = Control::ret(std::move(Ops[1]));
+      else
+        beginMultiApply(T, std::move(Ops[1]), {std::move(Ops[2])}, E);
       return;
     }
-    int64_t A = L.asInt(), C = R.asInt();
-    auto Ret = [&](int64_t V) { T.Ctl = Control::ret(Value(V)); };
-    switch (B->op()) {
-    case BinOpKind::Add:
-      Ret(static_cast<int64_t>(static_cast<uint64_t>(A) +
-                               static_cast<uint64_t>(C)));
-      return;
-    case BinOpKind::Sub:
-      Ret(static_cast<int64_t>(static_cast<uint64_t>(A) -
-                               static_cast<uint64_t>(C)));
-      return;
-    case BinOpKind::Mul:
-      Ret(static_cast<int64_t>(static_cast<uint64_t>(A) *
-                               static_cast<uint64_t>(C)));
-      return;
-    case BinOpKind::Div:
-      if (C == 0 || (A == INT64_MIN && C == -1)) {
-        failThread(T, B, "division by zero or overflow");
-        return;
-      }
-      Ret(A / C);
-      return;
-    case BinOpKind::Mod:
-      if (C == 0 || (A == INT64_MIN && C == -1)) {
-        failThread(T, B, "modulo by zero or overflow");
-        return;
-      }
-      Ret(A % C);
-      return;
-    case BinOpKind::Lt:
-      Ret(A < C);
-      return;
-    case BinOpKind::Le:
-      Ret(A <= C);
-      return;
-    case BinOpKind::Gt:
-      Ret(A > C);
-      return;
-    case BinOpKind::Ge:
-      Ret(A >= C);
-      return;
-    case BinOpKind::EqEq:
-      Ret(A == C);
-      return;
-    case BinOpKind::Ne:
-      Ret(A != C);
+    const int64_t Lo = R.pop();
+    if (isa<Fold>(E)) {
+      // FOLD-2 via the FoldLoop frame.
+      Frame F;
+      F.K = Frame::Kind::FoldLoop;
+      F.E = E;
+      F.V[0] = Ops[0];
+      F.Range = R;
+      T.Stack.push_back(std::move(F));
+      beginMultiApply(T, std::move(Ops[0]), {Value(Lo), std::move(Ops[1])},
+                      E);
       return;
     }
-    sp_unreachable("unknown binop");
+    // SPEC-ITERATE-1: the first iteration is non-speculative in its input
+    // (g(l) is the definition of the initial value).
+    uint64_t Tg =
+        spawn(Control::startApply(Ops[1], {ArgSpec::val(Value(Lo))}),
+              /*Speculative=*/true);
+    uint64_t Tb = spawn(Control::startApply(Ops[0], {ArgSpec::val(Value(Lo)),
+                                                     ArgSpec::wait(Tg)}),
+                        /*Speculative=*/true);
+    T.Ctl = Control::auxFold(std::move(Ops[0]), std::move(Ops[1]), R, Tb);
   }
 
   const Program &P;

@@ -10,6 +10,8 @@
 #include "support/StringUtils.h"
 #include "support/Unreachable.h"
 
+#include <charconv>
+
 using namespace specpar;
 using namespace specpar::lang;
 
@@ -166,8 +168,18 @@ std::vector<Tok> specpar::lang::tokenize(std::string_view Source,
       size_t Start = I;
       while (I < N && Source[I] >= '0' && Source[I] <= '9')
         Advance(1);
-      std::string Text(Source.substr(Start, I - Start));
-      Push(TokKind::Int, Text, Loc, std::stoll(Text));
+      std::string_view Digits = Source.substr(Start, I - Start);
+      int64_t Value = 0;
+      if (std::from_chars(Digits.data(), Digits.data() + Digits.size(), Value)
+              .ec != std::errc()) {
+        if (Error && Error->empty())
+          *Error = formatString(
+              "line %d col %d: integer literal %.*s out of range", Loc.Line,
+              Loc.Col, static_cast<int>(Digits.size()), Digits.data());
+        Push(TokKind::Eof, "", Loc);
+        return Toks;
+      }
+      Push(TokKind::Int, std::string(Digits), Loc, Value);
       continue;
     }
     // Identifiers and keywords.

@@ -44,13 +44,12 @@ ServerContext::ServerContext(const ServerOptions &O)
   Shards.reserve(NumShards);
   for (unsigned I = 0; I < NumShards; ++I) {
     FlightOpts.Label = "shard" + std::to_string(I);
-    Shards.push_back(std::make_unique<Shard>(I, PerShard, O.QueueCapacity,
-                                             Catalog, FlightOpts));
+    Shards.push_back(std::make_unique<Shard>(
+        I, PerShard, O.QueueCapacity, Catalog, FlightOpts,
+        [this](Ticket &&T, JobResult &&R) {
+          onJobFinished(std::move(T), std::move(R));
+        }));
   }
-  for (auto &S : Shards)
-    S->onComplete([this](Ticket &&T, JobResult &&R) {
-      onJobFinished(std::move(T), std::move(R));
-    });
   RetryThread = std::thread([this] { retryLoop(); });
   HealthThread = std::thread([this] { healthLoop(); });
 }

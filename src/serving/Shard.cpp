@@ -49,21 +49,16 @@ const char *jobOutcomeName(JobOutcome O) {
 
 Shard::Shard(unsigned Index, unsigned NumThreads, size_t QueueCapacity,
              const WorkloadCatalog &Catalog,
-             rt::FlightRecorder::Options FlightOpts)
+             rt::FlightRecorder::Options FlightOpts, CompletionFn OnComplete)
     : Index(Index), QueueCapacity(QueueCapacity), Catalog(Catalog),
       Ex(rt::SpecExecutor::create(NumThreads)),
-      Flight(std::move(FlightOpts)),
+      Flight(std::move(FlightOpts)), Completion(std::move(OnComplete)),
       Dispatcher([this] { dispatchLoop(); }) {}
 
 Shard::~Shard() {
   stop();
   if (Dispatcher.joinable())
     Dispatcher.join();
-}
-
-void Shard::onComplete(CompletionFn F) {
-  std::lock_guard<std::mutex> Lock(M);
-  Completion = std::move(F);
 }
 
 bool Shard::enqueue(Ticket &&T) {
@@ -174,19 +169,7 @@ void Shard::finish(Ticket &&T, JobResult &&R) {
   // Every result answers "which TraceId was this?" — including the
   // stopping-reject path that never reached runJob.
   R.TraceId = T.Ctx.TraceId;
-  CompletionFn Fn;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Fn = Completion;
-  }
-  if (Fn) {
-    // The server layer owns recording and promise resolution — it may
-    // schedule a retry instead of resolving.
-    Fn(std::move(T), std::move(R));
-    return;
-  }
-  T.Tenant->record(R);
-  T.Promise.set_value(std::move(R));
+  Completion(std::move(T), std::move(R));
 }
 
 JobResult Shard::runJob(const Job &Work, TenantState &Tenant,

@@ -131,19 +131,18 @@ struct Ticket {
 
 class Shard {
 public:
-  /// Called with each finished ticket + result instead of the shard
-  /// resolving the promise itself; lets the server layer decide retry
-  /// vs terminal resolution. When unset the shard records and resolves
-  /// directly (standalone use).
+  /// Called with each finished ticket + result; the server layer records
+  /// it and decides retry vs terminal resolution of the promise.
   using CompletionFn = std::function<void(Ticket &&, JobResult &&)>;
 
   /// \p NumThreads workers back this shard's executor; \p QueueCapacity
   /// bounds the admission queue (enqueue() refuses beyond it).
   /// \p FlightOpts configures the shard's always-on flight recorder
-  /// (dump dir, retention, dump-file label).
+  /// (dump dir, retention, dump-file label). \p OnComplete receives every
+  /// job the shard finishes or rejects.
   Shard(unsigned Index, unsigned NumThreads, size_t QueueCapacity,
-        const WorkloadCatalog &Catalog,
-        rt::FlightRecorder::Options FlightOpts = rt::FlightRecorder::Options());
+        const WorkloadCatalog &Catalog, rt::FlightRecorder::Options FlightOpts,
+        CompletionFn OnComplete);
 
   /// Stops the dispatch thread; queued-but-unstarted tickets are
   /// resolved as Rejected so no future is ever broken.
@@ -151,9 +150,6 @@ public:
 
   Shard(const Shard &) = delete;
   Shard &operator=(const Shard &) = delete;
-
-  /// Installs the completion hook. Call before the first enqueue.
-  void onComplete(CompletionFn F);
 
   /// Admits \p T (false when the queue is full, the shard is stopping,
   /// or the shard is quarantined; \p T is left intact so the caller can
@@ -226,7 +222,7 @@ private:
   bool Busy = false;     ///< A job is between pop and promise-fulfil.
   bool Stopping = false; ///< No further admissions; loop exits when idle.
   uint64_t Completed = 0;
-  CompletionFn Completion; ///< Set once before first enqueue.
+  const CompletionFn Completion;
 
   std::atomic<int64_t> BusySinceNs{0}; ///< Progress heartbeat.
   std::atomic<bool> Quarantined{false};

@@ -56,25 +56,69 @@ CompiledProgram::Outcome runCompiled(const lang::Program &P,
   return C->run(Opts);
 }
 
-/// Compiled and non-speculative reference runs of the same source must
-/// agree on status, value, error message, and error location.
+/// \p Got (from the engine named \p Engine) must report the reference
+/// run's status, value, error message, and error location.
+void expectSameOutcome(const interp::RunOutcome &Got,
+                       const interp::RunOutcome &Ref, const std::string &Src,
+                       const std::string &Engine) {
+  ASSERT_EQ(Got.St, Ref.St) << Src << "\n"
+                            << Engine << ": " << Got.statusStr()
+                            << "\nreference: " << Ref.statusStr();
+  if (Ref.St == interp::RunOutcome::Status::Done) {
+    EXPECT_EQ(Got.Result.isInt(), Ref.Result.isInt()) << Src << "\n" << Engine;
+    if (Ref.Result.isInt()) {
+      EXPECT_EQ(Got.Result.asInt(), Ref.Result.asInt())
+          << Src << "\n"
+          << Engine;
+    }
+  } else if (Ref.St == interp::RunOutcome::Status::Error) {
+    EXPECT_EQ(Got.Error.Message, Ref.Error.Message) << Src << "\n" << Engine;
+    EXPECT_EQ(Got.Error.Loc.Line, Ref.Error.Loc.Line) << Src << "\n"
+                                                      << Engine;
+    EXPECT_EQ(Got.Error.Loc.Col, Ref.Error.Loc.Col) << Src << "\n" << Engine;
+  }
+}
+
+/// The three engines — the non-speculative reference, the speculative
+/// machine under seeded-random (seeds 1-3), round-robin and
+/// nonspec-priority schedules, and the compiled tier — must agree on
+/// status, value, error message, and error location. The cases are tiny;
+/// the step budget only stops a wrapping loop well before the default
+/// 50M.
 void expectMatchesReference(const std::string &Src) {
+  constexpr uint64_t Budget = 1000000;
   auto P = parse(Src);
   ASSERT_NE(P, nullptr);
-  interp::RunOutcome N = interp::runNonSpeculative(*P);
-  CompiledProgram::Outcome C = runCompiled(*P);
-  ASSERT_EQ(C.Run.St, N.St) << Src << "\ncompiled: " << C.Run.statusStr()
-                            << "\nreference: " << N.statusStr();
+  interp::EvalOptions EO;
+  EO.MaxSteps = Budget;
+  interp::RunOutcome N = interp::runNonSpeculative(*P, EO);
+  CompiledProgram::RunOptions RO;
+  RO.MaxSteps = Budget;
+  CompiledProgram::Outcome C = runCompiled(*P, RO);
   if (N.St == interp::RunOutcome::Status::Done) {
     ASSERT_TRUE(C.ResultLowered) << Src;
-    EXPECT_EQ(C.Run.Result.isInt(), N.Result.isInt()) << Src;
-    if (N.Result.isInt()) {
-      EXPECT_EQ(C.Run.Result.asInt(), N.Result.asInt()) << Src;
-    }
-  } else if (N.St == interp::RunOutcome::Status::Error) {
-    EXPECT_EQ(C.Run.Error.Message, N.Error.Message) << Src;
-    EXPECT_EQ(C.Run.Error.Loc.Line, N.Error.Loc.Line) << Src;
-    EXPECT_EQ(C.Run.Error.Loc.Col, N.Error.Loc.Col) << Src;
+  }
+  expectSameOutcome(C.Run, N, Src, "compiled");
+  struct Schedule {
+    interp::SchedulerKind Kind;
+    uint64_t Seed;
+    const char *Name;
+  };
+  for (const Schedule &S : {Schedule{interp::SchedulerKind::Random, 1,
+                                     "SpecMachine random seed 1"},
+                            Schedule{interp::SchedulerKind::Random, 2,
+                                     "SpecMachine random seed 2"},
+                            Schedule{interp::SchedulerKind::Random, 3,
+                                     "SpecMachine random seed 3"},
+                            Schedule{interp::SchedulerKind::RoundRobin, 1,
+                                     "SpecMachine round-robin"},
+                            Schedule{interp::SchedulerKind::NonSpecPriority,
+                                     1, "SpecMachine nonspec-priority"}}) {
+    interp::MachineOptions MO;
+    MO.Sched = S.Kind;
+    MO.Seed = S.Seed;
+    MO.MaxSteps = Budget;
+    expectSameOutcome(interp::runSpeculative(*P, MO), N, Src, S.Name);
   }
 }
 
@@ -131,20 +175,49 @@ TEST(CompileSemantics, FoldInlinedAndGeneric) {
 }
 
 TEST(CompileSemantics, FoldExtremeBounds) {
-  // Near-INT64_MAX bounds terminate and agree with the reference.
+  // Bounds up to INT64_MAX are inclusive and the loop stops at hi without
+  // computing hi + 1, on every engine.
   expectMatchesReference(
       "main = fold(\\i acc. acc + 1, 0, 9223372036854775805, "
       "9223372036854775806)");
-  // hi == INT64_MAX: the compiled check-then-increment loop terminates
-  // with the exact iteration count (the reference evaluator's
-  // increment-then-check loop wraps and burns its step budget here, so
-  // this is compiled-only coverage, not a differential case).
-  auto P = parse("main = fold(\\i acc. acc + 1, 0, 9223372036854775806, "
-                 "9223372036854775807)");
-  ASSERT_NE(P, nullptr);
-  CompiledProgram::Outcome C = runCompiled(*P);
-  ASSERT_TRUE(C.Run.ok()) << C.Run.Error.Message;
-  EXPECT_EQ(C.Run.Result.asInt(), 2);
+  expectMatchesReference("main = fold(\\i acc. acc + 1, 0, "
+                         "9223372036854775806, 9223372036854775807)");
+  expectMatchesReference(
+      "main = specfold(\\i acc. acc + 1, \\i. i - 9223372036854775806, "
+      "9223372036854775806, 9223372036854775807)");
+  expectMatchesReference("main = fold(\\i acc. acc + 1, 0, "
+                         "9223372036854775807, 9223372036854775807)");
+  expectMatchesReference(
+      "main = specfold(\\i acc. acc + 1, \\i. i - 9223372036854775807, "
+      "9223372036854775807, 9223372036854775807)");
+  // A generic (non-inlined) fold body takes the same loop.
+  expectMatchesReference("fun step(i, acc) = acc + 1\n"
+                         "main = fold(step, 0, 9223372036854775806, "
+                         "9223372036854775807)");
+  const struct {
+    const char *Src;
+    int64_t Want;
+  } Exact[] = {
+      {"main = fold(\\i acc. acc + 1, 0, 9223372036854775806, "
+       "9223372036854775807)",
+       2},
+      {"main = specfold(\\i acc. acc + 1, \\i. i - 9223372036854775806, "
+       "9223372036854775806, 9223372036854775807)",
+       2},
+      {"main = fold(\\i acc. acc + 1, 0, 9223372036854775807, "
+       "9223372036854775807)",
+       1},
+      {"main = specfold(\\i acc. acc + 1, \\i. i - 9223372036854775807, "
+       "9223372036854775807, 9223372036854775807)",
+       1},
+  };
+  for (const auto &Case : Exact) {
+    auto P = parse(Case.Src);
+    ASSERT_NE(P, nullptr);
+    CompiledProgram::Outcome C = runCompiled(*P);
+    ASSERT_TRUE(C.Run.ok()) << Case.Src << "\n" << C.Run.Error.Message;
+    EXPECT_EQ(C.Run.Result.asInt(), Case.Want) << Case.Src;
+  }
 }
 
 // ---- Expression semantics: errors match the reference exactly ------------
@@ -164,6 +237,33 @@ TEST(CompileErrors, MatchReferenceMessagesAndLocations) {
   expectMatchesReference("main = len(12)");
   expectMatchesReference("main = 5(6)");
   expectMatchesReference("main = fold(\\i acc. acc, (), 1, ())");
+}
+
+TEST(CompileErrors, EveryEngineRaisesTheSameIntegerAndBoundErrors) {
+  expectMatchesReference("main = 7 % 0");
+  expectMatchesReference("main = specfold(\\i acc. acc + 1, \\i. 0, (), 3)");
+  // The bounds are checked before the predictor is applied to lo.
+  expectMatchesReference("main = specfold(\\i acc. acc, \\i. i + 1, (), 3)");
+  expectMatchesReference(
+      "main = specfold(\\i acc. acc + 1 / (i - 2), \\i. 0, 1, 3)");
+  auto P = parse("main = specfold(\\i acc. acc + 1 / (i - 2), \\i. 0, 1, 3)");
+  ASSERT_NE(P, nullptr);
+  interp::RunOutcome N = interp::runNonSpeculative(*P);
+  EXPECT_EQ(N.Error.Message, "division by zero");
+  EXPECT_EQ(N.Error.Loc.Line, 1);
+  EXPECT_EQ(N.Error.Loc.Col, 33);
+}
+
+TEST(CompileLimits, EveryEngineReturnsTheSameHeapExhaustion) {
+  // 2^62 slots exceed the shared heap limit before anything is
+  // allocated; no engine may throw it out of its run function.
+  expectMatchesReference("main = len(newarr(4611686018427387904, 0))");
+  auto P = parse("main = len(newarr(4611686018427387904, 0))");
+  ASSERT_NE(P, nullptr);
+  interp::RunOutcome N = interp::runNonSpeculative(*P);
+  ASSERT_EQ(N.St, interp::RunOutcome::Status::Error);
+  EXPECT_EQ(N.Error.Message, "speculate heap exhausted");
+  EXPECT_EQ(N.Error.Loc.Col, 12);
 }
 
 // ---- Closures, currying, partial application -----------------------------

@@ -205,6 +205,50 @@ TEST(Cancellation, ValidPathErrorStillSurfaces) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Inclusive bounds up to INT64_MAX
+//===----------------------------------------------------------------------===//
+
+TEST(Bounds, FoldAndSpecFoldStopAtInt64Max) {
+  // The loop index must stop at hi without computing hi + 1. The
+  // budget is far above what these few iterations need; it only keeps a
+  // wrapping index from running for the default 50M steps.
+  const struct {
+    const char *Src;
+    int64_t Want;
+  } Cases[] = {
+      {"main = fold(\\i acc. acc + 1, 0, 9223372036854775806, "
+       "9223372036854775807)",
+       2},
+      {"main = specfold(\\i acc. acc + 1, \\i. i - 9223372036854775806, "
+       "9223372036854775806, 9223372036854775807)",
+       2},
+      {"main = fold(\\i acc. acc + 1, 0, 9223372036854775807, "
+       "9223372036854775807)",
+       1},
+      {"main = specfold(\\i acc. acc + 1, \\i. i - 9223372036854775807, "
+       "9223372036854775807, 9223372036854775807)",
+       1},
+  };
+  for (const auto &Case : Cases) {
+    auto P = parse(Case.Src);
+    EvalOptions EO;
+    EO.MaxSteps = 100000;
+    RunOutcome N = runNonSpeculative(*P, EO);
+    ASSERT_TRUE(N.ok()) << Case.Src << "\n" << N.statusStr();
+    EXPECT_EQ(N.Result.asInt(), Case.Want) << Case.Src;
+    for (SchedulerKind K : {SchedulerKind::Random, SchedulerKind::RoundRobin,
+                            SchedulerKind::NonSpecPriority}) {
+      MachineOptions MO;
+      MO.Sched = K;
+      MO.MaxSteps = 100000;
+      SpecRunOutcome S = runSpeculative(*P, MO);
+      ASSERT_TRUE(S.ok()) << Case.Src << "\n" << S.statusStr();
+      EXPECT_EQ(S.Result.asInt(), Case.Want) << Case.Src;
+    }
+  }
+}
+
 TEST(Schedulers, NonSpecPriorityStillExploresSpeculation) {
   // Priority scheduling must not starve speculative threads forever
   // (producers eventually block on waits, releasing them).

@@ -66,6 +66,18 @@ TEST(LangLexer, BadCharacterReportsError) {
   EXPECT_NE(Err.find("unexpected character"), std::string::npos);
 }
 
+TEST(LangLexer, OutOfRangeIntegerLiteralIsAParseError) {
+  // INT64_MAX is the largest literal; one more is a parse error at the
+  // literal, not an exception out of parseProgram.
+  auto Max = parseProgram("main = 9223372036854775807");
+  ASSERT_TRUE(bool(Max)) << Max.error();
+  auto R = parseProgram("main =\n  9223372036854775808");
+  ASSERT_FALSE(bool(R));
+  EXPECT_NE(R.error().find("line 2 col 3"), std::string::npos) << R.error();
+  EXPECT_NE(R.error().find("out of range"), std::string::npos) << R.error();
+  EXPECT_FALSE(bool(parseProgram("main = 1 + 99999999999999999999999")));
+}
+
 //===----------------------------------------------------------------------===//
 // Parser structure
 //===----------------------------------------------------------------------===//
