@@ -12,6 +12,7 @@
 #include "runtime/SpecExecutor.h"
 #include "support/Casting.h"
 #include "support/StringUtils.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <atomic>
@@ -161,7 +162,8 @@ void EvalCtx::returnFuel() {
 namespace {
 
 /// Fuel is drawn from the shared pool in batches, so the hot path is one
-/// thread-local decrement; Steps reporting is batch-granular.
+/// thread-local decrement; each context returns its unspent share, so
+/// Steps are exact.
 constexpr int64_t FuelBatch = 4096;
 
 /// Cold path of fuelStep(): draw a batch (or the remainder) from the
@@ -1206,7 +1208,8 @@ CompiledProgram::run(const RunOptions &Opts) const {
   if (Opts.Config.deadline() > std::chrono::nanoseconds::zero()) {
     RS.HasDeadline = true;
     RS.DeadlineBudget = Opts.Config.deadline();
-    RS.AbsDeadline = std::chrono::steady_clock::now() + RS.DeadlineBudget;
+    RS.AbsDeadline =
+        deadlineAfter(std::chrono::steady_clock::now(), RS.DeadlineBudget);
   }
   RS.FuelBudget = static_cast<int64_t>(
       std::min<uint64_t>(Opts.MaxSteps, uint64_t(INT64_MAX / 2)));

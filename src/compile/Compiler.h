@@ -126,12 +126,14 @@ public:
     int64_t ChunkSize = 8;
     /// Step-budget analogue of the interpreters' MaxSteps: one fuel
     /// unit per compiled-node evaluation, drawn in batches by each
-    /// participating thread. Exhaustion yields a StepLimit outcome.
+    /// participating thread, which returns what it leaves unspent.
+    /// Exhaustion yields a StepLimit outcome.
     uint64_t MaxSteps = 50000000;
   };
 
   /// What a run produced. `Run` carries the shared outcome surface
-  /// (status, value, steps); Steps are batch-granular, not exact.
+  /// (status, value, steps); Steps are exact: the compiled nodes
+  /// evaluated, one fuel unit each.
   struct Outcome {
     interp::RunOutcome Run;
     /// False when main's value has no interp::Value projection (a

@@ -11,6 +11,7 @@
 #include "support/Casting.h"
 #include "support/Unreachable.h"
 
+#include <algorithm>
 #include <memory>
 
 using namespace specpar;
@@ -133,6 +134,8 @@ struct MachineThread {
   std::vector<Frame> Stack;
   Value Result;
   RtError Err;
+  /// The threads blocked waiting on this one while it runs.
+  std::vector<uint64_t> Waiters;
 };
 
 class Machine {
@@ -160,16 +163,30 @@ public:
         Out.St = RunOutcome::Status::StepLimit;
         break;
       }
-      // Collect runnable threads (THREAD rule nondeterminism).
+      // Collect runnable threads (THREAD rule nondeterminism), in
+      // ascending Tid order. Done, Cancelled and Failed are terminal, so
+      // a thread found in one of them leaves Live for good; a thread
+      // waiting on a running one leaves it until that one stops.
+      const size_t Old = Live.size();
+      Live.insert(Live.end(), Woken.begin(), Woken.end());
+      std::sort(Live.begin() + Old, Live.end());
+      std::inplace_merge(Live.begin(), Live.begin() + Old, Live.end());
+      Woken.clear();
       Candidates.clear();
-      for (const auto &T : Threads) {
-        if (T->St != MachineThread::Status::Running)
+      size_t Kept = 0;
+      for (uint64_t Id : Live) {
+        const MachineThread &T = *Threads[Id];
+        if (T.St != MachineThread::Status::Running)
           continue;
-        if (T->Ctl.K == Control::Kind::Wait &&
-            Threads[T->Ctl.Tid]->St == MachineThread::Status::Running)
-          continue; // blocked
-        Candidates.push_back(SchedCandidate{T->Id, T->Speculative});
+        if (T.Ctl.K == Control::Kind::Wait &&
+            Threads[T.Ctl.Tid]->St == MachineThread::Status::Running) {
+          Threads[T.Ctl.Tid]->Waiters.push_back(Id); // blocked
+          continue;
+        }
+        Live[Kept++] = Id;
+        Candidates.push_back(SchedCandidate{T.Id, T.Speculative});
       }
+      Live.resize(Kept);
       if (Candidates.empty()) {
         Out.St = RunOutcome::Status::Deadlock;
         break;
@@ -177,6 +194,9 @@ public:
       uint64_t Tid = Candidates[Sched.pick(Candidates)].Tid;
       ++Steps;
       step(*Threads[Tid]);
+      // Only the stepped thread and the threads it cancels can stop.
+      if (Threads[Tid]->St != MachineThread::Status::Running)
+        wake(*Threads[Tid]);
     }
     Out.Steps = Steps;
     return std::move(Out);
@@ -195,6 +215,7 @@ private:
     T->Ctl = std::move(Ctl);
     T->Stack = std::move(Stack);
     Threads.push_back(std::move(T));
+    Live.push_back(Threads.back()->Id);
     if (Threads.size() > 1)
       ++Out.ThreadsSpawned;
     return Threads.back()->Id;
@@ -202,7 +223,14 @@ private:
 
   void cancelThread(uint64_t Tid) {
     Threads[Tid]->St = MachineThread::Status::Cancelled;
+    wake(*Threads[Tid]);
     ++Out.Cancellations;
+  }
+
+  /// Returns the threads blocked on \p T, which has stopped, to Live.
+  void wake(MachineThread &T) {
+    Woken.insert(Woken.end(), T.Waiters.begin(), T.Waiters.end());
+    T.Waiters.clear();
   }
 
   void failThread(MachineThread &T, const Expr *At, std::string Msg) {
@@ -723,6 +751,10 @@ private:
   SpecRunOutcome Out;
   Heap H;
   std::vector<std::unique_ptr<MachineThread>> Threads;
+  /// The Tids of the threads that may be runnable, ascending, and of
+  /// the blocked threads whose wait target has stopped since the last
+  /// step.
+  std::vector<uint64_t> Live, Woken;
   std::vector<SchedCandidate> Candidates;
 };
 

@@ -10,7 +10,6 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
 
@@ -92,182 +91,6 @@ void ProfileStore::clear() {
   Sites.clear();
 }
 
-namespace {
-
-//===----------------------------------------------------------------------===//
-// JSON reader: a minimal recursive-descent parser for the subset the
-// writer emits (objects, strings, integers). Any deviation — truncation,
-// garbage, wrong types — fails the whole load; the caller then stays
-// cold. Numbers are parsed without locale-sensitive library calls.
-//===----------------------------------------------------------------------===//
-
-struct JsonParser {
-  const std::string &S;
-  size_t Pos = 0;
-  bool Failed = false;
-
-  explicit JsonParser(const std::string &S) : S(S) {}
-
-  void fail() { Failed = true; }
-
-  void skipWs() {
-    while (Pos < S.size() && std::isspace(static_cast<unsigned char>(S[Pos])))
-      ++Pos;
-  }
-
-  bool consume(char C) {
-    skipWs();
-    if (Failed || Pos >= S.size() || S[Pos] != C) {
-      fail();
-      return false;
-    }
-    ++Pos;
-    return true;
-  }
-
-  bool peek(char C) {
-    skipWs();
-    return !Failed && Pos < S.size() && S[Pos] == C;
-  }
-
-  std::string parseString() {
-    std::string Out;
-    if (!consume('"'))
-      return Out;
-    while (Pos < S.size() && S[Pos] != '"') {
-      char C = S[Pos++];
-      if (C == '\\') {
-        if (Pos >= S.size()) {
-          fail();
-          return Out;
-        }
-        char E = S[Pos++];
-        switch (E) {
-        case '"':
-          Out += '"';
-          break;
-        case '\\':
-          Out += '\\';
-          break;
-        case '/':
-          Out += '/';
-          break;
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'r':
-          Out += '\r';
-          break;
-        case 'u': {
-          if (Pos + 4 > S.size()) {
-            fail();
-            return Out;
-          }
-          unsigned V = 0;
-          for (int I = 0; I < 4; ++I) {
-            char H = S[Pos++];
-            V <<= 4;
-            if (H >= '0' && H <= '9')
-              V |= static_cast<unsigned>(H - '0');
-            else if (H >= 'a' && H <= 'f')
-              V |= static_cast<unsigned>(H - 'a' + 10);
-            else if (H >= 'A' && H <= 'F')
-              V |= static_cast<unsigned>(H - 'A' + 10);
-            else {
-              fail();
-              return Out;
-            }
-          }
-          // The writer only escapes control characters, which fit one
-          // byte; anything else is foreign input and fails the load.
-          if (V > 0xFF) {
-            fail();
-            return Out;
-          }
-          Out += static_cast<char>(V);
-          break;
-        }
-        default:
-          fail();
-          return Out;
-        }
-      } else {
-        Out += C;
-      }
-    }
-    if (Pos >= S.size()) {
-      fail();
-      return Out;
-    }
-    ++Pos; // closing quote
-    return Out;
-  }
-
-  int64_t parseInt() {
-    skipWs();
-    if (Failed || Pos >= S.size()) {
-      fail();
-      return 0;
-    }
-    bool Neg = false;
-    if (S[Pos] == '-') {
-      Neg = true;
-      ++Pos;
-    }
-    if (Pos >= S.size() ||
-        !std::isdigit(static_cast<unsigned char>(S[Pos]))) {
-      fail();
-      return 0;
-    }
-    // Accumulated with the sign applied, so INT64_MIN parses; a value
-    // out of int64_t range fails the load instead of overflowing.
-    int64_t V = 0;
-    while (Pos < S.size() &&
-           std::isdigit(static_cast<unsigned char>(S[Pos]))) {
-      const int Digit = S[Pos] - '0';
-      if (__builtin_mul_overflow(V, 10, &V) ||
-          (Neg ? __builtin_sub_overflow(V, Digit, &V)
-               : __builtin_add_overflow(V, Digit, &V))) {
-        fail();
-        return 0;
-      }
-      ++Pos;
-    }
-    return V;
-  }
-
-  /// Parses `{ "key": <parseValue(key)>, ... }`; \p OnField is called
-  /// with each key and must consume the value.
-  template <typename FieldFn> void parseObject(FieldFn OnField) {
-    if (!consume('{'))
-      return;
-    if (peek('}')) {
-      ++Pos;
-      return;
-    }
-    for (;;) {
-      std::string Key = parseString();
-      if (Failed || !consume(':'))
-        return;
-      OnField(Key);
-      if (Failed)
-        return;
-      skipWs();
-      if (peek(',')) {
-        ++Pos;
-        continue;
-      }
-      consume('}');
-      return;
-    }
-  }
-};
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Persistence
 //===----------------------------------------------------------------------===//
@@ -321,51 +144,38 @@ bool ProfileStore::load(const std::string &Path) {
   const std::string Text = Buf.str();
 
   // Parse into a scratch map first: a failure at any depth leaves the
-  // live store exactly as it was.
+  // live store exactly as it was. Any deviation from the writer's
+  // schema — an unknown key, a non-integer count — fails the load.
+  static constexpr std::pair<const char *, int64_t SiteProfile::*> Counts[] =
+      {{"runs", &SiteProfile::Runs},
+       {"chunk", &SiteProfile::ChunkSize},
+       {"degrade_trips", &SiteProfile::DegradeTrips},
+       {"switches", &SiteProfile::PredictorSwitches},
+       {"predictions", &SiteProfile::Predictions},
+       {"bad", &SiteProfile::BadPredictions}};
   std::map<std::string, SiteProfile> Parsed;
   int64_t Version = -1;
-  JsonParser P(Text);
-  P.parseObject([&](const std::string &Key) {
-    if (Key == "version") {
-      Version = P.parseInt();
-    } else if (Key == "sites") {
-      P.parseObject([&](const std::string &SiteName) {
-        SiteProfile &SP = Parsed[SiteName];
-        P.parseObject([&](const std::string &F) {
-          if (F == "runs")
-            SP.Runs = P.parseInt();
-          else if (F == "chunk")
-            SP.ChunkSize = P.parseInt();
-          else if (F == "degrade_trips")
-            SP.DegradeTrips = P.parseInt();
-          else if (F == "switches")
-            SP.PredictorSwitches = P.parseInt();
-          else if (F == "predictions")
-            SP.Predictions = P.parseInt();
-          else if (F == "bad")
-            SP.BadPredictions = P.parseInt();
-          else if (F == "predictors") {
-            P.parseObject([&](const std::string &PredName) {
-              PredictorProfile &PP = SP.Predictors[PredName];
-              P.parseObject([&](const std::string &PF) {
-                if (PF == "hits")
-                  PP.Hits = P.parseInt();
-                else if (PF == "misses")
-                  PP.Misses = P.parseInt();
-                else
-                  P.fail();
-              });
-            });
-          } else
-            P.fail();
-        });
-      });
-    } else {
-      P.fail();
-    }
-  });
-  P.skipWs();
-  if (P.Failed || P.Pos != Text.size() || Version != kFormatVersion)
+  JsonReader R(Text);
+  auto Site = [&](const std::string &Name) {
+    SiteProfile &SP = Parsed[Name];
+    return R.object([&](const std::string &F) {
+      for (const auto &[Key, Field] : Counts)
+        if (F == Key)
+          return R.integer(SP.*Field);
+      return F == "predictors" && R.object([&](const std::string &Pred) {
+               PredictorProfile &PP = SP.Predictors[Pred];
+               return R.object([&](const std::string &PF) {
+                 return (PF == "hits" && R.integer(PP.Hits)) ||
+                        (PF == "misses" && R.integer(PP.Misses));
+               });
+             });
+    });
+  };
+  const bool Ok = R.object([&](const std::string &Key) {
+    return (Key == "version" && R.integer(Version)) ||
+           (Key == "sites" && R.object(Site));
+  }) && R.atEnd();
+  if (!Ok || Version != kFormatVersion)
     return false;
 
   std::lock_guard<std::mutex> Lock(M);

@@ -15,9 +15,10 @@
 /// run, or the thread waiting on it — under its cancel scope, fault
 /// probes and optional shield (`runSpeculativeBody`); it publishes with
 /// one seq_cst Done RMW on its claim word in the run's `SegRunSync`. On
-/// top of it sit two check steps: `applyImpl` (rule CHECK for one `spec`,
-/// one task) and `SegEngine` (the wave engine under every iterate form,
-/// at most one drain task per worker and wave, not one per attempt).
+/// top of it sit `applyImpl` (one `spec`, one task) and `SegEngine` (the
+/// wave engine under every iterate form, at most one drain task per
+/// worker and wave, not one per attempt), which resolve each prediction
+/// point with one check step (rule CHECK), `checkPrediction`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,7 @@
 #include "runtime/SpecExecutor.h"
 #include "runtime/Stats.h"
 #include "runtime/Telemetry.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <array>
@@ -46,8 +48,8 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace specpar {
@@ -124,22 +126,16 @@ struct AttemptCore {
   std::atomic<bool> ObservedCancel{false};
 };
 
-/// One speculative execution of a segment [B, E) with a given input.
-/// Attempts are preallocated per run, two per wave slot, and reset in
-/// place wave after wave — the steady-state attempt lifecycle does not
-/// touch the heap.
+/// One speculative execution of a wave segment with a given input.
+/// Attempts are preallocated per run, attempts 2K and 2K+1 for wave slot
+/// K, and reset in place wave after wave — the steady-state attempt
+/// lifecycle does not touch the heap. An attempt reads its segment's
+/// bounds from the wave plan, which stays fixed until the wave has
+/// quiesced.
 template <typename T, typename U> struct SegAttempt : AttemptCore {
   std::optional<T> In;
   std::optional<T> Out;
   std::optional<U> Local;
-  /// Completion order within the run (0 = not finished). The validator
-  /// only accepts an attempt that finished *last* in its slot, so that
-  /// the accepted execution's writes are the final ones.
-  uint64_t FinishStamp = 0;
-  /// The iteration range this attempt executes.
-  int64_t B = 0, E = 0;
-  /// Wave-local slot this attempt belongs to.
-  int64_t SlotIdx = 0;
   /// Body wall time in ns, measured only when the autotuner is armed.
   int64_t BodyNs = 0;
   /// The attempt's claim word in the run's SegRunSync.
@@ -155,18 +151,6 @@ template <typename T> struct ApplyAttempt : AttemptCore {
   std::atomic<bool> GuessReady{false};
 };
 
-/// A wave slot: at most two attempts — the initial dispatch and Par-mode
-/// correctives — appended lock-free. Slot K owns the run's attempts 2K
-/// and 2K+1, item I being attempt 2K+I, so a second item's predecessor
-/// is always attempt 2K. `Count` is reserve-then-publish —
-/// a chainer CASes Count up while it is below 2, then release-stores the
-/// item pointer — so readers tolerate a transiently null cell by
-/// re-polling (the publisher is a handful of instructions away).
-template <typename T, typename U> struct SegSlot {
-  std::atomic<int> Count{0};
-  std::atomic<SegAttempt<T, U> *> Items[2] = {};
-};
-
 /// Synchronisation of one speculative run (an iterate engine run or one
 /// apply()), in one refcounted block: the run holds a reference and so
 /// does every task it submits, so a task popped after its attempts were
@@ -179,7 +163,9 @@ template <typename T, typename U> struct SegSlot {
 /// eventcount, so no wait depends on the executor draining other work.
 /// An attempt's claim word packs its wave generation (bits 32-63), the
 /// index + 1 of a corrective parked on it (bits 2-31; 0 = none), Done
-/// (bit 1) and Claimed (bit 0).
+/// (bit 1) and Claimed (bit 0). The generation alone decides membership:
+/// an iterate attempt belongs to the current wave, in slot I/2, iff its
+/// word carries that wave's generation.
 struct SegRunSync {
   explicit SegRunSync(size_t Attempts) : Words(Attempts) {}
 
@@ -210,6 +196,12 @@ struct SegRunSync {
 
   bool done(uint32_t I) const {
     return Words[I].V.load(std::memory_order_seq_cst) & Done;
+  }
+
+  /// Whether attempt \p I was reset for wave \p Gen, and then, by the
+  /// acquire, its fields are visible.
+  bool inWave(uint32_t I, uint32_t Gen) const {
+    return (Words[I].V.load(std::memory_order_acquire) >> 32) == Gen;
   }
 
   /// Publishes attempt \p I, claimed by the caller, as Done and wakes the
@@ -283,8 +275,6 @@ struct SegRunSync {
   /// A drain task ran an attempt for longer than it waited to start
   /// since the validator last looked: waking the workers paid.
   std::atomic<bool> WakePaid{true};
-  /// Orders attempt completions (FinishStamp = fetch_add + 1).
-  std::atomic<uint64_t> FinishCounter{0};
   /// Attempts dispatched by Par-mode chainers. Workers must not touch the
   /// run's (non-atomic) SpeculationStats, so they count here and the
   /// validator merges before the run returns.
@@ -307,7 +297,35 @@ struct BodyEnv {
   bool Shield;
   /// The per-attempt budget in ns (0 = none); only used under the shield.
   int64_t BudgetNs;
+
+  /// Records a \p K event at index \p Idx for attempt \p Id (0 = a
+  /// run-level event) when the run is traced.
+  void trace(SpecEventKind K, int64_t Idx, uint64_t Id = 0) const {
+    if (Tr)
+      Tr->record(K, Idx, Id, Ctx);
+  }
 };
+
+/// The absolute deadline of a run starting now (time_point::max() when
+/// the config has none).
+inline std::chrono::steady_clock::time_point
+resolveDeadline(const SpecConfig &Cfg) {
+  if (Cfg.deadline() <= std::chrono::nanoseconds::zero())
+    return std::chrono::steady_clock::time_point::max();
+  return deadlineAfter(std::chrono::steady_clock::now(), Cfg.deadline());
+}
+
+/// The settings of a run under \p Cfg starting now.
+inline BodyEnv bodyEnv(const SpecConfig &Cfg) {
+  return {Cfg.faults(),         Cfg.trace(),  Cfg.traceContext(),
+          resolveDeadline(Cfg), Cfg.shield(), Cfg.attemptBudget().count()};
+}
+
+/// The executor a run under \p Cfg uses: the configured one, else the
+/// default shard.
+inline SpecExecutor &resolveExecutor(const SpecConfig &Cfg) {
+  return Cfg.executor() ? *Cfg.executor() : *SpecExecutor::defaultShard();
+}
 
 /// Runs one speculative body — the step of the attempt lifecycle that
 /// apply() and the iterate engine share. \p RunBody executes under the
@@ -334,7 +352,8 @@ void runSpeculativeBody(AttemptCore &A, SegRunSync &Run, const BodyEnv &Env,
     }
     Clock::time_point BudgetDeadline = Clock::time_point::max();
     if (Env.BudgetNs > 0)
-      BudgetDeadline = Clock::now() + std::chrono::nanoseconds(Env.BudgetNs);
+      BudgetDeadline =
+          deadlineAfter(Clock::now(), std::chrono::nanoseconds(Env.BudgetNs));
     CancelScope BudgetScope(&A.CancelFlag, BudgetDeadline, &A.ObservedCancel);
     CancelContext SavedCC = cancelContext();
     // Crash/runaway probes fire only here — inside the shield, before the
@@ -355,9 +374,7 @@ void runSpeculativeBody(AttemptCore &A, SegRunSync &Run, const BodyEnv &Env,
       A.Crashed = true;
       A.CancelFlag.store(true, std::memory_order_seq_cst);
       Run.ContainedCrashes.fetch_add(1, std::memory_order_relaxed);
-      if (Env.Tr)
-        Env.Tr->record(SpecEventKind::CrashContained, A.UserIdx, A.TraceId,
-                       Env.Ctx);
+      Env.trace(SpecEventKind::CrashContained, A.UserIdx, A.TraceId);
     }
     const bool BudgetExpired =
         Env.BudgetNs > 0 && Clock::now() >= BudgetDeadline;
@@ -365,27 +382,40 @@ void runSpeculativeBody(AttemptCore &A, SegRunSync &Run, const BodyEnv &Env,
         (BudgetExpired && (SO.WatchdogCancelled ||
                            A.ObservedCancel.load(std::memory_order_relaxed)))) {
       Run.RunawayCancels.fetch_add(1, std::memory_order_relaxed);
-      if (Env.Tr)
-        Env.Tr->record(SpecEventKind::RunawayCancel, A.UserIdx, A.TraceId,
-                       Env.Ctx);
+      Env.trace(SpecEventKind::RunawayCancel, A.UserIdx, A.TraceId);
     }
   } catch (...) {
     A.Err = std::current_exception();
   }
 }
 
-/// Copies the run's accumulated statistics into the config's
-/// `stats::Snapshot` sink (when set) on every exit path, including
-/// throws: the sink gets them as its `Spec` half (its `Exec` half is
-/// filled by ExecDeltaGuard, which lives closer to the resolved
-/// executor).
-struct StatsOutGuard {
-  const SpeculationStats &Local;
-  stats::Snapshot *Snap = nullptr;
-  ~StatsOutGuard() {
-    if (Snap)
-      Snap->Spec = Local;
+/// Fills the config's `stats::Snapshot` sink (when set) on every exit
+/// of a run, throws included: its `Spec` half with the run's statistics
+/// and, given the run's executor, its `Exec` half with that executor's
+/// activity across the run. Destroyed once every attempt of the run is
+/// Done, so the delta covers the run's work.
+class SnapshotGuard {
+public:
+  SnapshotGuard(const SpeculationStats &Spec, const SpecConfig &Cfg,
+                SpecExecutor *Ex)
+      : Spec(Spec), Snap(Cfg.statsSnapshotOut()), Ex(Snap ? Ex : nullptr) {
+    if (this->Ex)
+      Before = Ex->stats();
   }
+  SnapshotGuard(const SnapshotGuard &) = delete;
+  SnapshotGuard &operator=(const SnapshotGuard &) = delete;
+  ~SnapshotGuard() {
+    if (Snap)
+      Snap->Spec = Spec;
+    if (Ex)
+      Snap->Exec = Ex->stats() - Before;
+  }
+
+private:
+  const SpeculationStats &Spec;
+  stats::Snapshot *const Snap;
+  SpecExecutor *const Ex;
+  ExecutorStats Before{};
 };
 
 /// Predictor candidate ids for profile-guided prediction. `User` is the
@@ -414,35 +444,6 @@ inline int candidateId(const std::string &Name) {
   return -1;
 }
 
-/// Fills a `stats::Snapshot` sink's `Exec` half with the resolved
-/// executor's activity delta across the run. Constructed immediately
-/// after executor resolution and destroyed when the run ends, by which
-/// time every attempt of the run is Done, so the delta covers the run's
-/// work.
-struct ExecDeltaGuard {
-  stats::Snapshot *Snap;
-  SpecExecutor *Ex;
-  ExecutorStats Before{};
-  ExecDeltaGuard(stats::Snapshot *Snap, SpecExecutor &Ex)
-      : Snap(Snap), Ex(&Ex) {
-    if (Snap)
-      Before = Ex.stats();
-  }
-  ~ExecDeltaGuard() {
-    if (Snap)
-      Snap->Exec = Ex->stats() - Before;
-  }
-};
-
-/// The absolute deadline of a run starting now (time_point::max() when
-/// the config has none).
-inline std::chrono::steady_clock::time_point
-resolveDeadline(const SpecConfig &Cfg) {
-  if (Cfg.deadline() <= std::chrono::nanoseconds::zero())
-    return std::chrono::steady_clock::time_point::max();
-  return std::chrono::steady_clock::now() + Cfg.deadline();
-}
-
 /// Calls the user comparator under the ComparatorThrow injection site,
 /// swallowing any exception: a throwing comparator yields "not equal"
 /// (the pessimistic answer — the validator then re-executes) and sets
@@ -462,6 +463,41 @@ bool guardedEqual(Eq &Equal, FaultPlan *FP, const T &A, const T &B,
   }
 }
 
+/// How the check step resolved a prediction point.
+enum class Prediction {
+  Hit,        ///< the guess equals the actual value
+  Miss,       ///< a reliable comparison found them different
+  ForcedMiss, ///< equal, but an injected ForceMispredict discarded it
+  Failed,     ///< no guess, or the comparator threw
+};
+
+/// The check step (rule CHECK) at one prediction point, shared by
+/// apply() and the iterate engine: counts the point in \p Stats and
+/// compares \p Guess with \p Actual. Nothing reliably compared — no
+/// guess, a throwing comparator — is a failed prediction, never a
+/// misprediction. A misprediction records a Mispredict event at \p Idx
+/// for attempt \p Id.
+template <typename T, typename Eq>
+Prediction checkPrediction(const std::optional<T> &Guess, const T &Actual,
+                           Eq &Equal, const BodyEnv &Env, int64_t Idx,
+                           uint64_t Id, SpeculationStats &Stats) {
+  ++Stats.Predictions;
+  bool Threw = false;
+  const bool Same =
+      Guess && guardedEqual(Equal, Env.FP, *Guess, Actual, Threw);
+  // Injection site: discard a correct guess, forcing the full
+  // misprediction/re-execution machinery.
+  if (Same && !(Env.FP && Env.FP->shouldFire(FaultSite::ForceMispredict)))
+    return Prediction::Hit;
+  if (!Guess || Threw) {
+    ++Stats.FailedPredictions;
+    return Prediction::Failed;
+  }
+  ++Stats.Mispredictions;
+  Env.trace(SpecEventKind::Mispredict, Idx, Id);
+  return Same ? Prediction::ForcedMiss : Prediction::Miss;
+}
+
 /// apply()'s engine. One speculative attempt runs the predictor and then
 /// the consumer on its guess, concurrently with the producer (rule
 /// SPEC-APPLY); the check step (rule CHECK) then accepts that attempt or
@@ -476,20 +512,13 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
                            Eq &Equal) {
   SpecResult<void> Result;
   SpeculationStats &Stats = Result.Stats;
-  StatsOutGuard Guard{Stats, Cfg.statsSnapshotOut()};
   // Nested speculation inside a shielded body: this coordination code
   // is authoritative, so a crash here must not be contained (it would
   // longjmp past a live run other threads still reference).
   ShieldPause PauseOuter;
-  SpecExecutor &Ex =
-      Cfg.executor() ? *Cfg.executor() : *SpecExecutor::defaultShard();
-  ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
-  Tracer *const Tr = Cfg.trace();
-  FaultPlan *const FP = Cfg.faults();
-  const TraceContext JobCtx = Cfg.traceContext();
-  const BodyEnv Env{FP,           Tr,
-                            JobCtx,       resolveDeadline(Cfg),
-                            Cfg.shield(), Cfg.attemptBudget().count()};
+  SpecExecutor &Ex = resolveExecutor(Cfg);
+  SnapshotGuard Guard(Stats, Cfg, &Ex);
+  const BodyEnv Env = bodyEnv(Cfg);
   if (Env.Shield)
     installSignalShield();
 
@@ -498,15 +527,13 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
   const auto RunRef = std::make_shared<SegRunSync>(1);
   SegRunSync &Run = *RunRef;
   ApplyAttempt<T> A;
-  A.TraceId = Tr ? Tr->newAttemptId() : 0;
+  A.TraceId = Env.Tr ? Env.Tr->newAttemptId() : 0;
   ++Stats.Tasks;
-  if (Tr)
-    Tr->record(SpecEventKind::Dispatch, 0, A.TraceId, JobCtx);
+  Env.trace(SpecEventKind::Dispatch, 0, A.TraceId);
   // The attempt, run by whichever thread claims it: the predictor, then
   // the consumer on its guess.
   auto RunAttempt = [&A, &Run, &Env, &Predictor, &Consumer] {
-    if (Env.Tr)
-      Env.Tr->record(SpecEventKind::Start, 0, A.TraceId, Env.Ctx);
+    Env.trace(SpecEventKind::Start, 0, A.TraceId);
     std::optional<T> G;
     {
       // Under the attempt's cancellation too: eager producer abort
@@ -533,8 +560,7 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
     // Invariant 5: a consumer cancelled before it starts never runs.
     if (G && !A.CancelFlag.load(std::memory_order_seq_cst))
       runSpeculativeBody(A, Run, Env, [&] { Consumer(*G); });
-    if (Env.Tr)
-      Env.Tr->record(SpecEventKind::Finish, 0, A.TraceId, Env.Ctx);
+    Env.trace(SpecEventKind::Finish, 0, A.TraceId);
     Run.finish(0); // Done: the caller's frame may be gone after this
   };
   Ex.submit([RunRef, &RunAttempt] {
@@ -558,51 +584,34 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
   bool Accept = false;
   bool TimedOut = false;
   if (!ProducerErr) {
-    if (Cfg.eagerProducerAbort() &&
-        !A.GuessReady.load(std::memory_order_seq_cst)) {
-      // Section 3.3: the producer beat the predictor — speculation can
-      // no longer pay off, so go non-speculative. This is still a
-      // resolved prediction point (resolved without a guess).
-      ++Stats.Predictions;
-      ++Stats.FailedPredictions;
-    } else if (!Run.waitUntil(
-                   [&] {
-                     // Invariant 6: an attempt no worker has started
-                     // runs right here, exactly as a worker would run
-                     // it, before the check.
-                     if (Run.claim(0, 0))
-                       RunAttempt();
-                     return A.GuessReady.load(std::memory_order_seq_cst);
-                   },
-                   Env.Deadline)) {
+    // Section 3.3: with eager producer abort, a producer that beat the
+    // predictor leaves speculation nothing to pay off, so go
+    // non-speculative — a prediction point resolved without a guess.
+    const bool Eager = Cfg.eagerProducerAbort() &&
+                       !A.GuessReady.load(std::memory_order_seq_cst);
+    const std::optional<T> NoGuess;
+    if (!Eager && !Run.waitUntil(
+                      [&] {
+                        // Invariant 6: an attempt no worker has started
+                        // runs right here, exactly as a worker would run
+                        // it, before the check.
+                        if (Run.claim(0, 0))
+                          RunAttempt();
+                        return A.GuessReady.load(std::memory_order_seq_cst);
+                      },
+                      Env.Deadline)) {
       TimedOut = true;
-    } else {
-      ++Stats.Predictions;
-      bool CmpThrew = false;
-      bool Hit = A.Guess &&
-                 guardedEqual(Equal, FP, *Produced, *A.Guess, CmpThrew);
-      // Injection site: discard a correct guess, forcing the
-      // misprediction/re-execution path.
-      if (Hit && FP && FP->shouldFire(FaultSite::ForceMispredict))
-        Hit = false;
-      if (Hit) {
-        TimedOut = !Run.waitUntil([&Run] { return Run.done(0); },
-                                  Env.Deadline);
-        // Accept only a consumer that ran to completion, was never
-        // cancelled (a contained crash cancels) and never *observed*
-        // cancellation — a spuriously cancelled or deadline-bailed
-        // consumer may have acted partially.
-        Accept = !TimedOut && !A.CancelFlag.load(std::memory_order_seq_cst) &&
-                 !A.ObservedCancel.load(std::memory_order_relaxed);
-      } else if (!A.Guess || CmpThrew) {
-        // Nothing was reliably compared: a failed prediction, not a
-        // misprediction.
-        ++Stats.FailedPredictions;
-      } else {
-        ++Stats.Mispredictions;
-        if (Tr)
-          Tr->record(SpecEventKind::Mispredict, 0, A.TraceId, JobCtx);
-      }
+    } else if (checkPrediction(Eager ? NoGuess : A.Guess, *Produced, Equal,
+                               Env, 0, A.TraceId,
+                               Stats) == Prediction::Hit) {
+      TimedOut = !Run.waitUntil([&Run] { return Run.done(0); },
+                                Env.Deadline);
+      // Accept only a consumer that ran to completion, was never
+      // cancelled (a contained crash cancels) and never *observed*
+      // cancellation — a spuriously cancelled or deadline-bailed
+      // consumer may have acted partially.
+      Accept = !TimedOut && !A.CancelFlag.load(std::memory_order_seq_cst) &&
+               !A.ObservedCancel.load(std::memory_order_relaxed);
     }
   }
 
@@ -610,9 +619,9 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
   // retires before anything below runs, so a re-execution's writes
   // land last.
   if (!Accept) {
-    if (Tr && !Run.done(0) &&
+    if (Env.Tr && !Run.done(0) &&
         !A.CancelFlag.load(std::memory_order_acquire))
-      Tr->record(SpecEventKind::Cancel, 0, A.TraceId, JobCtx);
+      Env.trace(SpecEventKind::Cancel, 0, A.TraceId);
     A.CancelFlag.store(true, std::memory_order_seq_cst);
   }
   // Retract the attempt if it is still unclaimed (cancelled, its
@@ -627,25 +636,21 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
   // Like the iterate engine's validation: a spent budget is reported,
   // never accepted past or spent on an authoritative re-execution.
   if (TimedOut || std::chrono::steady_clock::now() >= Env.Deadline) {
-    if (Tr)
-      Tr->record(SpecEventKind::Timeout, 0, 0, JobCtx);
+    Env.trace(SpecEventKind::Timeout, 0);
     throw SpecTimeoutError(Cfg.deadline());
   }
   if (Accept) {
-    if (Tr)
-      Tr->record(SpecEventKind::ValidateAccept, 0, A.TraceId, JobCtx);
+    Env.trace(SpecEventKind::ValidateAccept, 0, A.TraceId);
     if (A.Err)
       std::rethrow_exception(A.Err);
   } else {
     // The consumer re-executes with the real value (rule CHECK's
     // `vc xp`) on this thread, as authoritative code.
     ++Stats.Reexecutions;
-    if (Tr)
-      Tr->record(SpecEventKind::Reexecute, 0, 0, JobCtx);
+    Env.trace(SpecEventKind::Reexecute, 0);
     Consumer(*Produced);
   }
-  if (Tr)
-    Tr->record(SpecEventKind::Finalize, 0, 0, JobCtx);
+  Env.trace(SpecEventKind::Finalize, 0);
   return Result;
 }
 
@@ -658,10 +663,10 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
 /// predictions (on the calling thread, in segment order, so FaultPlan
 /// probe sequences stay deterministic), dispatches one attempt per
 /// usable prediction, and validates the wave's segments strictly in
-/// order. Attempts and slots are preallocated — slot K owns attempts 2K
-/// and 2K+1, its initial dispatch and Par-mode correctives — and reset
-/// in place for the next wave: together with the executor's TaskRef
-/// pooling the steady-state cost of a segment is zero heap allocations.
+/// order. Attempts are preallocated — slot K owns attempts 2K and 2K+1,
+/// its initial dispatch and Par-mode correctives — and reset in place
+/// for the next wave: together with the executor's TaskRef pooling the
+/// steady-state cost of a segment is zero heap allocations.
 ///
 /// Synchronisation is lock-free on the hot path. An attempt is run by
 /// whichever thread claims it first (SegRunSync): a worker running one
@@ -671,8 +676,14 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
 /// which also wakes parked waiters. The validator runs only the
 /// unclaimed attempts of the slot it waits on and otherwise parks, so
 /// nested runs stay deadlock-free without draining the executor.
-/// Par-mode chaining appends to the next slot with a reserve-then-
-/// publish CAS on the slot's Count.
+///
+/// The claim words alone describe a slot. Attempt I is in the current
+/// wave iff its word carries the wave's generation, stored after the
+/// attempt's fields. Only one thread at a time chains into slot NK: its
+/// correctives come only from slot NK-1's two attempts, which invariant
+/// 4 serialises. And since invariant 4 starts attempt 2K+1 only once
+/// 2K is Done, the slot's last finisher is its higher-indexed attempt
+/// that executed.
 ///
 /// Waves also cap in-flight speculation, and between waves the autotuner
 /// may re-size `CurChunk` (chunked forms only) from the measured body
@@ -683,14 +694,13 @@ SpecResult<void> applyImpl(ProducerFn &Producer, PredictorFn &Predictor,
 /// so they report iteration indices; the chunked forms report ordinals.
 ///
 /// \p Stats is filled in place (it survives throws via the caller's
-/// StatsOutGuard). Only the validator touches it; workers count
+/// SnapshotGuard). Only the validator touches it; workers count
 /// chained dispatches in SegRunSync::ChainedTasks, merged before run()
 /// returns.
 template <typename T, typename U, typename InitFn, typename BodyFn,
           typename PredictorFn, typename FinalFn, typename Eq>
 class SegEngine {
   using Attempt = SegAttempt<T, U>;
-  using Slot = SegSlot<T, U>;
   using Clock = std::chrono::steady_clock;
 
 public:
@@ -702,20 +712,17 @@ public:
         AutoTargetNs(AutotuneTargetNs),
         Init(Init), Body(Body), Predictor(Predictor), Finalize(Finalize),
         Ex(Ex), Equal(Equal), Stats(Stats), Mode(Cfg.mode()),
-        Tr(Cfg.trace()), JobCtx(Cfg.traceContext()), FP(Cfg.faults()),
-        CfgDeadline(Cfg.deadline()),
-        Deadline(resolveDeadline(Cfg)),
-        HasDeadline(Deadline != Clock::time_point::max()),
+        Env(bodyEnv(Cfg)), CfgDeadline(Cfg.deadline()),
+        HasDeadline(Env.Deadline != Clock::time_point::max()),
         DegradeThresh(Cfg.degradeThreshold()),
         DegradeWin(Cfg.degradeThreshold() >= 0 ? Cfg.degradeWindow() : 0),
         Prof(Cfg.profile()), SiteName(&Cfg.profileSite()),
         ProfOn(Prof != nullptr && !SiteName->empty()),
         W(std::max<int64_t>(8, 4 * static_cast<int64_t>(Ex.numThreads()))),
-        Shield(Cfg.shield()), BudgetNs(Cfg.attemptBudget().count()),
         MeasureBody(AutotuneTargetNs > 0),
         Run(std::make_shared<SegRunSync>(static_cast<size_t>(2 * W))),
         AttemptStore(static_cast<size_t>(2 * W)),
-        Slots(static_cast<size_t>(W)), WavePred(static_cast<size_t>(W)),
+        WavePred(static_cast<size_t>(W)),
         WaveB(static_cast<size_t>(W)), WaveE(static_cast<size_t>(W)),
         WaveUser(static_cast<size_t>(W)),
         WaveCand(ProfOn ? static_cast<size_t>(W) : 0) {
@@ -743,7 +750,7 @@ public:
     // this live engine while workers still reference it). Attempts
     // this run dispatches re-arm their own shields in runAttempt.
     ShieldPause PauseOuter;
-    if (Shield)
+    if (Env.Shield)
       installSignalShield();
     if (ProfOn)
       profileSeed();
@@ -767,14 +774,13 @@ public:
         const int64_t UI = IdxBase + NextOrd;
         NextB = segmentEnd(B);
         ++NextOrd;
-        if (HasDeadline && Clock::now() >= Deadline) {
+        if (HasDeadline && Clock::now() >= Env.Deadline) {
           TimedOut = true;
           TimeoutIdx = UI;
           break;
         }
         ++Stats.DegradedChunks;
-        if (Tr)
-          Tr->record(SpecEventKind::Degrade, UI, 0, JobCtx);
+        Env.trace(SpecEventKind::Degrade, UI);
         int64_t SegNs = 0;
         if (!runSegment(B, NextB, UI, Correct, SegNs))
           break;
@@ -789,7 +795,7 @@ public:
       for (int64_t K = 0; K < WaveCount && !TimedOut && !FirstValidErr;
            ++K) {
         const int64_t UI = WaveUser[static_cast<size_t>(K)];
-        if (HasDeadline && Clock::now() >= Deadline) {
+        if (HasDeadline && Clock::now() >= Env.Deadline) {
           TimedOut = true;
           TimeoutIdx = UI;
           break;
@@ -808,8 +814,7 @@ public:
             ActiveCand = Next;
             CandTried[static_cast<size_t>(Next)] = true;
             ++Stats.PredictorSwitches;
-            if (Tr)
-              Tr->record(SpecEventKind::PredictorSwitch, Next, 0, JobCtx);
+            Env.trace(SpecEventKind::PredictorSwitch, Next);
             // Fresh window: the new candidate drives the *next* wave's
             // predictions, and it deserves a full window before the
             // monitor may trip again.
@@ -821,7 +826,7 @@ public:
             // land last, and rewind to this segment. The fallback at the
             // top of the loop runs it and every later one.
             Degraded = true;
-            TimedOut = !drainWave(K, Deadline);
+            TimedOut = !drainWave(K, Env.Deadline);
             NextB = WaveB[static_cast<size_t>(K)];
             NextOrd = WaveOrd0 + K;
             break;
@@ -829,8 +834,6 @@ public:
         }
 
         const int64_t GlobalOrd = WaveOrd0 + K;
-        bool SlotBad = false;     // mispredicted or failed
-        bool ForceReexec = false; // injected ForceMispredict fired
         if (ProfOn) {
           // `Correct` here is the true value *entering* this segment:
           // shadow-score every candidate's prediction against it
@@ -852,54 +855,29 @@ public:
           }
           observe(WaveB[static_cast<size_t>(K)], Correct);
         }
-        if (GlobalOrd > 0) {
-          ++Stats.Predictions;
-          const std::optional<T> &P = WavePred[static_cast<size_t>(K)];
-          bool CmpThrew = false;
-          if (!P) {
-            // The predictor threw at this point: a failed prediction —
-            // nothing was dispatched, the validator executes it below.
-            ++Stats.FailedPredictions;
-            SlotBad = true;
-          } else if (guardedEqual(Equal, FP, *P, Correct, CmpThrew)) {
-            // Injection site: discard a correct prediction, forcing
-            // the full misprediction/re-execution machinery.
-            if (FP && FP->shouldFire(FaultSite::ForceMispredict)) {
-              ++Stats.Mispredictions;
-              SlotBad = true;
-              ForceReexec = true;
-              if (Tr)
-                Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
-            }
-          } else if (CmpThrew) {
-            // The comparator threw: the prediction point resolved
-            // without a trustworthy comparison — a failed prediction,
-            // and the pessimistic path below re-executes. The user's
-            // exception never propagates from a speculative
-            // validation.
-            ++Stats.FailedPredictions;
-            SlotBad = true;
-          } else {
-            ++Stats.Mispredictions;
-            SlotBad = true;
-            if (Tr)
-              Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
-          }
-        }
+        // The first segment's input is the run's initial value, not a
+        // prediction. A bad prediction point re-executes below (a
+        // missing prediction dispatched nothing).
+        const Prediction Check =
+            GlobalOrd > 0 ? checkPrediction(WavePred[static_cast<size_t>(K)],
+                                            Correct, Equal, Env, UI, 0, Stats)
+                          : Prediction::Hit;
+        const bool SlotBad = Check != Prediction::Hit;
+        const bool ForceReexec = Check == Prediction::ForcedMiss;
 
         // Cancel attempts whose input is already known wrong, then
         // quiesce the slot. (Membership is final: chains into this
         // slot originate from the previous slot, which was quiesced
-        // before we advanced, and their append happens-before that
-        // quiesce observed them done.) An attempt is acceptable only
-        // if it ran with the correct input, finished last in its slot
-        // (only then are its writes the final ones), and was neither
+        // before we advanced, and each chain's reset happens-before its
+        // chainer's Done.) An attempt is acceptable only if it ran
+        // with the correct input, finished last in its slot (only then
+        // are its writes the final ones), and was neither
         // cancelled nor *observed* cancellation — a spuriously
         // cancelled or deadline-bailed body may have returned a
         // partial value. Otherwise the validator re-executes, making
         // its own writes final (condition (e)'s re-execution).
         cancelSlot(K, UI, ForceReexec ? nullptr : &Correct);
-        if (!quiesceSlot(K, Deadline)) {
+        if (!quiesceSlot(K, Env.Deadline)) {
           TimedOut = true;
           TimeoutIdx = UI;
           break;
@@ -917,9 +895,7 @@ public:
         Attempt *Match = acceptableAttempt(K, ForceReexec, Correct);
         int64_t SegNs = 0;
         if (Match) {
-          if (Tr)
-            Tr->record(SpecEventKind::ValidateAccept, UI, Match->TraceId,
-                       JobCtx);
+          Env.trace(SpecEventKind::ValidateAccept, UI, Match->TraceId);
           if (Match->Err) {
             FirstValidErr = Match->Err;
             break;
@@ -934,7 +910,7 @@ public:
           // by a later garbage attempt): re-execute on the validator
           // thread (rule CHECK's consumer re-execution). The slot is
           // quiescent, so this execution's writes land last.
-          if (HasDeadline && Clock::now() >= Deadline) {
+          if (HasDeadline && Clock::now() >= Env.Deadline) {
             // Don't start an authoritative chunk we already have no
             // budget for — the timeout path below reports instead.
             TimedOut = true;
@@ -942,8 +918,7 @@ public:
             break;
           }
           ++Stats.Reexecutions;
-          if (Tr)
-            Tr->record(SpecEventKind::Reexecute, UI, 0, JobCtx);
+          Env.trace(SpecEventKind::Reexecute, UI);
           if (!runSegment(WaveB[static_cast<size_t>(K)],
                           WaveE[static_cast<size_t>(K)], UI, Correct,
                           SegNs))
@@ -981,8 +956,7 @@ public:
     if (ProfOn)
       profileRecord();
     if (TimedOut) {
-      if (Tr)
-        Tr->record(SpecEventKind::Timeout, TimeoutIdx, 0, JobCtx);
+      Env.trace(SpecEventKind::Timeout, TimeoutIdx);
       throw SpecTimeoutError(CfgDeadline);
     }
     if (FirstValidErr)
@@ -1020,8 +994,8 @@ private:
       } else if (!ProfOn) {
         WavePred[K].reset();
         try {
-          if (FP)
-            FP->maybeThrow(FaultSite::PredictorThrow);
+          if (Env.FP)
+            Env.FP->maybeThrow(FaultSite::PredictorThrow);
           WavePred[K].emplace(Predictor(B));
         } catch (...) {
         }
@@ -1036,8 +1010,8 @@ private:
         for (auto &C : CP)
           C.reset();
         try {
-          if (FP)
-            FP->maybeThrow(FaultSite::PredictorThrow);
+          if (Env.FP)
+            Env.FP->maybeThrow(FaultSite::PredictorThrow);
           CP[CandUser].emplace(Predictor(B));
         } catch (...) {
         }
@@ -1066,24 +1040,17 @@ private:
   /// an early finisher may immediately chain into a later slot.
   void dispatchWave() {
     // A new claim generation: tasks still queued from earlier waves
-    // can no longer claim the attempts reset for this one.
+    // can no longer claim the attempts reset for this one, and no
+    // attempt of an earlier wave is a member of this one's slots.
     ++Wave;
     int64_t Dispatched = 0;
     for (int64_t K = 0; K < WaveCount; ++K) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      S.Items[1].store(nullptr, std::memory_order_relaxed);
-      if (!WavePred[static_cast<size_t>(K)]) {
-        S.Items[0].store(nullptr, std::memory_order_relaxed);
-        S.Count.store(0, std::memory_order_relaxed);
+      if (!WavePred[static_cast<size_t>(K)])
         continue;
-      }
       Attempt *A = &AttemptStore[static_cast<size_t>(2 * K)];
       resetAttempt(A, K, *WavePred[static_cast<size_t>(K)]);
-      S.Items[0].store(A, std::memory_order_relaxed);
-      S.Count.store(1, std::memory_order_relaxed);
       ++Dispatched;
-      if (Tr)
-        Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
+      Env.trace(SpecEventKind::Dispatch, A->UserIdx, A->TraceId);
     }
     Stats.Tasks += Dispatched;
     Run->CurrentWave.store(uint64_t(Wave) << 32 | uint64_t(2 * WaveCount),
@@ -1098,16 +1065,12 @@ private:
     A->Out.reset();
     A->Local.reset();
     A->Err = nullptr;
-    A->FinishStamp = 0;
-    A->B = WaveB[static_cast<size_t>(K)];
-    A->E = WaveE[static_cast<size_t>(K)];
-    A->SlotIdx = K;
     A->UserIdx = WaveUser[static_cast<size_t>(K)];
     A->BodyNs = 0;
     A->Crashed = false;
     A->CancelFlag.store(false, std::memory_order_relaxed);
     A->ObservedCancel.store(false, std::memory_order_relaxed);
-    A->TraceId = Tr ? Tr->newAttemptId() : 0;
+    A->TraceId = Env.Tr ? Env.Tr->newAttemptId() : 0;
     Run->reset(A->Idx, Wave);
   }
 
@@ -1179,32 +1142,19 @@ private:
     // though its input may be perfectly valid. The validator's
     // not-cancelled acceptance check turns this into a re-execution,
     // never a wrong result.
-    if (!Skip && FP && FP->shouldFire(FaultSite::SpuriousCancel))
+    if (!Skip && Env.FP && Env.FP->shouldFire(FaultSite::SpuriousCancel))
       A->CancelFlag.store(true, std::memory_order_seq_cst);
-    if (Tr)
-      Tr->record(SpecEventKind::Start, A->UserIdx, A->TraceId, JobCtx);
+    Env.trace(SpecEventKind::Start, A->UserIdx, A->TraceId);
+    const size_t K = A->Idx / 2;
     std::optional<T> Out;
     std::optional<U> Local;
     if (!Skip) {
-      runSpeculativeBody(
-          *A, *Run,
-          {FP, Tr, JobCtx, Deadline, Shield, BudgetNs},
-          [&] {
-            U L = Init();
-            Clock::time_point T0;
-            if (MeasureBody)
-              T0 = Clock::now();
-            T Acc = *A->In; // copy: In stays for the validator's comparisons
-            for (int64_t I = A->B; I < A->E; ++I)
-              Acc = Body(I, L, std::move(Acc));
-            if (MeasureBody)
-              A->BodyNs =
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - T0)
-                      .count();
-            Out.emplace(std::move(Acc));
-            Local.emplace(std::move(L));
-          });
+      runSpeculativeBody(*A, *Run, Env, [&] {
+        // Copy: In stays for the validator's comparisons.
+        auto [Acc, L] = runBody(WaveB[K], WaveE[K], *A->In, A->BodyNs);
+        Out.emplace(std::move(Acc));
+        Local.emplace(std::move(L));
+      });
       if (A->Crashed) {
         // Drop whatever partial state escaped the contained body.
         Out.reset();
@@ -1217,24 +1167,19 @@ private:
     // of our slot then happens-after the append, so it always sees
     // final slot membership.
     Attempt *Chained = nullptr;
-    if (Mode == ValidationMode::Par && Out && A->SlotIdx + 1 < WaveCount &&
+    if (Mode == ValidationMode::Par && Out &&
+        static_cast<int64_t>(K) + 1 < WaveCount &&
         !A->CancelFlag.load(std::memory_order_seq_cst) &&
         !A->ObservedCancel.load(std::memory_order_relaxed))
-      Chained = tryChain(A->SlotIdx + 1, *Out);
+      Chained = tryChain(K + 1, *Out);
     // Publish: every plain field first (the runner already wrote Err
     // and Crashed), and every trace event, then Done.
     A->Out = std::move(Out);
     A->Local = std::move(Local);
-    A->FinishStamp =
-        Run->FinishCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (Tr) {
-      Tr->record(SpecEventKind::Finish, A->UserIdx, A->TraceId, JobCtx);
-      if (Chained) {
-        Tr->record(SpecEventKind::Chain, Chained->UserIdx,
-                   Chained->TraceId, JobCtx);
-        Tr->record(SpecEventKind::Dispatch, Chained->UserIdx,
-                   Chained->TraceId, JobCtx);
-      }
+    Env.trace(SpecEventKind::Finish, A->UserIdx, A->TraceId);
+    if (Chained) {
+      Env.trace(SpecEventKind::Chain, Chained->UserIdx, Chained->TraceId);
+      Env.trace(SpecEventKind::Dispatch, Chained->UserIdx, Chained->TraceId);
     }
     SegRunSync &Sync = *Run;
     // Invariant 4: a corrective is claimable only once its predecessor
@@ -1257,74 +1202,50 @@ private:
   }
 
   /// Appends a corrective attempt with input \p OutVal to slot \p NK if
-  /// no equivalent attempt (or prediction) exists there. Lock-free:
-  /// reserve an item index by CASing Count, then publish with a
-  /// release store.
+  /// no equivalent attempt (or prediction) exists there: the slot's
+  /// first attempt not in this wave, or none when both are. The caller
+  /// is the only thread chaining into NK, and the attempt joins the
+  /// slot when its reset stores the wave's generation.
   Attempt *tryChain(int64_t NK, const T &OutVal) {
-    Slot &S = Slots[static_cast<size_t>(NK)];
     bool CmpThrew = false;
     bool Exists =
         WavePred[static_cast<size_t>(NK)] &&
-        guardedEqual(Equal, FP, *WavePred[static_cast<size_t>(NK)], OutVal,
-                     CmpThrew);
-    const int C = S.Count.load(std::memory_order_acquire);
-    for (int I = 0; I < C && !Exists; ++I) {
-      Attempt *Other = S.Items[I].load(std::memory_order_acquire);
-      if (!Other) {
-        // Another chainer is mid-publish; treat as existing rather
-        // than risk a duplicate.
-        Exists = true;
-        break;
-      }
-      Exists = guardedEqual(Equal, FP, *Other->In, OutVal, CmpThrew);
+        guardedEqual(Equal, Env.FP, *WavePred[static_cast<size_t>(NK)],
+                     OutVal, CmpThrew);
+    Attempt *Free = nullptr;
+    for (uint32_t I = 2 * NK; I < 2 * NK + 2 && !Exists; ++I) {
+      if (!Run->inWave(I, Wave))
+        Free = Free ? Free : &AttemptStore[I];
+      else
+        Exists = guardedEqual(Equal, Env.FP, *AttemptStore[I].In, OutVal,
+                              CmpThrew);
     }
     // Don't chain on an unreliable comparison: a throwing comparator
     // must never trigger extra speculation.
-    if (CmpThrew)
-      Exists = true;
-    if (Exists)
+    if (Exists || CmpThrew || !Free)
       return nullptr;
-    int Cur = S.Count.load(std::memory_order_acquire);
-    while (Cur < 2 &&
-           !S.Count.compare_exchange_weak(Cur, Cur + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_acquire)) {
-    }
-    if (Cur >= 2)
-      return nullptr;
-    Attempt *NA = &AttemptStore[static_cast<size_t>(2 * NK + Cur)];
-    resetAttempt(NA, NK, OutVal);
+    resetAttempt(Free, NK, OutVal);
     Run->ChainedTasks.fetch_add(1, std::memory_order_relaxed);
-    S.Items[Cur].store(NA, std::memory_order_release);
-    return NA;
+    return Free;
   }
 
   //===---------------- validator-side helpers -------------------------===//
-
-  /// Loads reserved slot item \p I, riding out its chainer's
-  /// reserve-to-publish window (a few instructions).
-  static Attempt *slotItem(Slot &S, int I) {
-    Attempt *A;
-    while (!(A = S.Items[I].load(std::memory_order_acquire)))
-      std::this_thread::yield();
-    return A;
-  }
 
   /// Cancels slot \p K's attempts: all of them, or, given \p Correct,
   /// those whose input is already known wrong (telemetry: a Cancel
   /// event per attempt that was neither done nor already cancelled).
   void cancelSlot(int64_t K, int64_t UI, const T *Correct = nullptr) {
-    Slot &S = Slots[static_cast<size_t>(K)];
-    const int C = S.Count.load(std::memory_order_acquire);
-    for (int I = 0; I < C; ++I) {
-      Attempt *A = slotItem(S, I);
-      bool InCmpThrew = false;
-      if (Correct && guardedEqual(Equal, FP, *A->In, *Correct, InCmpThrew))
+    for (uint32_t I = 2 * K; I < 2 * K + 2; ++I) {
+      if (!Run->inWave(I, Wave))
         continue;
-      if (Tr && !Run->done(A->Idx) &&
-          !A->CancelFlag.load(std::memory_order_acquire))
-        Tr->record(SpecEventKind::Cancel, UI, A->TraceId, JobCtx);
-      A->CancelFlag.store(true, std::memory_order_seq_cst);
+      Attempt &A = AttemptStore[I];
+      bool InCmpThrew = false;
+      if (Correct && guardedEqual(Equal, Env.FP, *A.In, *Correct, InCmpThrew))
+        continue;
+      if (Env.Tr && !Run->done(I) &&
+          !A.CancelFlag.load(std::memory_order_acquire))
+        Env.trace(SpecEventKind::Cancel, UI, A.TraceId);
+      A.CancelFlag.store(true, std::memory_order_seq_cst);
     }
   }
 
@@ -1335,16 +1256,13 @@ private:
   /// nullptr when every pending attempt is running on another thread
   /// or parked on one that is. Drain tasks claim the same way.
   Attempt *claimInSlot(int64_t K, bool &AllDone) {
-    Slot &S = Slots[static_cast<size_t>(K)];
-    const int C = S.Count.load(std::memory_order_acquire);
     AllDone = true;
-    for (int I = 0; I < C; ++I) {
-      Attempt *A = slotItem(S, I);
-      if (Run->done(A->Idx))
+    for (uint32_t I = 2 * K; I < 2 * K + 2; ++I) {
+      if (!Run->inWave(I, Wave) || Run->done(I))
         continue;
       AllDone = false;
-      if (Run->claim(A->Idx, Wave))
-        return A;
+      if (Run->claim(I, Wave))
+        return &AttemptStore[I];
     }
     return nullptr;
   }
@@ -1381,24 +1299,22 @@ private:
   /// nor observed cancellation. The slot is quiesced when called.
   Attempt *acceptableAttempt(int64_t K, bool ForceReexec,
                              const T &Correct) {
-    Slot &S = Slots[static_cast<size_t>(K)];
-    const int C = S.Count.load(std::memory_order_acquire);
     Attempt *LastReal = nullptr;
-    for (int I = 0; I < C; ++I) {
-      Attempt *A = slotItem(S, I);
-      // Crashed attempts compete for the last-finisher position (their
-      // partial writes may have landed last, so the slot needs a
-      // re-execution) but are never themselves acceptable.
-      if ((A->Out || A->Err || A->Crashed) &&
-          (!LastReal || A->FinishStamp > LastReal->FinishStamp))
-        LastReal = A;
+    // The last finisher is the higher index that executed. Crashed
+    // attempts compete for that position (their partial writes may have
+    // landed last, so the slot needs a re-execution) but are never
+    // themselves acceptable.
+    for (uint32_t I = 2 * K + 2; I-- > 2 * K && !LastReal;) {
+      Attempt &A = AttemptStore[I];
+      if (Run->inWave(I, Wave) && (A.Out || A.Err || A.Crashed))
+        LastReal = &A;
     }
     if (!LastReal || ForceReexec || LastReal->Crashed ||
         LastReal->CancelFlag.load(std::memory_order_seq_cst) ||
         LastReal->ObservedCancel.load(std::memory_order_relaxed))
       return nullptr;
     bool MatchCmpThrew = false;
-    if (!guardedEqual(Equal, FP, *LastReal->In, Correct, MatchCmpThrew))
+    if (!guardedEqual(Equal, Env.FP, *LastReal->In, Correct, MatchCmpThrew))
       return nullptr;
     return LastReal;
   }
@@ -1413,19 +1329,9 @@ private:
   bool runSegment(int64_t B, int64_t E, int64_t UI, T &Correct,
                   int64_t &SegNs) {
     try {
-      if (FP)
-        FP->maybeThrow(FaultSite::BodyThrow);
-      U L = Init();
-      Clock::time_point T0;
-      if (MeasureBody)
-        T0 = Clock::now();
-      T Acc = std::move(Correct);
-      for (int64_t I = B; I < E; ++I)
-        Acc = Body(I, L, std::move(Acc));
-      if (MeasureBody)
-        SegNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - T0)
-                    .count();
+      if (Env.FP)
+        Env.FP->maybeThrow(FaultSite::BodyThrow);
+      auto [Acc, L] = runBody(B, E, std::move(Correct), SegNs);
       Correct = std::move(Acc);
       return finalizeSegment(UI, L);
     } catch (...) {
@@ -1434,13 +1340,29 @@ private:
     }
   }
 
+  /// The one segment body runner, for attempts and the validator alike:
+  /// Init, then the body over [B, E) from \p Acc, timed into \p Ns when
+  /// MeasureBody. Returns the segment's output and local state.
+  std::pair<T, U> runBody(int64_t B, int64_t E, T Acc, int64_t &Ns) {
+    U L = Init();
+    Clock::time_point T0;
+    if (MeasureBody)
+      T0 = Clock::now();
+    for (int64_t I = B; I < E; ++I)
+      Acc = Body(I, L, std::move(Acc));
+    if (MeasureBody)
+      Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                T0)
+               .count();
+    return {std::move(Acc), std::move(L)};
+  }
+
   /// Runs the user finalizer of validated segment \p UI; same return
   /// contract as runSegment().
   bool finalizeSegment(int64_t UI, U &L) {
     try {
       Finalize(UI, L);
-      if (Tr)
-        Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
+      Env.trace(SpecEventKind::Finalize, UI);
     } catch (...) {
       FirstValidErr = std::current_exception();
       return false;
@@ -1495,8 +1417,7 @@ private:
       // Telemetry: the event's index is the *new* chunk size, so a
       // trace shows the size trajectory. 0 attempt id: this is a
       // run-level decision, not tied to an attempt.
-      if (Tr)
-        Tr->record(SpecEventKind::Autotune, CurChunk, 0, JobCtx);
+      Env.trace(SpecEventKind::Autotune, CurChunk);
     }
     WaveNs = 0;
     WaveMeasured = 0;
@@ -1529,9 +1450,8 @@ private:
     CandTried[static_cast<size_t>(ActiveCand)] = true;
     if (SeededChunk > 0 || BestId >= 0) {
       ++Stats.ProfileSeeds;
-      if (Tr)
-        Tr->record(SpecEventKind::ProfileSeed, SeededChunk,
-                   static_cast<uint64_t>(ActiveCand), JobCtx);
+      Env.trace(SpecEventKind::ProfileSeed, SeededChunk,
+                static_cast<uint64_t>(ActiveCand));
     }
   }
 
@@ -1623,13 +1543,11 @@ private:
   Eq &Equal;
   SpeculationStats &Stats;
   const ValidationMode Mode;
-  Tracer *const Tr;
-  /// The serving-layer job context stamped onto every event this run
-  /// records (zero outside specd — see SpecConfig::traceContext()).
-  const TraceContext JobCtx;
-  FaultPlan *const FP;
+  /// Fault plan, tracer and its job context (zero outside specd — see
+  /// SpecConfig::traceContext()), deadline, shield and attempt budget:
+  /// what every body of this run, attempt or validator, runs under.
+  const BodyEnv Env;
   const std::chrono::nanoseconds CfgDeadline;
-  const Clock::time_point Deadline;
   const bool HasDeadline;
   const double DegradeThresh;
   const int DegradeWin;
@@ -1639,10 +1557,6 @@ private:
   const std::string *const SiteName;
   const bool ProfOn;
   const int64_t W;
-  /// Crash containment (SpecConfig::shield() / attemptBudget()): the
-  /// per-attempt budget every attempt runs under (0 = none).
-  const bool Shield;
-  const int64_t BudgetNs;
   /// Body timing feeds the chunk autotuner.
   const bool MeasureBody;
   int64_t MaxChunk = 1;
@@ -1654,10 +1568,10 @@ private:
   uint32_t Wave = 0;
   /// 2W attempts: slot K owns attempts 2K and 2K+1.
   std::vector<Attempt> AttemptStore;
-  std::vector<Slot> Slots;
 
-  /// Current wave plan (validator-written before dispatch, read-only
-  /// for workers during the wave).
+  /// Current wave plan: the validator writes it before it publishes the
+  /// wave and leaves it untouched until the wave has quiesced, so
+  /// attempts read their bounds here.
   std::vector<std::optional<T>> WavePred;
   std::vector<int64_t> WaveB, WaveE, WaveUser;
   /// Per-segment candidate predictions (profile-guided runs only;
@@ -1704,17 +1618,16 @@ SpecResult<T> iterateImpl(int64_t Low, int64_t High, int64_t Chunk,
                           FinalFn &Finalize, const SpecConfig &Cfg,
                           Eq &Equal) {
   SpecResult<T> Result;
-  StatsOutGuard Guard{Result.Stats, Cfg.statsSnapshotOut()};
-  if (High <= Low) {
+  // An empty range runs nothing, on no executor.
+  SpecExecutor *const Ex = High > Low ? &resolveExecutor(Cfg) : nullptr;
+  SnapshotGuard Guard(Result.Stats, Cfg, Ex);
+  if (!Ex) {
     Result.Value = Predictor(Low);
     return Result;
   }
-  SpecExecutor &Ex =
-      Cfg.executor() ? *Cfg.executor() : *SpecExecutor::defaultShard();
-  ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
   SegEngine<T, U, InitFn, BodyFn, PredictorFn, FinalFn, Eq> Engine(
       Low, High, Chunk, IdxBase, AutotuneTargetNs, Init, Body, Predictor,
-      Finalize, Cfg, Ex, Equal, Result.Stats);
+      Finalize, Cfg, *Ex, Equal, Result.Stats);
   Result.Value = Engine.run();
   return Result;
 }

@@ -10,6 +10,7 @@
 #include "runtime/Telemetry.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <array>
@@ -177,7 +178,7 @@ std::future<JobResult> ServerContext::submit(const std::string &Tenant,
   T.Tenant = TS;
   T.Enqueued = std::chrono::steady_clock::now();
   if (TS->Policy.Deadline.count() > 0)
-    T.AbsDeadline = T.Enqueued + TS->Policy.Deadline;
+    T.AbsDeadline = deadlineAfter(T.Enqueued, TS->Policy.Deadline);
   // Mint the job's causal identity at admission: one TraceId for its
   // whole life, SpanId 1 for this first execution attempt.
   MintedTraceId = NextTraceId.fetch_add(1, std::memory_order_relaxed) + 1;

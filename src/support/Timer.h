@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock stopwatch and a /proc-based peak-memory probe. These stand in
-/// for the paper's ptime / DateTime / PeakVirtualMemorySize64 measurements.
+/// Wall-clock stopwatch, deadline arithmetic and a /proc-based
+/// peak-memory probe. The stopwatch and the probe stand in for the
+/// paper's ptime / DateTime / PeakVirtualMemorySize64 measurements.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,21 @@ private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;
 };
+
+/// The time point \p Budget after \p Now, saturated at time_point::max()
+/// (no deadline) where the sum would overflow the clock, as it does for
+/// a "never" budget such as nanoseconds::max().
+template <typename Rep, typename Period>
+std::chrono::steady_clock::time_point
+deadlineAfter(std::chrono::steady_clock::time_point Now,
+              std::chrono::duration<Rep, Period> Budget) {
+  using Clock = std::chrono::steady_clock;
+  // Compared in Budget's own unit: converting Budget to the clock's
+  // finer one could overflow by itself.
+  const auto Room = std::chrono::duration_cast<decltype(Budget)>(
+      Clock::time_point::max() - Now);
+  return Budget < Room ? Now + Budget : Clock::time_point::max();
+}
 
 /// Returns the process peak resident set size (VmHWM) in kilobytes, or 0 if
 /// it cannot be determined (non-Linux platforms).

@@ -400,6 +400,22 @@ TEST(CompileSpec, DeadlineThrowsSpecTimeout) {
   EXPECT_THROW(C->run(RO), rt::SpecTimeoutError);
 }
 
+TEST(CompileSpec, MaximalDeadlineNeverExpires) {
+  // The whole-run deadline saturates at "never", and so does every
+  // site's remaining share of it.
+  auto P = parse("main = specfold(\\i acc. acc + i, "
+                 "\\i. (i * (i - 1)) / 2, 1, 100)");
+  ASSERT_NE(P, nullptr);
+  auto C = compileOk(*P);
+  ASSERT_NE(C, nullptr);
+  rt::SpecExecutor Ex(2);
+  CompiledProgram::RunOptions RO;
+  RO.Config.executor(Ex).deadline(std::chrono::nanoseconds::max());
+  CompiledProgram::Outcome Out = C->run(RO);
+  ASSERT_TRUE(Out.Run.ok()) << Out.Run.statusStr();
+  EXPECT_EQ(Out.Run.Result.asInt(), 5050);
+}
+
 // ---- Resource limits ------------------------------------------------------
 
 TEST(CompileLimits, StepBudgetYieldsStepLimitOutcome) {

@@ -249,6 +249,24 @@ TEST(Bounds, FoldAndSpecFoldStopAtInt64Max) {
   }
 }
 
+TEST(Schedulers, LongSpecFoldCostsLinearSteps) {
+  // Every speculative iteration spawns threads that finish, or wait on
+  // a running thread, for most of the run; picking the next step must
+  // not rescan them. 20000 iterations then take well under a second
+  // (see the TIMEOUT in tests/CMakeLists.txt) and agree with
+  // NonSpecEval.
+  auto P = parse("main = specfold(\\i a. a + i, \\i. (i * (i - 1)) / 2, "
+                 "1, 20000)");
+  RunOutcome N = runNonSpeculative(*P, EvalOptions());
+  ASSERT_TRUE(N.ok()) << N.statusStr();
+  MachineOptions MO;
+  MO.Sched = SchedulerKind::Random;
+  MO.Seed = 1;
+  SpecRunOutcome S = runSpeculative(*P, MO);
+  ASSERT_TRUE(S.ok()) << S.statusStr();
+  EXPECT_EQ(S.Result.asInt(), N.Result.asInt());
+}
+
 TEST(Schedulers, NonSpecPriorityStillExploresSpeculation) {
   // Priority scheduling must not starve speculative threads forever
   // (producers eventually block on waits, releasing them).

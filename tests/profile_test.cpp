@@ -191,6 +191,9 @@ TEST(ProfileStore, DamagedFilesLoadAsColdAndKeepPriorContents) {
   // Version mismatch.
   spew(F.Path, "{\"version\":999,\"sites\":{}}");
   EXPECT_FALSE(Seeded.load(F.Path));
+  // A \u escape above one byte, which the writer never emits.
+  spew(F.Path, "{\"version\":1,\"sites\":{\"\\u20ac\":{\"runs\":1}}}");
+  EXPECT_FALSE(Seeded.load(F.Path));
 
   // Every failed load left the store exactly as it was.
   EXPECT_EQ(Seeded.size(), 1u);

@@ -1149,6 +1149,27 @@ TEST(IterateChunked, WholeInt64RangeRunsUntilItsDeadline) {
                  SpecTimeoutError);
 }
 
+TEST(Deadline, MaximalDeadlineNeverExpires) {
+  // nanoseconds::max() is a budget no run can spend: the run's absolute
+  // deadline saturates at "never" instead of overflowing the clock, and
+  // both forms return the sequential value.
+  const auto Never = std::chrono::nanoseconds::max();
+  SpecExecutor Ex(2);
+  auto Body = [](int64_t I, int64_t A) { return A + I; };
+  auto Pred = [](int64_t I) { return I * (I - 1) / 2; };
+  for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par})
+    EXPECT_EQ(Speculation::iterate<int64_t>(
+                  0, 100, Body, Pred,
+                  SpecConfig().executor(Ex).mode(Mode).deadline(Never))
+                  .Value,
+              4950);
+  int Seen = -1;
+  Speculation::apply<int>([] { return 7; }, [] { return 7; },
+                          [&](int V) { Seen = V; },
+                          SpecConfig().executor(Ex).deadline(Never));
+  EXPECT_EQ(Seen, 7);
+}
+
 //===----------------------------------------------------------------------===//
 // Executor statistics
 //===----------------------------------------------------------------------===//
@@ -1422,6 +1443,73 @@ TEST(IterateChunked, ParModeDispatchesAtMostTwoAttemptsPerSegment) {
       }
     }
   }
+}
+
+TEST(IterateChunked, ParModeSecondAttemptStartsAfterTheFirstFinishes) {
+  // Invariant 4: a slot's second attempt starts only once its first is
+  // Done, which is why the higher-indexed executed attempt is the slot's
+  // last finisher. Wrong predictions make Par-mode chainers fill slots;
+  // forced mispredictions and spurious cancels send slots to
+  // re-execution; delayed task starts and jittered wakeups vary who runs
+  // which attempt.
+  const int64_t N = 256, ChunkSize = 4, Chunks = N / ChunkSize;
+  auto Body = [](int64_t I, int64_t A) { return A + I; };
+  int64_t Pairs = 0;
+  for (unsigned Workers : {1u, 2u, 4u}) {
+    for (uint64_t Seed : {1, 2, 3}) {
+      Rng R(Seed * 17 + Workers);
+      std::vector<bool> Wrong(static_cast<size_t>(Chunks));
+      for (int64_t C = 1; C < Chunks; ++C)
+        Wrong[static_cast<size_t>(C)] = R.nextBool(0.4);
+      auto Pred = [&](int64_t I) {
+        const int64_t Truth = I * (I - 1) / 2;
+        return Wrong[static_cast<size_t>(I / ChunkSize)] ? Truth + 1 : Truth;
+      };
+      FaultPlan Plan(Seed);
+      Plan.arm(FaultSite::ForceMispredict, 0.2)
+          .arm(FaultSite::SpuriousCancel, 0.1);
+      FaultPlan ExPlan(Seed + 100);
+      ExPlan.arm(FaultSite::DelayTaskStart, 0.3)
+          .arm(FaultSite::JitterWakeup, 0.3)
+          .delayRange(std::chrono::microseconds(5),
+                      std::chrono::microseconds(50));
+      SpecExecutor Ex(Workers);
+      Ex.injectFaults(&ExPlan);
+      Tracer Tr;
+      auto Res = Speculation::iterateChunked<int64_t>(
+          0, N, ChunkSize, Body, Pred,
+          SpecConfig()
+              .executor(Ex)
+              .mode(ValidationMode::Par)
+              .faults(&Plan)
+              .trace(&Tr));
+      Ex.injectFaults(nullptr);
+      EXPECT_EQ(Res.Value, N * (N - 1) / 2)
+          << "seed " << Seed << " workers " << Workers;
+      const std::vector<SpecEvent> Ev = Tr.snapshot();
+      EXPECT_EQ(Tr.droppedEvents(), 0u);
+      std::map<uint64_t, uint64_t> FinishSeq;
+      std::map<int64_t, std::vector<SpecEvent>> Starts;
+      for (const SpecEvent &E : Ev) {
+        if (E.Kind == SpecEventKind::Finish)
+          FinishSeq[E.AttemptId] = E.Seq;
+        else if (E.Kind == SpecEventKind::Start)
+          Starts[E.Index].push_back(E); // snapshot() is in Seq order
+      }
+      for (const auto &[Seg, S] : Starts) {
+        ASSERT_LE(S.size(), 2u) << "segment " << Seg;
+        if (S.size() < 2)
+          continue;
+        ++Pairs;
+        ASSERT_EQ(FinishSeq.count(S[0].AttemptId), 1u) << "segment " << Seg;
+        EXPECT_LT(FinishSeq[S[0].AttemptId], S[1].Seq)
+            << "seed " << Seed << " workers " << Workers << " segment "
+            << Seg << ": the second attempt started before the first "
+            << "finished";
+      }
+    }
+  }
+  EXPECT_GT(Pairs, 0) << "no segment ran two attempts";
 }
 
 /// Property sweep across seeds: a fold with data-dependent control flow,
